@@ -91,7 +91,7 @@ def main() -> None:
     walks_per_target = {}
     for t in targets:
         stack = build_propagation(model, scenario.graph, acts, schedule, t,
-                                  target_class=1, materialize=False)
+                                  target_class=1)
         walks_per_target[t] = amp_ave_topk(
             stack, cfg["topk"], max_k_tilde=cfg["search_budget"]).positive
     print(f"search took {time.time() - t0:.1f}s")

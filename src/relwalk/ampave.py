@@ -59,33 +59,22 @@ class NodeMessageTable:
     complete: tuple[np.ndarray, ...]
 
 
-def _step_pieces(stack: PropagationStack, l: int):
-    """num = H W_up and the zero-masked inverse denominator for step l."""
-    num = stack.hidden[l] @ stack.wups[l]
-    den = stack.denominators[l]
-    inv = np.where(np.abs(den) < stack.eps_stab, 0.0, 1.0 / np.where(den == 0, 1.0, den))
-    if stack.stabilize:
-        stab = den + stack.eps_stab * np.where(den >= 0, 1.0, -1.0)
-        inv = 1.0 / stab
-    return num, inv
-
-
 def step_objective_matrix(stack: PropagationStack, l: int, mu_next: np.ndarray) -> np.ndarray:
     """All-pairs step objective sum_{n_l, n_{l+1}} T^(l)[m,:,m',:] mu_next[m'].
 
     Computed from the factorized pieces; identical to contracting the
     materialized tensor.
     """
-    num, inv = _step_pieces(stack, l)
-    q = mu_next * inv  # (M, N_{l+1})
-    return stack.lambdas[l] * (num @ q.T)
+    q = mu_next * stack.inverse_denominators[l]  # (M, N_{l+1})
+    return stack.lambdas[l] * ((stack.hidden[l] @ stack.wups[l]) @ q.T)
 
 
 def step_objective(stack: PropagationStack, l: int, m_prev: int, m_next: int,
                    mu_next: np.ndarray) -> float:
     """Single-pair step objective; mu_next is the message vector at m_next."""
-    num, inv = _step_pieces(stack, l)
-    return float(stack.lambdas[l][m_prev, m_next] * num[m_prev] @ (mu_next * inv[m_next]))
+    num = stack.hidden[l][m_prev] @ stack.wups[l]
+    return float(stack.lambdas[l][m_prev, m_next]
+                 * num @ (mu_next * stack.inverse_denominators[l][m_next]))
 
 
 def _edge_argmax(obj: np.ndarray, lam: np.ndarray, complete_next: np.ndarray) -> np.ndarray:
@@ -93,8 +82,10 @@ def _edge_argmax(obj: np.ndarray, lam: np.ndarray, complete_next: np.ndarray) ->
     lam[m, m'] != 0 and complete_next[m'].
 
     The plain row argmax stands wherever it lands on such a continuation;
-    only the remaining rows are recomputed with the rest masked out, a
-    block of rows at a time, so no M x M mask is built.
+    only the remaining rows are recomputed, a block of rows at a time, so
+    no M x M mask is built.  On an all-zero row the first allowed
+    continuation is the first maximizer, so only rows holding a nonzero
+    value are re-run with the rest masked out.
     """
     chosen = np.argmax(obj, axis=1)
     rows = np.flatnonzero((lam[np.arange(len(chosen)), chosen] == 0)
@@ -103,7 +94,12 @@ def _edge_argmax(obj: np.ndarray, lam: np.ndarray, complete_next: np.ndarray) ->
     for start in range(0, rows.size, block):
         sel = rows[start:start + block]
         allowed = (lam[sel] != 0) & complete_next
-        chosen[sel] = np.argmax(np.where(allowed, obj[sel], -np.inf), axis=1)
+        values = obj[sel]
+        live = values.any(axis=1)
+        fixed = np.argmax(allowed, axis=1)
+        if live.any():
+            fixed[live] = np.argmax(np.where(allowed[live], values[live], -np.inf), axis=1)
+        chosen[sel] = fixed
     return chosen
 
 
@@ -122,8 +118,7 @@ def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:
         step[l] = chosen = _edge_argmax(objective[l], lam, complete[l + 1])
         lam_sel = lam[rows, chosen]
         complete[l] = (lam_sel != 0) & complete[l + 1][chosen]
-        _, inv = _step_pieces(stack, l)
-        scaled[l] = mu[l + 1] * inv                 # (M, N_{l+1})
+        scaled[l] = mu[l + 1] * stack.inverse_denominators[l]   # (M, N_{l+1})
         wq = scaled[l] @ stack.wups[l].T            # (M, N_l)
         mu[l] = lam_sel[:, None] * stack.hidden[l] * wq[chosen]
     return NodeMessageTable(tuple(mu), tuple(step), tuple(objective), tuple(scaled),

@@ -51,7 +51,6 @@ from .oracle import (
 )
 from .propagation import (
     BudgetError,
-    DEFAULT_TENSOR_BUDGET,
     ParameterError,
     build_propagation,
     parse_gamma,
@@ -68,9 +67,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma", default="linear:3",
                         help="LRP-gamma schedule, 'const:X' or 'linear:X'")
     parser.add_argument("--low-mem", action="store_true",
-                        help="force factorized transition evaluation")
+                        help="no effect: factorized transition evaluation is the "
+                             "default; kept so existing scripts still run")
     parser.add_argument("--budget", type=int, default=None,
-                        help="entry/enumeration budget override")
+                        help="enumeration budget override; also caps the "
+                             "extractions of both searches")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,10 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _budgets(args) -> tuple[int, int]:
-    tensor = args.budget if args.budget is not None else DEFAULT_TENSOR_BUDGET
-    enum = args.budget if args.budget is not None else DEFAULT_ENUM_BUDGET
-    return tensor, enum
+def _enum_budget(args) -> int:
+    return args.budget if args.budget is not None else DEFAULT_ENUM_BUDGET
 
 
 def _build_stack(args, model, graph, target=None):
@@ -197,11 +196,7 @@ def _build_stack(args, model, graph, target=None):
             raise ParameterError("--target (node index) is required for node-task models")
         target = predicted_target(model, acts)
     schedule = parse_gamma(args.gamma, model.num_steps)
-    tensor_budget, _ = _budgets(args)
-    return build_propagation(
-        model, graph, acts, schedule, target,
-        materialize=not args.low_mem, tensor_budget=tensor_budget,
-    )
+    return build_propagation(model, graph, acts, schedule, target)
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -276,13 +271,11 @@ def _cmd_train(args) -> int:
 
 
 def _run_search(args, stack, method: str, k: int):
-    if method == "emp-neu":
-        return emp_neu_topk(stack, k)
     # the enumeration budget also caps extractions, so targets with fewer
     # than k positive walks yield a partial result instead of sweeping the
     # whole walk space
-    _, enum_budget = _budgets(args)
-    return amp_ave_topk(stack, k, max_k_tilde=enum_budget)
+    search = emp_neu_topk if method == "emp-neu" else amp_ave_topk
+    return search(stack, k, max_k_tilde=_enum_budget(args))
 
 
 def _cmd_explain(args) -> int:
@@ -308,7 +301,7 @@ def _cmd_eval(args) -> int:
     if args.metric == "pr":
         ks = [int(x) for x in args.ks.split(",")]
         kstars = [int(x) for x in args.kstars.split(",")]
-        _, enum_budget = _budgets(args)
+        enum_budget = _enum_budget(args)
         oracle = exhaustive_topk_node(stack, max(max(ks), max(kstars)) + 64,
                                       budget=enum_budget)
         approx = amp_ave_topk(stack, max(ks), max_k_tilde=enum_budget).positive
@@ -328,7 +321,7 @@ def _cmd_eval(args) -> int:
         return EXIT_OK
 
     if args.metric == "edge-recall":
-        _, enum_budget = _budgets(args)
+        enum_budget = _enum_budget(args)
         walks = amp_ave_topk(stack, args.topk, max_k_tilde=enum_budget).positive
         if not walks:
             raise ParameterError("no positive walks found; cannot score edges")
@@ -358,11 +351,10 @@ def _eval_infection_recall(args) -> int:
     targets = [t for t in sorted(scenario.chains) if len(scenario.chains[t]) > 1]
     if args.max_targets:
         targets = targets[: args.max_targets]
-    _, enum_budget = _budgets(args)
+    enum_budget = _enum_budget(args)
     walks_per_target = {}
     for t in targets:
-        stack = build_propagation(model, graph, acts, schedule, t,
-                                  materialize=not args.low_mem, target_class=1)
+        stack = build_propagation(model, graph, acts, schedule, t, target_class=1)
         walks_per_target[t] = amp_ave_topk(stack, args.topk,
                                            max_k_tilde=enum_budget).positive
     recall = infection_chain_recall(
@@ -381,7 +373,7 @@ def _cmd_bench(args) -> int:
     methods = args.methods.split(",")
     rng_seed = args.seed
     rows = []
-    _, enum_budget = _budgets(args)
+    enum_budget = _enum_budget(args)
     for m in (int(x) for x in args.m_values.split(",")):
         for l in (int(x) for x in args.l_values.split(",")):
             rng = np.random.default_rng(rng_seed)
@@ -392,15 +384,15 @@ def _cmd_bench(args) -> int:
             model = init_model([args.hidden] * (l + 1), 2, seed=rng_seed)
             acts = forward(model, graph)
             schedule = parse_gamma(args.gamma, model.num_steps)
-            stack = build_propagation(model, graph, acts, schedule, 0,
-                                      materialize=not args.low_mem)
+            stack = build_propagation(model, graph, acts, schedule, 0)
             for method in methods:
                 estimated = False
                 if method == "amp-ave":
                     fn = lambda: amp_ave_topk(stack, args.topk,
                                               max_k_tilde=enum_budget)
                 elif method == "emp-neu":
-                    fn = lambda: emp_neu_topk(stack, args.topk)
+                    fn = lambda: emp_neu_topk(stack, args.topk,
+                                              max_k_tilde=enum_budget)
                 elif method == "exhaustive-node":
                     total = m ** (l + 1)
                     if total > enum_budget:

@@ -19,39 +19,68 @@ from .oracle import ScoredWalk, neuron_walk_relevance
 from .propagation import PropagationStack
 
 
+# entries of one (rows, M, N_l) block of the max-product over m'; a whole
+# step fits in one block at M=200, N_l=16 (640k entries, 8 MiB)
+_BLOCK_ENTRIES = 1 << 20
+
+
 @dataclass(frozen=True)
 class MessageTable:
     """Backward max-product messages and argmax step mappings.
 
     mu[l] has shape (M * N_l,): the best absolute continuation value from
     each (m, n) pair at layer l.  step[l] maps each flat pair at layer l
-    to the chosen flat pair at layer l + 1 (length num_steps list).
-    factors[l] is |T^(l)| reshaped to (M * N_l, M * N_{l+1}).
+    to the chosen flat pair at layer l + 1 (length num_steps list): the
+    first maximizer in flat (m', n') order wherever mu[l] is nonzero.
+    factors[l] is the scaled message mu[l + 1] * |1 / den^(l)| of shape
+    (M, N_{l+1}), with the stack's guarded inverse denominators; with
+    |Lambda|, |H| and |W_up| of the stack it gives any row or entry of
+    |T^(l)| * mu[l + 1] on demand, so no dense |T^(l)| is ever built.
     """
 
     mu: tuple[np.ndarray, ...]
     step: tuple[np.ndarray, ...]
     factors: tuple[np.ndarray, ...]
     sizes: tuple[int, ...]
+    stack: PropagationStack
 
 
 def build_message_table(stack: PropagationStack) -> MessageTable:
+    """Max-product messages from the factorized pieces.
+
+    All factors are non-negative after abs, so for step l with
+    nu = mu[l + 1] * |1 / den|:
+        G[m', n] = max_{n'} |W_up[n, n']| nu[m', n']
+        mu[l][m, n] = |H[m, n]| max_{m'} |Lambda[m, m']| G[m', n]
+    at O(M N_l N_{l+1} + M^2 N_l) per step.  Keeping the first maximizer
+    at both stages gives the first flat (m', n') maximizer.
+    """
     m = stack.num_nodes
     dims = stack.dims
     sizes = [m * d for d in dims]
-    factors = [
-        np.abs(stack.tensor(l)).reshape(sizes[l], sizes[l + 1])
-        for l in range(stack.num_steps)
-    ]
     mu = [None] * (stack.num_steps + 1)
     step = [None] * stack.num_steps
+    factors = [None] * stack.num_steps
     mu[-1] = np.abs(stack.output_relevance).reshape(sizes[-1])
     for l in range(stack.num_steps - 1, -1, -1):
-        scored = factors[l] * mu[l + 1][None, :]
-        # argmax returns the first maximizer: lexicographically smallest (m, n)
-        step[l] = np.argmax(scored, axis=1)
-        mu[l] = scored[np.arange(sizes[l]), step[l]]
-    return MessageTable(tuple(mu), tuple(step), tuple(factors), tuple(sizes))
+        n_l, n_next = dims[l], dims[l + 1]
+        nu = mu[l + 1].reshape(m, n_next) * np.abs(stack.inverse_denominators[l])
+        factors[l] = nu
+        inner_scored = np.abs(stack.wups[l])[None, :, :] * nu[:, None, :]  # (M', N_l, N_l+1)
+        inner = np.argmax(inner_scored, axis=2)                           # (M', N_l)
+        g = np.take_along_axis(inner_scored, inner[:, :, None], axis=2)[:, :, 0]
+        outer = np.empty((m, n_l), dtype=np.intp)
+        best = np.empty((m, n_l))
+        lam = stack.lambdas[l]
+        block = max(1, _BLOCK_ENTRIES // (m * n_l))
+        for start in range(0, m, block):
+            rows = slice(start, start + block)
+            scored = np.abs(lam[rows])[:, :, None] * g[None, :, :]           # (B, M', N_l)
+            outer[rows] = np.argmax(scored, axis=1)
+            best[rows] = np.take_along_axis(scored, outer[rows][:, None, :], axis=1)[:, 0, :]
+        mu[l] = (np.abs(stack.hidden[l]) * best).reshape(sizes[l])
+        step[l] = (outer * n_next + inner[outer, np.arange(n_l)]).reshape(sizes[l])
+    return MessageTable(tuple(mu), tuple(step), tuple(factors), tuple(sizes), stack)
 
 
 @dataclass
@@ -79,10 +108,24 @@ def _backtrack(table: MessageTable, layer: int, pair: int) -> list[int]:
 
 
 def _prefix_factor(table: MessageTable, prefix: tuple[int, ...]) -> float:
+    stack = table.stack
+    dims = stack.dims
     value = 1.0
     for l in range(len(prefix) - 1):
-        value *= table.factors[l][prefix[l], prefix[l + 1]]
+        m, n = divmod(prefix[l], dims[l])
+        mp, np_ = divmod(prefix[l + 1], dims[l + 1])
+        value *= abs(stack.entry(l, m, n, mp, np_))
     return value
+
+
+def _scored_row(table: MessageTable, l: int, pair: int) -> np.ndarray:
+    """|T^(l)[m, n, :, :]| * mu[l + 1] for pair = (m, n), flat over (m', n')."""
+    stack = table.stack
+    m, n = divmod(pair, stack.dims[l])
+    lam = np.abs(stack.lambdas[l][m])
+    w = np.abs(stack.wups[l][n])
+    row = abs(stack.hidden[l][m, n]) * (lam[:, None] * (w[None, :] * table.factors[l]))
+    return row.reshape(-1)
 
 
 def constrained_max(
@@ -99,8 +142,7 @@ def constrained_max(
     if i == 0:
         candidates = table.mu[0].copy()
     else:
-        row = table.factors[i - 1][subset.prefix[-1]]
-        candidates = row * table.mu[i]
+        candidates = _scored_row(table, i - 1, subset.prefix[-1])
     if counters is not None:
         counters["argmax_ops"] = counters.get("argmax_ops", 0) + candidates.shape[0]
     if subset.excluded:

@@ -9,9 +9,12 @@ with Wup = W + gamma * relu(W).  Columns (fixed m', n') sum to one by
 construction; columns whose denominator is below a stability threshold
 are zeroed so the column sum stays exactly in {0, 1}.
 
-The stack can be materialized (full 4-index tensors) or kept factorized
-as {Lam, H, Wup} with entries computed on demand, which cuts the memory
-cost from O(L M^2 N^2) to O(M^2 + L N (M + N)).
+By default the stack is kept factorized as {Lam, H, Wup} plus the
+guarded denominators, with entries, slices and tensors computed on
+demand: building it costs O(L M N (M + N)) time and O(M^2 + L N (M + N))
+memory.  materialize=True additionally stores the full 4-index tensors,
+O(L M^2 N^2) time and memory; only the brute-force oracle and the
+factorized/materialized parity tests need those.
 """
 
 from __future__ import annotations
@@ -93,6 +96,11 @@ class PropagationStack:
 
     Holds the factorized pieces always; materialized tensors only when
     requested and within the entry budget.  Immutable after build.
+
+    guarded_denominators[l] is the step-l denominator with the stability
+    guard applied (inf on zeroed columns, or shifted away from zero under
+    stabilize); inverse_denominators[l] is its reciprocal (0 on zeroed
+    columns).  Both are computed once here and shared by every reader.
     """
 
     def __init__(
@@ -115,6 +123,8 @@ class PropagationStack:
         self.denominators = [
             (lam.T @ h) @ w for lam, h, w in zip(lambdas, hidden, wups)
         ]
+        self.guarded_denominators = [self._guard(den) for den in self.denominators]
+        self.inverse_denominators = [1.0 / den for den in self.guarded_denominators]
         self.materialized: list[np.ndarray] | None = None
         if materialize:
             self.materialized = [self._build_tensor(l) for l in range(self.num_steps)]
@@ -145,8 +155,7 @@ class PropagationStack:
 
     # -- entry access -------------------------------------------------------
 
-    def _safe_denominator(self, l: int) -> np.ndarray:
-        den = self.denominators[l]
+    def _guard(self, den: np.ndarray) -> np.ndarray:
         if self.stabilize:
             return den + self.eps_stab * np.where(den >= 0, 1.0, -1.0)
         return np.where(np.abs(den) < self.eps_stab, np.inf, den)
@@ -154,7 +163,7 @@ class PropagationStack:
     def _build_tensor(self, l: int) -> np.ndarray:
         lam, h, w = self.lambdas[l], self.hidden[l], self.wups[l]
         num = np.einsum("ma,mn,nb->mnab", lam, h, w)
-        return num / self._safe_denominator(l)[None, None, :, :]
+        return num / self.guarded_denominators[l][None, None, :, :]
 
     def tensor(self, l: int) -> np.ndarray:
         """Full 4-index tensor T^(l), shape (M, N_l, M, N_{l+1})."""
@@ -166,11 +175,9 @@ class PropagationStack:
         """Single on-demand entry T^(l)[m, n, m', n']."""
         if self.materialized is not None:
             return float(self.materialized[l][m, n, mp, np_])
-        den = self.denominators[l][mp, np_]
-        if not self.stabilize and abs(den) < self.eps_stab:
+        den = self.guarded_denominators[l][mp, np_]
+        if den == np.inf:
             return 0.0
-        if self.stabilize:
-            den = den + self.eps_stab * (1.0 if den >= 0 else -1.0)
         return float(self.lambdas[l][m, mp] * self.hidden[l][m, n] * self.wups[l][n, np_] / den)
 
     def slice(self, l: int, m: int, mp: int) -> np.ndarray:
@@ -181,11 +188,8 @@ class PropagationStack:
             self.lambdas[l][m, mp]
             * self.hidden[l][m][:, None]
             * self.wups[l]
-            / self._safe_denominator(l)[mp][None, :]
+            / self.guarded_denominators[l][mp][None, :]
         )
-
-    def dump_slice_csv(self, l: int, m: int, mp: int, path) -> None:
-        np.savetxt(path, self.slice(l, m, mp), delimiter=",")
 
 
 def build_propagation(
@@ -194,7 +198,7 @@ def build_propagation(
     acts: Activations,
     schedule: GammaSchedule,
     target: int,
-    materialize: bool = True,
+    materialize: bool = False,
     eps_stab: float = EPS_STAB,
     stabilize: bool = False,
     tensor_budget: int = DEFAULT_TENSOR_BUDGET,
@@ -203,7 +207,8 @@ def build_propagation(
     """Assemble the propagation stack for one explanation target.
 
     target is a class index (graph task) or a node index (node task).
-    materialize=True is silently downgraded to factorized mode when the
+    The stack is factorized by default; materialize=True also stores the
+    dense tensors, and is silently downgraded to factorized mode when the
     total tensor entry count exceeds tensor_budget.
     """
     steps = model.steps

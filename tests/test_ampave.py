@@ -298,6 +298,23 @@ def test_edge_argmax_in_row_blocks_matches_one_block(monkeypatch):
     assert refit > 0
 
 
+def test_edge_argmax_on_node_task_equals_fully_masked_argmax():
+    # R^(L) is zero outside the target row, so many objective rows are all
+    # zero; their first allowed continuation is the first maximizer
+    zero_rows = 0
+    for seed in range(10):
+        _, _, _, stack = random_instance(m=8, seed=seed, edge_prob=0.3, task="node",
+                                         target=seed % 8)
+        table = build_node_message_table(stack)
+        for l in range(stack.num_steps):
+            obj = table.objective[l]
+            allowed = (stack.lambdas[l] != 0) & table.complete[l + 1][None, :]
+            masked = np.argmax(np.where(allowed, obj, -np.inf), axis=1)
+            np.testing.assert_array_equal(table.step[l], masked)
+            zero_rows += int(np.sum(~obj.any(axis=1) & ~allowed[:, 0]))
+    assert zero_rows > 0
+
+
 def test_completions_avoid_dead_ends():
     # directed, no self loops: 2 is a sink and 3 only leads to 2, so in a
     # three-step walk 2 can only be the last node and 3 the one before it

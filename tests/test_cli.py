@@ -111,6 +111,20 @@ def test_explain_emp_neu_reports_neuron_walks(ba_dir, model_file, capsys):
     assert all("neurons" in r for r in walk_records)
 
 
+@pytest.mark.parametrize("method", ["emp-neu", "amp-ave"])
+def test_explain_budget_caps_extractions(ba_dir, model_file, capsys, method):
+    def summary(*flags):
+        code = main(["explain", "--model", str(model_file),
+                     "--graph", str(ba_dir / "graph_0001.json"),
+                     "--method", method, "--topk", "50", *flags])
+        assert code == EXIT_OK
+        return json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+
+    assert summary()["k_tilde"] > 10
+    capped = summary("--budget", "10")
+    assert capped["k_tilde"] <= 10 and capped["exhausted"]
+
+
 def test_explain_low_mem_matches_default(ba_dir, model_file, capsys):
     outputs = []
     for flag in ([], ["--low-mem"]):

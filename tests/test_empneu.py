@@ -18,6 +18,7 @@ from relwalk import (
     exhaustive_topk_neuron,
     forward,
     neuron_walk_relevance,
+    predicted_target,
 )
 from helpers import assert_topk_equivalent, random_instance
 
@@ -64,6 +65,96 @@ def test_basic_dead_network_returns_none():
     acts = forward(model, graph)
     stack = build_propagation(model, graph, acts, GammaSchedule.constant(0.0, 1), 0)
     assert emp_neu_basic(stack) is None
+
+
+# -- factorized message table against the dense max-product ---------------------
+
+REL = 1e-12
+
+
+def table_instances(stabilize):
+    """Stacks over 60 seeds: dense and sparse graphs, graph and node tasks."""
+    for seed in range(60):
+        kwargs = [{}, {"edge_prob": 0.3}, {"task": "node", "target": seed % 6}][seed % 3]
+        model, graph, acts, stack = random_instance(seed=seed, **kwargs)
+        if stabilize:
+            target = predicted_target(model, acts) if model.readout.task == "graph" \
+                else kwargs["target"]
+            stack = build_propagation(model, graph, acts,
+                                      GammaSchedule.constant(1.0, model.num_steps),
+                                      target, stabilize=True)
+        yield stack
+
+
+def dense_max_product(stack):
+    """Reference messages and scored rows from the dense |T^(l)| tensors."""
+    sizes = [stack.num_nodes * d for d in stack.dims]
+    mu = [None] * (stack.num_steps + 1)
+    scored = [None] * stack.num_steps
+    mu[-1] = np.abs(stack.output_relevance).reshape(-1)
+    for l in range(stack.num_steps - 1, -1, -1):
+        factor = np.abs(stack.tensor(l)).reshape(sizes[l], sizes[l + 1])
+        scored[l] = factor * mu[l + 1][None, :]
+        mu[l] = scored[l].max(axis=1)
+    return mu, scored
+
+
+@pytest.mark.parametrize("stabilize", [False, True])
+def test_message_table_mu_matches_dense_max_product(stabilize):
+    dead = 0
+    for stack in table_instances(stabilize):
+        dead += sum(int(np.sum(h == 0)) for h in stack.hidden[1:])
+        table = build_message_table(stack)
+        mu, _ = dense_max_product(stack)
+        for l in range(stack.num_steps + 1):
+            np.testing.assert_allclose(table.mu[l], mu[l], rtol=REL, atol=0)
+    assert dead > 0  # dead ReLU units give all-zero rows
+
+
+@pytest.mark.parametrize("stabilize", [False, True])
+def test_message_table_step_is_dense_first_maximizer(stabilize):
+    # Exact ties are common (with gamma = 1 and a non-negative weight column
+    # R / den is exactly 1/2), and the dense and factorized products round
+    # differently, so ties are compared by value group: the step is a
+    # maximizer within REL, and equals the dense first maximizer wherever
+    # that maximizer is unique.
+    unique = 0
+    for stack in table_instances(stabilize):
+        table = build_message_table(stack)
+        mu, scored = dense_max_product(stack)
+        for l in range(stack.num_steps):
+            rows = np.flatnonzero(mu[l] > 0)
+            best = scored[l][rows]
+            chosen = best[np.arange(rows.size), table.step[l][rows]]
+            np.testing.assert_allclose(chosen, mu[l][rows], rtol=REL, atol=0)
+            near = best >= mu[l][rows][:, None] * (1 - REL)
+            alone = near.sum(axis=1) == 1
+            unique += int(alone.sum())
+            np.testing.assert_array_equal(table.step[l][rows][alone],
+                                          np.argmax(best, axis=1)[alone])
+    assert unique > 1000
+
+
+def test_message_table_holds_no_dense_tensor():
+    _, _, _, stack = random_instance(m=40, seed=0, edge_prob=0.1, materialize=False)
+    table = build_message_table(stack)
+    entries = sum(a.size for a in table.factors + table.mu + table.step)
+    m, dims = stack.num_nodes, stack.dims
+    assert entries <= 3 * m * sum(dims)
+    assert stack.materialized is None
+
+
+def test_message_table_blocks_match_one_block(monkeypatch):
+    from relwalk import empneu
+
+    for seed in range(5):
+        _, _, _, stack = random_instance(seed=seed, edge_prob=0.5)
+        whole = build_message_table(stack)
+        monkeypatch.setattr(empneu, "_BLOCK_ENTRIES", 7)
+        blocked = build_message_table(stack)
+        monkeypatch.undo()
+        for a, b in zip(whole.mu + whole.step, blocked.mu + blocked.step):
+            np.testing.assert_array_equal(a, b)
 
 
 # -- constrained subset maximization --------------------------------------------
@@ -135,6 +226,16 @@ def test_topk_matches_oracle_walk_for_walk():
         result = emp_neu_topk(stack, 50, max_k_tilde=None)
         k_tilde = result.k_tilde
         expected = exhaustive_topk_neuron(stack, k_tilde, absolute=True)
+        assert_topk_equivalent(result.absolute, expected, tol=1e-10, absolute=True)
+
+
+@pytest.mark.parametrize("stabilize", [False, True])
+def test_topk_matches_oracle_on_sparse_and_node_instances(stabilize):
+    for i, stack in enumerate(table_instances(stabilize)):
+        if i % 3 == 0 or i >= 30:
+            continue  # the dense graph-task case is covered above
+        result = emp_neu_topk(stack, 15)
+        expected = exhaustive_topk_neuron(stack, result.k_tilde, absolute=True)
         assert_topk_equivalent(result.absolute, expected, tol=1e-10, absolute=True)
 
 
