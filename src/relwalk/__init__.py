@@ -9,8 +9,6 @@ __version__ = "0.1.0"
 
 from .ampave import (
     NodeMessageTable,
-    NodeSubset,
-    NodeTopKResult,
     amp_ave_basic,
     amp_ave_topk,
     build_node_message_table,
@@ -28,7 +26,6 @@ from .datasets import (
 )
 from .empneu import (
     MessageTable,
-    SearchSubset,
     TopKResult,
     build_message_table,
     constrained_max,
@@ -86,6 +83,7 @@ from .propagation import (
     modified_weight,
     parse_gamma,
 )
+from .splitting import SplitResult, Splitter, split_topk
 from .training import (
     TrainConfig,
     TrainResult,

@@ -10,7 +10,9 @@ no absolute values are applied anywhere, so the greedy completions chase
 large positive relevance, the same sign as the walks the search keeps,
 and each message is the exact relevance vector of its completion.
 Reported relevances are always exact node-level values of the returned
-walks.
+walks.  The top-K walks come from the splitting engine shared with
+EMP-neu (splitting.py), which ranks each subset by the exact relevance
+of its representative and reports the same counters.
 
 The step objective factorizes over {Lambda, H, Wup} (the transition
 tensors never need to be materialized), which is what makes the search
@@ -19,13 +21,14 @@ feasible at large graph sizes.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .oracle import ScoredWalk, node_walk_relevance
 from .propagation import PropagationStack
+from .splitting import SplitResult, split_topk
 
 # entries masked at once when re-running a row argmax over edges only; on
 # graphs where many rows need it, whole-row copies raise peak memory (by
@@ -142,33 +145,26 @@ def amp_ave_basic(stack: PropagationStack) -> ScoredWalk | None:
     table = build_node_message_table(stack)
     if not np.any(table.mu[0].sum(axis=1) != 0):
         return None
-    root = NodeSubset(prefix=(), excluded=frozenset())
-    _constrained_best(stack, table, root)
-    return ScoredWalk(root.best, root.best_relevance)
-
-
-@dataclass
-class NodeSubset:
-    prefix: tuple[int, ...]
-    excluded: frozenset[int]
-    best: tuple[int, ...] | None = None
-    best_relevance: float = 0.0
+    relevance, nodes, _ = _constrained_best(stack, table, (), frozenset())
+    return ScoredWalk(nodes, relevance)
 
 
 def _constrained_best(stack: PropagationStack, table: NodeMessageTable,
-                      subset: NodeSubset) -> None:
+                      prefix: tuple[int, ...], excluded: frozenset[int],
+                      ) -> tuple[float, tuple[int, ...] | None, int]:
     """Representative walk of a subset: for every allowed node at the free
     position, complete the walk greedily along the message-table argmax
     steps, score each completion exactly, and keep the best.
 
-    Allowed nodes are those not excluded, reached from the last prefix node
-    by an edge (Lambda != 0), and with an edge-following completion, so
-    every representative is a walk; best is None once the subset holds no
+    Returns (exact relevance, walk or None, candidates scanned).  Allowed
+    nodes are those not excluded, reached from the last prefix node by an
+    edge (Lambda != 0), and with an edge-following completion, so every
+    representative is a walk; the walk is None once the subset holds no
     walk.  Scoring all free-position candidates (rather than only the
     single surrogate-argmax one) keeps the approximate search from burying
     high-relevance walks behind weak representatives.
     """
-    i = len(subset.prefix)
+    i = len(prefix)
     allowed = table.complete[i]
     if i == 0:
         scores = table.mu[0].sum(axis=1)
@@ -177,52 +173,27 @@ def _constrained_best(stack: PropagationStack, table: NodeMessageTable,
         # candidates at the free position in one vectorized step
         row = np.ones(stack.dims[0])
         for l in range(i - 1):
-            row = row @ stack.slice(l, subset.prefix[l], subset.prefix[l + 1])
-        p = subset.prefix[-1]
+            row = row @ stack.slice(l, prefix[l], prefix[l + 1])
+        p = prefix[-1]
         contrib = (row * stack.hidden[i - 1][p]) @ stack.wups[i - 1]  # (N_i,)
         lam = stack.lambdas[i - 1][p]
         scores = lam * (table.scaled[i - 1] @ contrib)
         allowed = allowed & (lam != 0)
     scores = np.where(allowed, scores, -np.inf)
-    if subset.excluded:
-        scores[list(subset.excluded)] = -np.inf
+    if excluded:
+        scores[list(excluded)] = -np.inf
     j = int(np.argmax(scores))
     if scores[j] == -np.inf:
-        subset.best = None
-        subset.best_relevance = 0.0
-        return
-    nodes = tuple(subset.prefix) + tuple(_backtrack(table, i, j))
-    subset.best = nodes
-    subset.best_relevance = node_walk_relevance(stack, nodes)
-
-
-@dataclass
-class NodeTopKResult:
-    positive: list[ScoredWalk]
-    extracted: list[ScoredWalk]            # top-K-tilde in extraction order
-    k_tilde: int
-    exhausted: bool                       # fewer than k positive walks found
-    subsets_created: int
-
-    @property
-    def negatives_skipped(self) -> int:
-        return self.k_tilde - len(self.positive)
-
-    def summary(self) -> dict:
-        return {
-            "k": len(self.positive),
-            "k_tilde": self.k_tilde,
-            "negatives_skipped": self.negatives_skipped,
-            "subsets_created": self.subsets_created,
-            "exhausted": self.exhausted,
-        }
+        return 0.0, None, scores.shape[0]
+    nodes = prefix + tuple(_backtrack(table, i, j))
+    return node_walk_relevance(stack, nodes), nodes, scores.shape[0]
 
 
 def amp_ave_topk(
     stack: PropagationStack,
     k: int,
     max_k_tilde: int | None = None,
-) -> NodeTopKResult:
+) -> SplitResult:
     """Top-k positive node-level walks via splitting search.
 
     Subset bests are ranked by their exact recomputed relevance; K-tilde
@@ -236,43 +207,7 @@ def amp_ave_topk(
     if k < 1:
         raise ValueError("k must be >= 1")
     table = build_node_message_table(stack)
-
-    extracted: list[ScoredWalk] = []
-    positive: list[ScoredWalk] = []
-    subsets_created = 0
-    heap: list = []
-
-    root = NodeSubset(prefix=(), excluded=frozenset())
-    _constrained_best(stack, table, root)
-    if root.best is not None:
-        heapq.heappush(heap, (-root.best_relevance, root.best, root))
-        subsets_created += 1
-
-    while heap and len(positive) < k:
-        if max_k_tilde is not None and len(extracted) >= max_k_tilde:
-            break
-        _, _, subset = heapq.heappop(heap)
-        found = subset.best
-        scored = ScoredWalk(found, subset.best_relevance)
-        extracted.append(scored)
-        if scored.relevance > 0:
-            positive.append(scored)
-        i = len(subset.prefix)
-        for j in range(i, len(found)):
-            excluded = subset.excluded | {found[j]} if j == i else frozenset({found[j]})
-            child = NodeSubset(prefix=tuple(found[:j]), excluded=excluded)
-            _constrained_best(stack, table, child)
-            subsets_created += 1
-            if child.best is not None:
-                heapq.heappush(heap, (-child.best_relevance, child.best, child))
-
-    return NodeTopKResult(
-        positive=positive,
-        extracted=extracted,
-        k_tilde=len(extracted),
-        exhausted=len(positive) < k,
-        subsets_created=subsets_created,
-    )
+    return split_topk(partial(_constrained_best, stack, table), ScoredWalk, k, max_k_tilde)
 
 
 def walks_to_edge_scores(walks: list[ScoredWalk]) -> dict[tuple[int, int], float]:

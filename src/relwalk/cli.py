@@ -15,15 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ampave import amp_ave_basic, amp_ave_topk, walks_to_edge_scores
+from .ampave import amp_ave_topk, walks_to_edge_scores
 from .datasets import (
     InfectionScenario,
     gen_ba2motif,
     gen_infection,
     motif_edges,
-    oracle_estimate,
 )
-from .empneu import emp_neu_basic, emp_neu_topk
+from .empneu import emp_neu_topk
 from .graphs import (
     Graph,
     ModelFormatError,
@@ -55,7 +54,7 @@ from .propagation import (
     build_propagation,
     parse_gamma,
 )
-from .training import TrainConfig, accuracy, init_model, train
+from .training import TrainConfig, init_model, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -70,7 +69,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="no effect: factorized transition evaluation is the "
                              "default; kept so existing scripts still run")
     parser.add_argument("--budget", type=int, default=None,
-                        help="enumeration budget override; also caps the "
+                        help="enumeration budget override (>= 1); also caps the "
                              "extractions of both searches")
 
 
@@ -334,11 +333,7 @@ def _cmd_eval(args) -> int:
 
     # positive-ratio
     result = _run_search(args, stack, args.method, args.topk)
-    summary = result.summary()
-    summary["positive_ratio"] = (
-        summary["k"] / summary["k_tilde"] if summary["k_tilde"] else 0.0
-    )
-    print(json.dumps(summary))
+    print(json.dumps({**result.summary(), "positive_ratio": result.positive_ratio}))
     return EXIT_OK
 
 
@@ -438,6 +433,8 @@ def main(argv: list[str] | None = None) -> int:
         "bench": _cmd_bench,
     }
     try:
+        if args.budget is not None and args.budget < 1:
+            raise ParameterError(f"--budget must be >= 1, got {args.budget}")
         return handlers[args.command](args)
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)

@@ -1,22 +1,26 @@
 """Exact top-K neuron-level walk search (EMP-neu).
 
 Max-product message passing on absolute transition values finds the
-single most absolute-relevant neuron-level walk; Nilsson-style search
-space splitting then extracts the top-K-tilde walks one at a time,
-reusing the message tables.  Signed relevances of returned walks are
-always recomputed from the transition entries, never from the absolute
-messages.
+single most absolute-relevant neuron-level walk; the shared splitting
+engine (splitting.py) then extracts the top-K-tilde walks one at a time,
+asking constrained_max for the best walk of each subset, which reuses
+the message tables.  Walks are flat (m, n) pair tuples.  Signed
+relevances of returned walks are always recomputed from the transition
+entries, never from the absolute messages.  The result carries the
+engine's counters (k_tilde, negatives_skipped, subsets_created,
+argmax_ops, exhausted) and the extraction list as `absolute`.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .oracle import ScoredWalk, neuron_walk_relevance
 from .propagation import PropagationStack
+from .splitting import SplitResult, split_topk
 
 
 # entries of one (rows, M, N_l) block of the max-product over m'; a whole
@@ -83,22 +87,6 @@ def build_message_table(stack: PropagationStack) -> MessageTable:
     return MessageTable(tuple(mu), tuple(step), tuple(factors), tuple(sizes), stack)
 
 
-@dataclass
-class SearchSubset:
-    """Walks sharing a fixed pair prefix and excluding given pairs at the free layer.
-
-    prefix holds flat (m, n) pair indices for layers 0 .. len(prefix)-1;
-    the exclusion applies at layer len(prefix).
-    """
-
-    prefix: tuple[int, ...]
-    excluded: frozenset[int]
-    best: tuple[int, ...] | None = None      # full flat-pair walk
-    best_abs: float = 0.0
-    prefix_factor: float = 1.0
-    stats: dict = field(default_factory=dict)
-
-
 def _backtrack(table: MessageTable, layer: int, pair: int) -> list[int]:
     pairs = [pair]
     for l in range(layer, len(table.step)):
@@ -130,30 +118,29 @@ def _scored_row(table: MessageTable, l: int, pair: int) -> np.ndarray:
 
 def constrained_max(
     table: MessageTable,
-    subset: SearchSubset,
-    counters: dict | None = None,
-) -> None:
-    """Fill subset.best with the best absolute walk inside the subset.
+    prefix: tuple[int, ...],
+    excluded: frozenset[int],
+) -> tuple[float, tuple[int, ...] | None, int]:
+    """Best absolute walk among those starting with the flat-pair prefix
+    and avoiding the excluded pairs at layer len(prefix).
 
-    Maximization happens only at the subset's free layer; everything
-    downstream is read from the argmax step mappings.
+    Returns (|relevance|, walk or None, candidates scanned).
+    Maximization happens only at the free layer; everything downstream
+    is read from the argmax step mappings.
     """
-    i = len(subset.prefix)
+    i = len(prefix)
     if i == 0:
         candidates = table.mu[0].copy()
     else:
-        candidates = _scored_row(table, i - 1, subset.prefix[-1])
-    if counters is not None:
-        counters["argmax_ops"] = counters.get("argmax_ops", 0) + candidates.shape[0]
-    if subset.excluded:
-        candidates[list(subset.excluded)] = -np.inf
+        candidates = _scored_row(table, i - 1, prefix[-1])
+    if excluded:
+        candidates[list(excluded)] = -np.inf
     j = int(np.argmax(candidates))
     if candidates[j] == -np.inf:
-        subset.best = None
-        return
-    subset.prefix_factor = _prefix_factor(table, subset.prefix) if i else 1.0
-    subset.best = tuple(subset.prefix) + tuple(_backtrack(table, i, j))
-    subset.best_abs = float(subset.prefix_factor * candidates[j])
+        return 0.0, None, candidates.shape[0]
+    factor = _prefix_factor(table, prefix) if i else 1.0
+    walk = prefix + tuple(_backtrack(table, i, j))
+    return float(factor * candidates[j]), walk, candidates.shape[0]
 
 
 def _pairs_to_walk(stack: PropagationStack, pairs: tuple[int, ...]) -> ScoredWalk:
@@ -165,13 +152,6 @@ def _pairs_to_walk(stack: PropagationStack, pairs: tuple[int, ...]) -> ScoredWal
         neurons.append(nl)
     rel = neuron_walk_relevance(stack, nodes, neurons)
     return ScoredWalk(tuple(nodes), rel, tuple(neurons))
-
-
-def _walk_key(pairs: tuple[int, ...], dims) -> tuple[int, ...]:
-    key = []
-    for l, p in enumerate(pairs):
-        key.extend(divmod(p, dims[l]))
-    return tuple(key)
 
 
 def emp_neu_basic(stack: PropagationStack) -> ScoredWalk | None:
@@ -186,25 +166,11 @@ def emp_neu_basic(stack: PropagationStack) -> ScoredWalk | None:
 
 
 @dataclass
-class TopKResult:
-    positive: list[ScoredWalk]            # the K requested positive walks, descending
-    absolute: list[ScoredWalk]            # full top-K-tilde absolute list, in extraction order
-    k_tilde: int
-    exhausted: bool
-    subsets_created: int
-    argmax_ops: int
-
+class TopKResult(SplitResult):
     @property
-    def positive_ratio(self) -> float:
-        return len(self.positive) / self.k_tilde if self.k_tilde else 0.0
-
-    def summary(self) -> dict:
-        return {
-            "k": len(self.positive),
-            "k_tilde": self.k_tilde,
-            "subsets_created": self.subsets_created,
-            "exhausted": self.exhausted,
-        }
+    def absolute(self) -> list[ScoredWalk]:
+        """The full top-K-tilde list, by non-increasing |relevance|."""
+        return self.extracted
 
 
 def emp_neu_topk(
@@ -215,65 +181,15 @@ def emp_neu_topk(
     """Grow the top-K-tilde absolute list until k positive walks are found.
 
     Returns partial results with exhausted=True when the walk space (or
-    max_k_tilde) runs out first.
+    max_k_tilde) runs out first.  A dead network (R^(L) all zero) has no
+    relevant walk, and returns at once instead of sweeping the whole
+    zero-valued walk space.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not stack.output_relevance.any():
+        return TopKResult([], [], True, 0, 0)
     table = build_message_table(stack)
-    dims = stack.dims
-    counters = {"argmax_ops": 0}
-    m_total = stack.num_nodes
-    space_size = 1
-    for d in dims:
-        space_size *= m_total * d
-
-    absolute: list[ScoredWalk] = []
-    positive: list[ScoredWalk] = []
-    subsets_created = 0
-    heap: list = []
-
-    if not np.any(table.mu[0] > 0) and np.all(np.abs(stack.output_relevance) == 0):
-        return TopKResult([], [], 0, True, 0, 0)
-
-    root = SearchSubset(prefix=(), excluded=frozenset())
-    constrained_max(table, root, counters)
-    counter = 0  # FIFO disambiguator; never reached because keys include the walk
-    if root.best is not None:
-        heapq.heappush(heap, (-root.best_abs, _walk_key(root.best, dims), counter, root))
-        counter += 1
-        subsets_created += 1
-
-    while heap and len(positive) < k and len(absolute) < space_size:
-        if max_k_tilde is not None and len(absolute) >= max_k_tilde:
-            break
-        _, _, _, subset = heapq.heappop(heap)
-        found = subset.best
-        scored = _pairs_to_walk(stack, found)
-        absolute.append(scored)
-        if scored.relevance > 0:
-            positive.append(scored)
-        # split subset \ {found}: child j fixes found through layer j-1
-        i = len(subset.prefix)
-        for j in range(i, len(found)):
-            if j == i:
-                excluded = subset.excluded | {found[j]}
-            else:
-                excluded = frozenset({found[j]})
-            child = SearchSubset(prefix=tuple(found[:j]), excluded=excluded)
-            constrained_max(table, child, counters)
-            subsets_created += 1
-            if child.best is not None:
-                heapq.heappush(
-                    heap, (-child.best_abs, _walk_key(child.best, dims), counter, child)
-                )
-                counter += 1
-
-    exhausted = len(positive) < k
-    return TopKResult(
-        positive=positive,
-        absolute=absolute,
-        k_tilde=len(absolute),
-        exhausted=exhausted,
-        subsets_created=subsets_created,
-        argmax_ops=counters["argmax_ops"],
-    )
+    return split_topk(partial(constrained_max, table),
+                      lambda pairs, _: _pairs_to_walk(stack, pairs),
+                      k, max_k_tilde, result_type=TopKResult)

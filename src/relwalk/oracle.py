@@ -25,10 +25,6 @@ class ScoredWalk:
     relevance: float
     neurons: tuple[int, ...] | None = None
 
-    @property
-    def abs_relevance(self) -> float:
-        return abs(self.relevance)
-
     def sort_key(self) -> tuple[int, ...]:
         """Lexicographic tie-break key: interleaved (m, n) pairs, or nodes."""
         if self.neurons is None:

@@ -1,0 +1,127 @@
+"""Search-space splitting (Lawler 1972; Nilsson, Stat. Comput. 1998)
+shared by both walk searches.
+
+A subset of the walk space is a prefix, fixing positions 0 .. i-1, and a
+set of values excluded at the free position i.  A search supplies
+best(prefix, excluded) -> (priority, walk or None, candidates scanned):
+the representative walk of the subset (None once it holds no walk) and
+the value it is ranked by.  Live subsets wait in a heap keyed by
+(-priority, walk).  Popping the best one extracts its walk and splits
+the rest of the subset into at most L + 1 children: child j fixes the
+walk through position j - 1 and excludes its value at position j (the
+first child also keeps the subset's exclusions).  The live subsets and
+the extracted walks therefore partition the walk space: live subsets
+are disjoint, so their walks never tie in the key, and the heap runs
+empty exactly when every walk has been extracted.
+"""
+
+from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass
+from typing import Callable
+
+from .oracle import ScoredWalk
+
+Walk = tuple[int, ...]
+BestInSubset = Callable[[Walk, frozenset], tuple[float, Walk | None, int]]
+
+
+@dataclass
+class SplitResult:
+    """Walks and work counters of one splitting search, the same for both searches."""
+
+    positive: list[ScoredWalk]        # the positive extractions, in extraction order
+    extracted: list[ScoredWalk]       # top-K-tilde in extraction order
+    exhausted: bool                   # fewer than k positive walks found
+    subsets_created: int
+    argmax_ops: int                   # candidates scanned by every best-walk step
+
+    @property
+    def k_tilde(self) -> int:
+        return len(self.extracted)
+
+    @property
+    def negatives_skipped(self) -> int:
+        return self.k_tilde - len(self.positive)
+
+    @property
+    def positive_ratio(self) -> float:
+        return len(self.positive) / self.k_tilde if self.k_tilde else 0.0
+
+    def summary(self) -> dict:
+        return {
+            "k": len(self.positive),
+            "k_tilde": self.k_tilde,
+            "negatives_skipped": self.negatives_skipped,
+            "subsets_created": self.subsets_created,
+            "argmax_ops": self.argmax_ops,
+            "exhausted": self.exhausted,
+        }
+
+
+class Splitter:
+    """The live subsets of one search, best first.
+
+    subsets_created counts the root only when it holds a walk, and every
+    child, empty or not.
+    """
+
+    def __init__(self, best: BestInSubset):
+        self.best = best
+        self.heap: list = []
+        self.argmax_ops = 0
+        self.subsets_created = int(self._push((), frozenset()))
+
+    def _push(self, prefix: Walk, excluded: frozenset) -> bool:
+        priority, walk, scanned = self.best(prefix, excluded)
+        self.argmax_ops += scanned
+        if walk is None:
+            return False
+        heapq.heappush(self.heap, (-priority, walk, prefix, excluded))
+        return True
+
+    @property
+    def live(self) -> list[tuple[Walk, frozenset]]:
+        """(prefix, excluded) of every live subset."""
+        return [(prefix, excluded) for _, _, prefix, excluded in self.heap]
+
+    def pop(self) -> tuple[Walk, float]:
+        """Extract the best live subset's walk and split off the rest of it."""
+        negated, walk, prefix, excluded = heapq.heappop(self.heap)
+        i = len(prefix)
+        for j in range(i, len(walk)):
+            self._push(walk[:j], excluded | {walk[j]} if j == i else frozenset({walk[j]}))
+            self.subsets_created += 1
+        return walk, -negated
+
+
+def split_topk(
+    best: BestInSubset,
+    score: Callable[[Walk, float], ScoredWalk],
+    k: int,
+    max_k_tilde: int | None = None,
+    result_type: type[SplitResult] = SplitResult,
+) -> SplitResult:
+    """Extract walks best first until k of them score positive, max_k_tilde
+    walks are extracted, or the walk space runs out.
+
+    score(walk, priority) gives the reported ScoredWalk of an extraction.
+    """
+    splitter = Splitter(best)
+    extracted: list[ScoredWalk] = []
+    positive: list[ScoredWalk] = []
+    while splitter.heap and len(positive) < k:
+        if max_k_tilde is not None and len(extracted) >= max_k_tilde:
+            break
+        scored = score(*splitter.pop())
+        extracted.append(scored)
+        if scored.relevance > 0:
+            positive.append(scored)
+    return result_type(
+        positive=positive,
+        extracted=extracted,
+        exhausted=len(positive) < k,
+        subsets_created=splitter.subsets_created,
+        argmax_ops=splitter.argmax_ops,
+    )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Activations, Graph, GnnModel, LayerSpec, ReadoutSpec, forward
+from .graphs import Graph, GnnModel, LayerSpec, ReadoutSpec, forward
 
 
 class TrainingError(RuntimeError):

@@ -35,7 +35,7 @@ def random_instance(
     gamma: float = 1.0,
     task: str = "graph",
     target: int | None = None,
-    materialize: bool = True,
+    materialize: bool = False,
     edge_prob: float = 0.6,
     schedule: GammaSchedule | None = None,
     positive_weights: bool = False,

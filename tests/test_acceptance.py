@@ -7,6 +7,7 @@ are compared by value groups rather than by raw index order.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from relwalk import (
     GammaSchedule,
     accuracy,
-    SearchSubset,
+    Splitter,
     amp_ave_basic,
     amp_ave_topk,
     build_message_table,
@@ -265,49 +266,33 @@ def test_analytic_gradients_match_central_differences():
 # -- 11. splitting partitions the unexplored space ---------------------------------------
 
 
-def members(subset, space):
-    i = len(subset.prefix)
-    return [w for w in space
-            if tuple(w[:i]) == subset.prefix and w[i] not in subset.excluded]
+def members(prefix, excluded, space):
+    i = len(prefix)
+    return [w for w in space if tuple(w[:i]) == prefix and w[i] not in excluded]
 
 
 def test_splitting_partition_by_enumeration():
-    import heapq
-    from relwalk.empneu import _walk_key
-
     _, _, _, stack = random_instance(m=2, dims=(2, 2, 2), seed=0, edge_prob=1.0)
     table = build_message_table(stack)
     sizes = [stack.num_nodes * d for d in stack.dims]
     space = [(p0, p1, p2) for p0 in range(sizes[0])
              for p1 in range(sizes[1]) for p2 in range(sizes[2])]
 
-    heap = []
-    root = SearchSubset(prefix=(), excluded=frozenset())
-    constrained_max(table, root)
-    heapq.heappush(heap, (-root.best_abs, _walk_key(root.best, stack.dims), root))
+    splitter = Splitter(partial(constrained_max, table))
     extracted = []
     for k_tilde in range(1, len(space) + 1):
-        if not heap:
+        if not splitter.live:
             break
-        _, _, subset = heapq.heappop(heap)
-        found = subset.best
+        found, _ = splitter.pop()
         extracted.append(found)
-        i = len(subset.prefix)
-        for j in range(i, len(found)):
-            excl = subset.excluded | {found[j]} if j == i else frozenset({found[j]})
-            child = SearchSubset(prefix=tuple(found[:j]), excluded=excl)
-            constrained_max(table, child)
-            if child.best is not None:
-                heapq.heappush(
-                    heap, (-child.best_abs, _walk_key(child.best, stack.dims), child))
 
         # at every extraction step: each walk is either already extracted or
         # lies in exactly one live subset
         covered = {w: 0 for w in space}
         for w in extracted:
             covered[w] += 1
-        for _, _, live in heap:
-            for w in members(live, space):
+        for prefix, excluded in splitter.live:
+            for w in members(prefix, excluded, space):
                 covered[w] += 1
         assert all(c == 1 for c in covered.values()), k_tilde
-        assert len(heap) <= k_tilde * stack.num_steps + 1
+        assert len(splitter.live) <= k_tilde * stack.num_steps + 1

@@ -1,5 +1,7 @@
 """Approximate node-level top-K search: step objectives, degeneracy, splitting."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from relwalk import (
     Graph,
     LayerSpec,
     ReadoutSpec,
+    Splitter,
     amp_ave_basic,
     amp_ave_topk,
     build_node_message_table,
@@ -189,37 +192,25 @@ def test_topk_rejects_bad_k():
 
 
 def test_splitting_partitions_node_walk_space():
-    import heapq
-    from relwalk.ampave import NodeSubset, _constrained_best
+    from relwalk.ampave import _constrained_best
 
     _, _, _, stack = random_instance(m=3, dims=(2, 2, 2), seed=1, edge_prob=1.0)
     table = build_node_message_table(stack)
     space = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
-    heap = []
-    root = NodeSubset(prefix=(), excluded=frozenset())
-    _constrained_best(stack, table, root)
-    heapq.heappush(heap, (-root.best_relevance, root.best, root))
+    splitter = Splitter(partial(_constrained_best, stack, table))
     extracted = []
     for k_tilde in range(1, 20):
-        _, _, subset = heapq.heappop(heap)
-        found = subset.best
+        found, _ = splitter.pop()
         extracted.append(found)
-        i = len(subset.prefix)
-        for j in range(i, len(found)):
-            excl = subset.excluded | {found[j]} if j == i else frozenset({found[j]})
-            child = NodeSubset(prefix=tuple(found[:j]), excluded=excl)
-            _constrained_best(stack, table, child)
-            if child.best is not None:
-                heapq.heappush(heap, (-child.best_relevance, child.best, child))
         covered = {w: 0 for w in space}
         for w in extracted:
             covered[w] += 1
-        for _, _, s in heap:
+        for prefix, excluded in splitter.live:
             for w in space:
-                if w[:len(s.prefix)] == s.prefix and w[len(s.prefix)] not in s.excluded:
+                if w[:len(prefix)] == prefix and w[len(prefix)] not in excluded:
                     covered[w] += 1
         assert all(c == 1 for c in covered.values()), k_tilde
-        assert len(heap) <= k_tilde * stack.num_steps + 1
+        assert len(splitter.live) <= k_tilde * stack.num_steps + 1
 
 
 # -- walks follow edges; messages are signed ----------------------------------------

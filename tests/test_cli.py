@@ -125,6 +125,27 @@ def test_explain_budget_caps_extractions(ba_dir, model_file, capsys, method):
     assert capped["k_tilde"] <= 10 and capped["exhausted"]
 
 
+def test_explain_summary_keys_same_for_both_methods(ba_dir, model_file, capsys):
+    keys = []
+    for method in ("emp-neu", "amp-ave"):
+        code = main(["explain", "--model", str(model_file),
+                     "--graph", str(ba_dir / "graph_0001.json"),
+                     "--method", method, "--topk", "3"])
+        assert code == EXIT_OK
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+        assert summary["negatives_skipped"] == summary["k_tilde"] - summary["k"]
+        keys.append(set(summary))
+    assert keys[0] == keys[1]
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_explain_budget_below_one_exit_2(ba_dir, model_file, capsys, budget):
+    code = main(["explain", "--model", str(model_file),
+                 "--graph", str(ba_dir / "graph_0000.json"), "--budget", budget])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+
+
 def test_explain_low_mem_matches_default(ba_dir, model_file, capsys):
     outputs = []
     for flag in ([], ["--low-mem"]):
@@ -172,6 +193,13 @@ def test_eval_pr_tiny_budget_exit_3(ba_dir, model_file):
                  "--graph", str(ba_dir / "graph_0000.json"),
                  "--budget", "10"])
     assert code == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_eval_pr_budget_below_one_exit_2(ba_dir, model_file, budget):
+    code = main(["eval", "pr", "--model", str(model_file),
+                 "--graph", str(ba_dir / "graph_0000.json"), "--budget", budget])
+    assert code == EXIT_VALIDATION
 
 
 def test_eval_colsim_histogram_csv(ba_dir, model_file, capsys):

@@ -1,5 +1,7 @@
 """Exact neuron-level top-K search: message passing, splitting, oracle equivalence."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from relwalk import (
     Graph,
     LayerSpec,
     ReadoutSpec,
-    SearchSubset,
+    Splitter,
     build_message_table,
     build_propagation,
     constrained_max,
@@ -165,34 +167,30 @@ def test_constrained_max_excluding_top_start_matches_filtered_oracle():
     table = build_message_table(stack)
     best = emp_neu_basic(stack)
     top_pair = flat_pair(stack, 0, best.nodes[0], best.neurons[0])
-    subset = SearchSubset(prefix=(), excluded=frozenset({top_pair}))
-    constrained_max(table, subset)
+    best_abs, _, _ = constrained_max(table, (), frozenset({top_pair}))
     total = stack.num_nodes ** 4 * int(np.prod(stack.dims))
     filtered = [
         w for w in exhaustive_topk_neuron(stack, total, absolute=True)
         if (w.nodes[0], w.neurons[0]) != (best.nodes[0], best.neurons[0])
     ]
-    assert subset.best_abs == pytest.approx(abs(filtered[0].relevance), abs=1e-10)
+    assert best_abs == pytest.approx(abs(filtered[0].relevance), abs=1e-10)
 
 
 def test_constrained_max_annihilated_prefix():
     # prefix forcing a step between non-adjacent nodes has zero factor
     _, _, _, stack = random_instance(m=3, dims=(2, 2, 2), seed=0, edge_prob=0.0)
     table = build_message_table(stack)
-    subset = SearchSubset(
-        prefix=(flat_pair(stack, 0, 0, 0), flat_pair(stack, 1, 1, 0)),
-        excluded=frozenset())
-    constrained_max(table, subset)
-    assert subset.best is None or subset.best_abs == 0.0
+    best_abs, walk, _ = constrained_max(
+        table, (flat_pair(stack, 0, 0, 0), flat_pair(stack, 1, 1, 0)), frozenset())
+    assert walk is None or best_abs == 0.0
 
 
 def test_constrained_max_all_excluded_is_empty():
     _, _, _, stack = random_instance(seed=1)
     table = build_message_table(stack)
     every_pair = frozenset(range(stack.num_nodes * stack.dims[0]))
-    subset = SearchSubset(prefix=(), excluded=every_pair)
-    constrained_max(table, subset)
-    assert subset.best is None
+    _, walk, _ = constrained_max(table, (), every_pair)
+    assert walk is None
 
 
 def test_constrained_max_table_reuse_is_stable():
@@ -200,9 +198,8 @@ def test_constrained_max_table_reuse_is_stable():
     table = build_message_table(stack)
     results = []
     for _ in range(2):
-        subset = SearchSubset(prefix=(), excluded=frozenset({0}))
-        constrained_max(table, subset)
-        results.append((subset.best, subset.best_abs))
+        best_abs, walk, _ = constrained_max(table, (), frozenset({0}))
+        results.append((walk, best_abs))
     assert results[0] == results[1]
 
 
@@ -300,19 +297,12 @@ def test_complexity_guardrail_argmax_operations():
 # -- splitting soundness: enumerated disjoint cover -------------------------------
 
 
-def subset_members(subset, space):
-    i = len(subset.prefix)
-    out = []
-    for walk in space:
-        if tuple(walk[:i]) == subset.prefix and walk[i] not in subset.excluded:
-            out.append(walk)
-    return out
+def subset_members(prefix, excluded, space):
+    i = len(prefix)
+    return [w for w in space if tuple(w[:i]) == prefix and w[i] not in excluded]
 
 
 def test_splitting_partitions_unexplored_space():
-    import heapq
-    from relwalk.empneu import _walk_key
-
     _, _, _, stack = random_instance(m=2, dims=(2, 2, 2), seed=0, edge_prob=1.0)
     table = build_message_table(stack)
     sizes = [stack.num_nodes * d for d in stack.dims]
@@ -320,36 +310,24 @@ def test_splitting_partitions_unexplored_space():
         (p0, p1, p2)
         for p0 in range(sizes[0]) for p1 in range(sizes[1]) for p2 in range(sizes[2])
     ]
-    heap = []
-    root = SearchSubset(prefix=(), excluded=frozenset())
-    constrained_max(table, root)
-    heapq.heappush(heap, (-root.best_abs, _walk_key(root.best, stack.dims), root))
+    splitter = Splitter(partial(constrained_max, table))
     extracted = []
     steps = stack.num_steps
     for k_tilde in range(1, 25):
-        _, _, subset = heapq.heappop(heap)
-        found = subset.best
+        found, _ = splitter.pop()
         extracted.append(found)
-        i = len(subset.prefix)
-        for j in range(i, len(found)):
-            excl = subset.excluded | {found[j]} if j == i else frozenset({found[j]})
-            child = SearchSubset(prefix=tuple(found[:j]), excluded=excl)
-            constrained_max(table, child)
-            if child.best is not None:
-                heapq.heappush(
-                    heap, (-child.best_abs, _walk_key(child.best, stack.dims), child))
 
         # every walk is extracted or in exactly one live subset
         covered = {w: 0 for w in space}
         for w in extracted:
             covered[w] += 1
-        for _, _, s in heap:
-            for w in subset_members(s, space):
+        for prefix, excluded in splitter.live:
+            for w in subset_members(prefix, excluded, space):
                 covered[w] += 1
         assert all(c == 1 for c in covered.values()), k_tilde
 
         # frontier size never exceeds k_tilde * L + 1
-        assert len(heap) <= k_tilde * steps + 1
+        assert len(splitter.live) <= k_tilde * steps + 1
 
 
 def test_topk_subset_count_bound():

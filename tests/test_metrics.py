@@ -67,7 +67,8 @@ def test_short_oracle_rejected():
 
 
 def test_identical_columns_similarity_one():
-    *_, stack = random_instance(m=4, dims=(3, 3, 3), seed=3, positive_weights=True)
+    *_, stack = random_instance(m=4, dims=(3, 3, 3), seed=3, positive_weights=True,
+                               materialize=True)
     # overwrite every slice with identical columns
     for l in range(stack.num_steps):
         t = stack.materialized[l]
@@ -79,7 +80,7 @@ def test_identical_columns_similarity_one():
 
 
 def test_zero_mean_slice_excluded_and_counted():
-    *_, stack = random_instance(m=2, dims=(2, 2, 2), seed=4)
+    *_, stack = random_instance(m=2, dims=(2, 2, 2), seed=4, materialize=True)
     # force one slice's columns to cancel exactly (mean column = 0)
     stack.materialized[0][0, :, 0, 0] = [1.0, -1.0]
     stack.materialized[0][0, :, 0, 1] = [-1.0, 1.0]
@@ -96,7 +97,7 @@ def test_histogram_mass_equals_included_columns():
 
 
 def test_all_zero_columns_are_skipped():
-    *_, stack = random_instance(m=3, dims=(2, 2, 2), seed=6)
+    *_, stack = random_instance(m=3, dims=(2, 2, 2), seed=6, materialize=True)
     stack.materialized[0][:, :, 0, 0] = 0.0
     hist = column_similarity_histogram(stack)
     assert hist.zero_columns >= 1
