@@ -2,17 +2,20 @@
 
 A walk is a node sequence m_0 .. m_L with Lambda^(l)[m_l, m_{l+1}] != 0
 at every step; any other sequence has relevance exactly 0 and is never
-returned.  The node-level argmax marginalizes over neurons, which breaks
-the max-product decomposition; the averaging approximation picks, at each
-layer, the edge continuation maximizing the neuron-marginalized step
-objective.  The messages start from the signed output relevance R^(L) and
-no absolute values are applied anywhere, so the greedy completions chase
-large positive relevance, the same sign as the walks the search keeps,
-and each message is the exact relevance vector of its completion.
-Reported relevances are always exact node-level values of the returned
-walks.  The top-K walks come from the splitting engine shared with
-EMP-neu (splitting.py), which ranks each subset by the exact relevance
-of its representative and reports the same counters.
+returned.  The search further keeps only walks that end on the support
+of R^(L), the nodes whose output relevance row is nonzero (on a node
+task, the target alone): a walk ending anywhere else has relevance
+exactly 0 too.  The node-level argmax marginalizes over neurons, which
+breaks the max-product decomposition; the averaging approximation picks,
+at each layer, the edge continuation maximizing the neuron-marginalized
+step objective.  The messages start from the signed output relevance
+R^(L) and no absolute values are applied anywhere, so the greedy
+completions chase large positive relevance, the same sign as the walks
+the search keeps, and each message is the exact relevance vector of its
+completion.  Reported relevances are always exact node-level values of
+the returned walks.  The top-K walks come from the splitting engine
+shared with EMP-neu (splitting.py), which ranks each subset by the exact
+relevance of its representative and reports the same counters.
 
 The step objective factorizes over {Lambda, H, Wup} (the transition
 tensors never need to be materialized), which is what makes the search
@@ -51,8 +54,10 @@ class NodeMessageTable:
     relevance of the walk backtracked from m.  scaled[l] is mu[l + 1]
     times the guarded inverse denominators of step l, the factor that
     step l applies to it.  complete[l][m] says whether the completion
-    from m at layer l follows edges (False only where no edge-following
-    continuation exists; mu[l][m] is then 0).
+    from m at layer l follows edges and ends on R^(L)'s support (False
+    only where no such continuation exists; mu[l][m] is then 0).
+    complete[-1] is that support itself: the nodes whose row of R^(L) is
+    nonzero, so the last node of every completion carries relevance.
     """
 
     mu: tuple[np.ndarray, ...]
@@ -114,7 +119,7 @@ def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:
     scaled = [None] * stack.num_steps
     complete = [None] * (stack.num_steps + 1)
     mu[-1] = stack.output_relevance
-    complete[-1] = np.ones(stack.num_nodes, dtype=bool)
+    complete[-1] = np.any(stack.output_relevance != 0, axis=1)
     for l in range(stack.num_steps - 1, -1, -1):
         objective[l] = step_objective_matrix(stack, l, mu[l + 1])
         lam = stack.lambdas[l]
@@ -158,11 +163,12 @@ def _constrained_best(stack: PropagationStack, table: NodeMessageTable,
 
     Returns (exact relevance, walk or None, candidates scanned).  Allowed
     nodes are those not excluded, reached from the last prefix node by an
-    edge (Lambda != 0), and with an edge-following completion, so every
-    representative is a walk; the walk is None once the subset holds no
-    walk.  Scoring all free-position candidates (rather than only the
-    single surrogate-argmax one) keeps the approximate search from burying
-    high-relevance walks behind weak representatives.
+    edge (Lambda != 0), and with a completion that follows edges and ends
+    on R^(L)'s support, so every representative is such a walk; the walk
+    is None once the subset holds none.  Scoring all free-position
+    candidates (rather than only the single surrogate-argmax one) keeps
+    the approximate search from burying high-relevance walks behind weak
+    representatives.
     """
     i = len(prefix)
     allowed = table.complete[i]
@@ -198,11 +204,12 @@ def amp_ave_topk(
 
     Subset bests are ranked by their exact recomputed relevance; K-tilde
     grows one extraction at a time until k positive walks are collected,
-    max_k_tilde extractions are made, or every edge-following walk has
-    been extracted.  Only walks are extracted (Lambda != 0 at every step),
-    so k_tilde never exceeds the number of edge-following walks, and
+    max_k_tilde extractions are made, or the search space runs out.  Only
+    walks that follow edges (Lambda != 0 at every step) and end on R^(L)'s
+    support are extracted, so k_tilde never exceeds their number, and
     exhausted (fewer than k positive walks found) without the cap means
-    that every such walk was extracted.
+    that every such walk was extracted; every walk outside that space has
+    relevance exactly 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

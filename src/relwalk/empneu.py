@@ -8,7 +8,10 @@ the message tables.  Walks are flat (m, n) pair tuples.  Signed
 relevances of returned walks are always recomputed from the transition
 entries, never from the absolute messages.  The result carries the
 engine's counters (k_tilde, negatives_skipped, subsets_created,
-argmax_ops, exhausted) and the extraction list as `absolute`.
+argmax_ops, exhausted) and the extraction list as `absolute`.  A subset
+whose best absolute value is 0 holds only zero-relevance walks and
+counts as empty, so no zero walk is ever extracted, and exhausted
+without max_k_tilde means every walk with nonzero relevance was.
 """
 
 from __future__ import annotations
@@ -21,11 +24,6 @@ import numpy as np
 from .oracle import ScoredWalk, neuron_walk_relevance
 from .propagation import PropagationStack
 from .splitting import SplitResult, split_topk
-
-
-# entries of one (rows, M, N_l) block of the max-product over m'; a whole
-# step fits in one block at M=200, N_l=16 (640k entries, 8 MiB)
-_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,8 +54,12 @@ def build_message_table(stack: PropagationStack) -> MessageTable:
     nu = mu[l + 1] * |1 / den|:
         G[m', n] = max_{n'} |W_up[n, n']| nu[m', n']
         mu[l][m, n] = |H[m, n]| max_{m'} |Lambda[m, m']| G[m', n]
-    at O(M N_l N_{l+1} + M^2 N_l) per step.  Keeping the first maximizer
-    at both stages gives the first flat (m', n') maximizer.
+    The max over m' only runs along the E edges (Lambda[m, m'] != 0), as
+    a segment reduction over each row's edges, so a step costs
+    O(E N_l + M N_l N_{l+1}).  Keeping the first maximizer at both stages
+    gives the first flat (m', n') maximizer: within a row the edges come
+    in column order, and where the best value is 0 (or a row has no edge)
+    m' = 0, the first maximizer of the all-zero dense row.
     """
     m = stack.num_nodes
     dims = stack.dims
@@ -73,15 +75,17 @@ def build_message_table(stack: PropagationStack) -> MessageTable:
         inner_scored = np.abs(stack.wups[l])[None, :, :] * nu[:, None, :]  # (M', N_l, N_l+1)
         inner = np.argmax(inner_scored, axis=2)                           # (M', N_l)
         g = np.take_along_axis(inner_scored, inner[:, :, None], axis=2)[:, :, 0]
-        outer = np.empty((m, n_l), dtype=np.intp)
-        best = np.empty((m, n_l))
+        outer = np.zeros((m, n_l), dtype=np.intp)
+        best = np.zeros((m, n_l))
         lam = stack.lambdas[l]
-        block = max(1, _BLOCK_ENTRIES // (m * n_l))
-        for start in range(0, m, block):
-            rows = slice(start, start + block)
-            scored = np.abs(lam[rows])[:, :, None] * g[None, :, :]           # (B, M', N_l)
-            outer[rows] = np.argmax(scored, axis=1)
-            best[rows] = np.take_along_axis(scored, outer[rows][:, None, :], axis=1)[:, 0, :]
+        rows, cols = np.nonzero(lam)                      # row-major edge list
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each row's first edge
+        heads = rows[starts]
+        scored = np.abs(lam[rows, cols])[:, None] * g[cols]              # (E, N_l)
+        best[heads] = np.maximum.reduceat(scored, starts, axis=0)
+        first = np.where(scored == best[rows], cols[:, None], m)
+        outer[heads] = np.minimum.reduceat(first, starts, axis=0)
+        outer[best == 0] = 0
         mu[l] = (np.abs(stack.hidden[l]) * best).reshape(sizes[l])
         step[l] = (outer * n_next + inner[outer, np.arange(n_l)]).reshape(sizes[l])
     return MessageTable(tuple(mu), tuple(step), tuple(factors), tuple(sizes), stack)
@@ -126,7 +130,9 @@ def constrained_max(
 
     Returns (|relevance|, walk or None, candidates scanned).
     Maximization happens only at the free layer; everything downstream
-    is read from the argmax step mappings.
+    is read from the argmax step mappings.  The max-product is exact, so
+    a best value of 0 means every walk left in the subset has relevance
+    0: the subset then counts as empty (walk None).
     """
     i = len(prefix)
     if i == 0:
@@ -136,7 +142,7 @@ def constrained_max(
     if excluded:
         candidates[list(excluded)] = -np.inf
     j = int(np.argmax(candidates))
-    if candidates[j] == -np.inf:
+    if candidates[j] <= 0:
         return 0.0, None, candidates.shape[0]
     factor = _prefix_factor(table, prefix) if i else 1.0
     walk = prefix + tuple(_backtrack(table, i, j))
@@ -180,15 +186,12 @@ def emp_neu_topk(
 ) -> TopKResult:
     """Grow the top-K-tilde absolute list until k positive walks are found.
 
-    Returns partial results with exhausted=True when the walk space (or
-    max_k_tilde) runs out first.  A dead network (R^(L) all zero) has no
-    relevant walk, and returns at once instead of sweeping the whole
-    zero-valued walk space.
+    Only walks with nonzero relevance are extracted, so exhausted=True
+    without max_k_tilde means every such walk was extracted.  A dead
+    network (R^(L) all zero) has none and returns no walk.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not stack.output_relevance.any():
-        return TopKResult([], [], True, 0, 0)
     table = build_message_table(stack)
     return split_topk(partial(constrained_max, table),
                       lambda pairs, _: _pairs_to_walk(stack, pairs),

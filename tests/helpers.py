@@ -23,6 +23,7 @@ from relwalk import (
     ReadoutSpec,
     build_propagation,
     forward,
+    init_model,
     modified_adjacency,
     predicted_target,
 )
@@ -66,6 +67,27 @@ def random_instance(
     stack = build_propagation(model, graph, acts, schedule, target,
                               materialize=materialize)
     return model, graph, acts, stack
+
+
+def headed_instance(adjacency, seed, stabilize=False, dims=(3, 3, 3, 3)):
+    """Random GCN with a linear head, so R^(L) carries both signs."""
+    rng = np.random.default_rng(seed)
+    graph = Graph(adjacency, rng.random((len(adjacency), dims[0])) + 0.1, 0)
+    model = init_model(list(dims), 2, seed=seed)
+    acts = forward(model, graph)
+    return build_propagation(model, graph, acts,
+                             GammaSchedule.constant(1.0, model.num_steps),
+                             predicted_target(model, acts), stabilize=stabilize)
+
+
+def sink_adjacency():
+    """Directed, no self loops: 2 is a sink (its row of Lambda is empty) and
+    3 only leads to 2, so in a three-step walk 2 can only be the last node
+    and 3 the one before it."""
+    adjacency = np.zeros((4, 4))
+    for a, b in [(0, 1), (1, 0), (1, 3), (3, 2)]:
+        adjacency[a, b] = 1.0
+    return adjacency
 
 
 def tie_groups(walks, tol: float, key=lambda w: abs(w.relevance)):

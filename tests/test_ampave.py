@@ -18,16 +18,14 @@ from relwalk import (
     build_propagation,
     exhaustive_topk_node,
     forward,
-    init_model,
     modified_adjacency,
     node_walk_relevance,
-    predicted_target,
     step_objective,
     step_objective_matrix,
     walks_to_edge_scores,
 )
 from relwalk.oracle import ScoredWalk
-from helpers import random_instance
+from helpers import headed_instance, random_instance, sink_adjacency
 
 
 # -- step objective --------------------------------------------------------------
@@ -221,20 +219,18 @@ def follows_edges(stack, nodes):
                for l in range(stack.num_steps))
 
 
+def ends_on_support(stack, nodes):
+    return bool(stack.output_relevance[nodes[-1]].any())
+
+
 def edge_following_walks(stack):
     everything = exhaustive_topk_node(stack, stack.num_nodes ** (stack.num_steps + 1))
     return sorted(w.nodes for w in everything if follows_edges(stack, w.nodes))
 
 
-def headed_instance(adjacency, seed, stabilize=False, dims=(3, 3, 3, 3)):
-    """Random GCN with a linear head, so R^(L) carries both signs."""
-    rng = np.random.default_rng(seed)
-    graph = Graph(adjacency, rng.random((len(adjacency), dims[0])) + 0.1, 0)
-    model = init_model(list(dims), 2, seed=seed)
-    acts = forward(model, graph)
-    return build_propagation(model, graph, acts,
-                             GammaSchedule.constant(1.0, model.num_steps),
-                             predicted_target(model, acts), stabilize=stabilize)
+def support_walks(stack):
+    """Edge-following walks that end on R^(L)'s support: the search space."""
+    return [w for w in edge_following_walks(stack) if ends_on_support(stack, w)]
 
 
 @pytest.mark.parametrize("stabilize", [False, True])
@@ -256,12 +252,21 @@ def test_messages_are_exact_relevances_of_greedy_completions(stabilize):
 
 
 def test_topk_extracts_only_edge_following_walks():
+    dead = live = 0
     for seed in range(10):
         _, _, _, stack = random_instance(m=8, seed=seed, edge_prob=0.3)
         result = amp_ave_topk(stack, 10, max_k_tilde=500)
+        if not stack.output_relevance.any():
+            # no walk ends on R^(L)'s support, so the search space is empty
+            dead += 1
+            assert not result.extracted and result.exhausted
+            continue
+        live += 1
         assert result.extracted
         for w in result.extracted:
             assert follows_edges(stack, w.nodes), w
+            assert ends_on_support(stack, w.nodes), w
+    assert dead > 0 and live > 0
 
 
 def test_topk_exhausts_exactly_the_edge_following_walks():
@@ -273,18 +278,42 @@ def test_topk_exhausts_exactly_the_edge_following_walks():
     assert sorted(w.nodes for w in result.extracted) == walks
 
 
+def test_uncapped_topk_extracts_exactly_the_support_walks():
+    # on a node task R^(L) is zero outside the target row, so only walks
+    # ending on the target can carry relevance; the search sweeps those
+    # and nothing else
+    for seed in range(10):
+        _, _, _, stack = random_instance(m=5, dims=(2, 2, 2, 2), seed=seed,
+                                         edge_prob=0.5, task="node", target=seed % 5)
+        total = stack.num_nodes ** (stack.num_steps + 1)
+        oracle = {w.nodes: w.relevance for w in exhaustive_topk_node(stack, total)}
+        walks = support_walks(stack)
+        assert len(walks) < len(edge_following_walks(stack))
+        result = amp_ave_topk(stack, total + 1)
+        assert result.exhausted
+        assert sorted(w.nodes for w in result.extracted) == walks
+        for w in result.extracted:
+            assert w.relevance == pytest.approx(oracle[w.nodes], rel=1e-9, abs=1e-12)
+        # every walk left out has relevance exactly 0
+        assert all(oracle[w] == 0 for w in set(oracle) - set(walks))
+
+
 def test_edge_argmax_in_row_blocks_matches_one_block(monkeypatch):
     from relwalk import ampave
 
+    # headed models give signed objective rows, so the plain argmax often
+    # lands off the search space on rows that hold nonzero values, which
+    # is what the masked refit (the blocked path) redoes
     refit = 0
     for seed in range(5):
-        _, _, _, stack = random_instance(m=8, seed=seed, edge_prob=0.3)
+        a = (np.random.default_rng(seed).random((8, 8)) < 0.3).astype(float)
+        stack = headed_instance(modified_adjacency(np.maximum(a, a.T)), seed)
         whole = build_node_message_table(stack)
         monkeypatch.setattr(ampave, "_MASK_BLOCK_ENTRIES", 8)
         blocked = build_node_message_table(stack)
         monkeypatch.undo()
         for obj, a, b in zip(whole.objective, whole.step, blocked.step):
-            refit += int(np.sum(np.argmax(obj, axis=1) != a))
+            refit += int(np.sum((np.argmax(obj, axis=1) != a) & obj.any(axis=1)))
             np.testing.assert_array_equal(a, b)
     assert refit > 0
 
@@ -307,14 +336,9 @@ def test_edge_argmax_on_node_task_equals_fully_masked_argmax():
 
 
 def test_completions_avoid_dead_ends():
-    # directed, no self loops: 2 is a sink and 3 only leads to 2, so in a
-    # three-step walk 2 can only be the last node and 3 the one before it
-    adjacency = np.zeros((4, 4))
-    for a, b in [(0, 1), (1, 0), (1, 3), (3, 2)]:
-        adjacency[a, b] = 1.0
     for seed in range(5):
-        stack = headed_instance(adjacency, seed, dims=(2, 2, 2, 2))
-        walks = edge_following_walks(stack)
+        stack = headed_instance(sink_adjacency(), seed, dims=(2, 2, 2, 2))
+        walks = support_walks(stack)
         basic = amp_ave_basic(stack)
         assert basic is None or follows_edges(stack, basic.nodes)
         result = amp_ave_topk(stack, len(walks) + 1)

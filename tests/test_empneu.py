@@ -22,7 +22,7 @@ from relwalk import (
     neuron_walk_relevance,
     predicted_target,
 )
-from helpers import assert_topk_equivalent, random_instance
+from helpers import assert_topk_equivalent, headed_instance, random_instance, sink_adjacency
 
 
 def flat_pair(stack, l, m, n):
@@ -61,12 +61,21 @@ def test_basic_negated_output_gives_same_walk_negated_value():
     assert after.relevance == pytest.approx(-before.relevance, abs=1e-12)
 
 
-def test_basic_dead_network_returns_none():
+def dead_stack():
     graph = Graph(np.array([[1.0]]), np.array([[1.0]]))
     model = GnnModel((LayerSpec(np.array([[-1.0]])),), ReadoutSpec(task="graph"))
     acts = forward(model, graph)
-    stack = build_propagation(model, graph, acts, GammaSchedule.constant(0.0, 1), 0)
-    assert emp_neu_basic(stack) is None
+    return build_propagation(model, graph, acts, GammaSchedule.constant(0.0, 1), 0)
+
+
+def test_basic_dead_network_returns_none():
+    assert emp_neu_basic(dead_stack()) is None
+
+
+def test_topk_dead_network_returns_no_walk():
+    result = emp_neu_topk(dead_stack(), 5)
+    assert result.extracted == [] and result.positive == []
+    assert result.exhausted
 
 
 # -- factorized message table against the dense max-product ---------------------
@@ -75,7 +84,9 @@ REL = 1e-12
 
 
 def table_instances(stabilize):
-    """Stacks over 60 seeds: dense and sparse graphs, graph and node tasks."""
+    """Stacks over 60 seeds: dense and sparse graphs, graph and node tasks;
+    then 5 seeds on a directed graph with a sink, whose row of Lambda has
+    no edge."""
     for seed in range(60):
         kwargs = [{}, {"edge_prob": 0.3}, {"task": "node", "target": seed % 6}][seed % 3]
         model, graph, acts, stack = random_instance(seed=seed, **kwargs)
@@ -86,6 +97,8 @@ def table_instances(stabilize):
                                       GammaSchedule.constant(1.0, model.num_steps),
                                       target, stabilize=True)
         yield stack
+    for seed in range(5):
+        yield headed_instance(sink_adjacency(), seed, stabilize=stabilize)
 
 
 def dense_max_product(stack):
@@ -103,14 +116,16 @@ def dense_max_product(stack):
 
 @pytest.mark.parametrize("stabilize", [False, True])
 def test_message_table_mu_matches_dense_max_product(stabilize):
-    dead = 0
+    dead = edgeless = 0
     for stack in table_instances(stabilize):
         dead += sum(int(np.sum(h == 0)) for h in stack.hidden[1:])
+        edgeless += sum(int(np.sum(~lam.any(axis=1))) for lam in stack.lambdas)
         table = build_message_table(stack)
         mu, _ = dense_max_product(stack)
         for l in range(stack.num_steps + 1):
             np.testing.assert_allclose(table.mu[l], mu[l], rtol=REL, atol=0)
     assert dead > 0  # dead ReLU units give all-zero rows
+    assert edgeless > 0  # rows with no edge give empty segments
 
 
 @pytest.mark.parametrize("stabilize", [False, True])
@@ -137,6 +152,35 @@ def test_message_table_step_is_dense_first_maximizer(stabilize):
     assert unique > 1000
 
 
+def max_over_all_node_pairs(stack):
+    """Factorized max-product taking the max over m' across every node
+    pair, edge or not.  The products are the same as along the edges, so
+    mu and step must agree bit for bit, first-maximizer ties included."""
+    dims = stack.dims
+    mu = [np.abs(stack.output_relevance)]
+    step = []
+    for l in range(stack.num_steps - 1, -1, -1):
+        nu = mu[0] * np.abs(stack.inverse_denominators[l])
+        inner_scored = np.abs(stack.wups[l])[None, :, :] * nu[:, None, :]
+        inner = np.argmax(inner_scored, axis=2)
+        g = np.take_along_axis(inner_scored, inner[:, :, None], axis=2)[:, :, 0]
+        scored = np.abs(stack.lambdas[l])[:, :, None] * g[None, :, :]    # (M, M', N_l)
+        outer = np.argmax(scored, axis=1)
+        best = np.take_along_axis(scored, outer[:, None, :], axis=1)[:, 0, :]
+        mu.insert(0, np.abs(stack.hidden[l]) * best)
+        step.insert(0, outer * dims[l + 1] + inner[outer, np.arange(dims[l])])
+    return [a.reshape(-1) for a in mu], [a.reshape(-1) for a in step]
+
+
+@pytest.mark.parametrize("stabilize", [False, True])
+def test_message_table_equals_max_over_all_node_pairs(stabilize):
+    for stack in table_instances(stabilize):
+        table = build_message_table(stack)
+        mu, step = max_over_all_node_pairs(stack)
+        for a, b in zip(table.mu + table.step, mu + step):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_message_table_holds_no_dense_tensor():
     _, _, _, stack = random_instance(m=40, seed=0, edge_prob=0.1, materialize=False)
     table = build_message_table(stack)
@@ -144,19 +188,6 @@ def test_message_table_holds_no_dense_tensor():
     m, dims = stack.num_nodes, stack.dims
     assert entries <= 3 * m * sum(dims)
     assert stack.materialized is None
-
-
-def test_message_table_blocks_match_one_block(monkeypatch):
-    from relwalk import empneu
-
-    for seed in range(5):
-        _, _, _, stack = random_instance(seed=seed, edge_prob=0.5)
-        whole = build_message_table(stack)
-        monkeypatch.setattr(empneu, "_BLOCK_ENTRIES", 7)
-        blocked = build_message_table(stack)
-        monkeypatch.undo()
-        for a, b in zip(whole.mu + whole.step, blocked.mu + blocked.step):
-            np.testing.assert_array_equal(a, b)
 
 
 # -- constrained subset maximization --------------------------------------------
@@ -236,6 +267,24 @@ def test_topk_matches_oracle_on_sparse_and_node_instances(stabilize):
         assert_topk_equivalent(result.absolute, expected, tol=1e-10, absolute=True)
 
 
+def test_uncapped_topk_extracts_exactly_the_nonzero_walks():
+    # on a node task every walk not ending on the target has relevance 0;
+    # the search extracts each walk with nonzero relevance and nothing else
+    live = 0
+    for seed in range(10):
+        _, _, _, stack = random_instance(m=5, dims=(2, 2, 2, 2), seed=seed,
+                                         edge_prob=0.5, task="node", target=seed % 5)
+        total = int(np.prod([stack.num_nodes * d for d in stack.dims]))
+        everything = exhaustive_topk_neuron(stack, total, absolute=True)
+        expected = [w for w in everything if w.relevance != 0]
+        assert len(expected) < total
+        live += bool(expected)
+        result = emp_neu_topk(stack, total + 1)
+        assert result.exhausted
+        assert_topk_equivalent(result.absolute, expected, tol=1e-10, absolute=True)
+    assert live >= 5
+
+
 def test_topk_absolute_values_non_increasing():
     _, _, _, stack = random_instance(seed=6)
     result = emp_neu_topk(stack, 30)
@@ -302,32 +351,49 @@ def subset_members(prefix, excluded, space):
     return [w for w in space if tuple(w[:i]) == prefix and w[i] not in excluded]
 
 
+def pairs_relevance(stack, pairs):
+    nodes, neurons = zip(*(divmod(p, d) for p, d in zip(pairs, stack.dims)))
+    return neuron_walk_relevance(stack, nodes, neurons)
+
+
 def test_splitting_partitions_unexplored_space():
-    _, _, _, stack = random_instance(m=2, dims=(2, 2, 2), seed=0, edge_prob=1.0)
-    table = build_message_table(stack)
-    sizes = [stack.num_nodes * d for d in stack.dims]
-    space = [
-        (p0, p1, p2)
-        for p0 in range(sizes[0]) for p1 in range(sizes[1]) for p2 in range(sizes[2])
-    ]
-    splitter = Splitter(partial(constrained_max, table))
-    extracted = []
-    steps = stack.num_steps
-    for k_tilde in range(1, 25):
-        found, _ = splitter.pop()
-        extracted.append(found)
+    # seeds 0 and 3 are dead networks (no relevant walk); the others hold
+    # 16 or 32 relevant walks among 64
+    partial_spaces = 0
+    for seed in range(6):
+        _, _, _, stack = random_instance(m=2, dims=(2, 2, 2), seed=seed, edge_prob=1.0)
+        table = build_message_table(stack)
+        sizes = [stack.num_nodes * d for d in stack.dims]
+        space = [
+            (p0, p1, p2)
+            for p0 in range(sizes[0]) for p1 in range(sizes[1]) for p2 in range(sizes[2])
+        ]
+        relevant = {w for w in space if pairs_relevance(stack, w) != 0}
+        partial_spaces += 0 < len(relevant) < len(space)
+        splitter = Splitter(partial(constrained_max, table))
+        extracted = []
+        steps = stack.num_steps
+        while splitter.heap:
+            found, _ = splitter.pop()
+            extracted.append(found)
+            k_tilde = len(extracted)
+            assert found in relevant, k_tilde  # no zero-relevance walk is extracted
 
-        # every walk is extracted or in exactly one live subset
-        covered = {w: 0 for w in space}
-        for w in extracted:
-            covered[w] += 1
-        for prefix, excluded in splitter.live:
-            for w in subset_members(prefix, excluded, space):
+            # every relevant walk is extracted or in exactly one live
+            # subset, and no walk is covered twice
+            covered = {w: 0 for w in space}
+            for w in extracted:
                 covered[w] += 1
-        assert all(c == 1 for c in covered.values()), k_tilde
+            for prefix, excluded in splitter.live:
+                for w in subset_members(prefix, excluded, space):
+                    covered[w] += 1
+            assert all(covered[w] == 1 for w in relevant), (seed, k_tilde)
+            assert all(c <= 1 for c in covered.values()), (seed, k_tilde)
 
-        # frontier size never exceeds k_tilde * L + 1
-        assert len(splitter.live) <= k_tilde * steps + 1
+            # frontier size never exceeds k_tilde * L + 1
+            assert len(splitter.live) <= k_tilde * steps + 1
+        assert set(extracted) == relevant, seed
+    assert partial_spaces >= 4
 
 
 def test_topk_subset_count_bound():
