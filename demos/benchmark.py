@@ -11,22 +11,19 @@ import numpy as np
 
 from relwalk import (
     GammaSchedule,
-    Graph,
     amp_ave_basic,
     build_propagation,
     exhaustive_topk_node,
     forward,
     init_model,
-    modified_adjacency,
+    random_graph,
     time_callable,
 )
 
 
 def make_stack(m: int, l: int, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    a = (rng.random((m, m)) < min(4.0 / max(m - 1, 1), 1.0)).astype(float)
-    a = np.maximum(a, a.T)
-    graph = Graph(modified_adjacency(a), rng.random((m, 8)) + 0.1, 0)
+    graph = random_graph(m, 8, min(4.0 / max(m - 1, 1), 1.0),
+                         np.random.default_rng(seed))
     model = init_model([8] * (l + 1), 2, seed=seed)
     acts = forward(model, graph)
     return build_propagation(model, graph, acts,

@@ -12,7 +12,6 @@ from .ampave import (
     amp_ave_basic,
     amp_ave_topk,
     build_node_message_table,
-    step_objective,
     step_objective_matrix,
     walks_to_edge_scores,
 )
@@ -23,6 +22,7 @@ from .datasets import (
     gen_infection,
     motif_edges,
     oracle_estimate,
+    random_graph,
 )
 from .empneu import (
     MessageTable,
@@ -67,6 +67,7 @@ from .metrics import (
 )
 from .oracle import (
     ScoredWalk,
+    dense_tensor,
     exhaustive_topk_neuron,
     exhaustive_topk_node,
     neuron_walk_relevance,
@@ -78,7 +79,6 @@ from .propagation import (
     ParameterError,
     PropagationStack,
     build_propagation,
-    column_average,
     init_output_relevance,
     modified_weight,
     parse_gamma,

@@ -17,9 +17,9 @@ the returned walks.  The top-K walks come from the splitting engine
 shared with EMP-neu (splitting.py), which ranks each subset by the exact
 relevance of its representative and reports the same counters.
 
-The step objective factorizes over {Lambda, H, Wup} (the transition
-tensors never need to be materialized), which is what makes the search
-feasible at large graph sizes.
+The step objective factorizes over {Lambda, H, Wup}, the propagation
+stack's only representation, so no dense transition tensor is ever
+built, which is what makes the search feasible at large graph sizes.
 """
 
 from __future__ import annotations
@@ -70,19 +70,11 @@ class NodeMessageTable:
 def step_objective_matrix(stack: PropagationStack, l: int, mu_next: np.ndarray) -> np.ndarray:
     """All-pairs step objective sum_{n_l, n_{l+1}} T^(l)[m,:,m',:] mu_next[m'].
 
-    Computed from the factorized pieces; identical to contracting the
-    materialized tensor.
+    Computed from the factorized pieces; equal to contracting the dense
+    tensor of oracle.dense_tensor.
     """
     q = mu_next * stack.inverse_denominators[l]  # (M, N_{l+1})
     return stack.lambdas[l] * ((stack.hidden[l] @ stack.wups[l]) @ q.T)
-
-
-def step_objective(stack: PropagationStack, l: int, m_prev: int, m_next: int,
-                   mu_next: np.ndarray) -> float:
-    """Single-pair step objective; mu_next is the message vector at m_next."""
-    num = stack.hidden[l][m_prev] @ stack.wups[l]
-    return float(stack.lambdas[l][m_prev, m_next]
-                 * num @ (mu_next * stack.inverse_denominators[l][m_next]))
 
 
 def _edge_argmax(obj: np.ndarray, lam: np.ndarray, complete_next: np.ndarray) -> np.ndarray:
@@ -207,9 +199,8 @@ def amp_ave_topk(
     max_k_tilde extractions are made, or the search space runs out.  Only
     walks that follow edges (Lambda != 0 at every step) and end on R^(L)'s
     support are extracted, so k_tilde never exceeds their number, and
-    exhausted (fewer than k positive walks found) without the cap means
-    that every such walk was extracted; every walk outside that space has
-    relevance exactly 0.
+    exhausted means that every such walk was extracted; every walk outside
+    that space has relevance exactly 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

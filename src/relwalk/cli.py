@@ -21,6 +21,7 @@ from .datasets import (
     gen_ba2motif,
     gen_infection,
     motif_edges,
+    random_graph,
 )
 from .empneu import emp_neu_topk
 from .graphs import (
@@ -66,8 +67,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma", default="linear:3",
                         help="LRP-gamma schedule, 'const:X' or 'linear:X'")
     parser.add_argument("--low-mem", action="store_true",
-                        help="no effect: factorized transition evaluation is the "
-                             "default; kept so existing scripts still run")
+                        help="no effect: transition tensors are always evaluated "
+                             "factorized; kept so existing scripts still run")
     parser.add_argument("--budget", type=int, default=None,
                         help="enumeration budget override (>= 1); also caps the "
                              "extractions of both searches")
@@ -371,11 +372,8 @@ def _cmd_bench(args) -> int:
     enum_budget = _enum_budget(args)
     for m in (int(x) for x in args.m_values.split(",")):
         for l in (int(x) for x in args.l_values.split(",")):
-            rng = np.random.default_rng(rng_seed)
-            a = (rng.random((m, m)) < min(4.0 / max(m - 1, 1), 1.0)).astype(float)
-            a = np.maximum(a, a.T)
-            from .graphs import modified_adjacency
-            graph = Graph(modified_adjacency(a), rng.random((m, args.hidden)) + 0.1)
+            graph = random_graph(m, args.hidden, min(4.0 / max(m - 1, 1), 1.0),
+                                 np.random.default_rng(rng_seed))
             model = init_model([args.hidden] * (l + 1), 2, seed=rng_seed)
             acts = forward(model, graph)
             schedule = parse_gamma(args.gamma, model.num_steps)

@@ -1,5 +1,6 @@
-"""Synthetic benchmarks: BA-2motif-style graph classification and the
-Infection node-classification scenario with ground-truth chains.
+"""Synthetic benchmarks: BA-2motif-style graph classification, the
+Infection node-classification scenario with ground-truth chains, and a
+seeded random graph for tests, timings and demos.
 
 All generators are deterministic under their seed.  The infection
 interaction graph is a directed Erdos-Renyi stand-in with configurable
@@ -34,6 +35,16 @@ def _ba_adjacency(n: int, rng: np.random.Generator) -> np.ndarray:
         degree[u] += 1
         degree[v] += 1
     return a
+
+
+def random_graph(m: int, feature_dim: int, edge_prob: float,
+                 rng: np.random.Generator) -> Graph:
+    """Undirected Erdos-Renyi graph with one self-loop per node (Lambda = A + I)
+    and features uniform in [0.1, 1.1), drawn from rng in that order."""
+    a = (rng.random((m, m)) < edge_prob).astype(float)
+    a = np.maximum(a, a.T)
+    np.fill_diagonal(a, 0.0)
+    return Graph(modified_adjacency(a), rng.random((m, feature_dim)) + 0.1, 0)
 
 
 DEGREE_BINS = 5

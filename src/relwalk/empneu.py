@@ -11,7 +11,7 @@ engine's counters (k_tilde, negatives_skipped, subsets_created,
 argmax_ops, exhausted) and the extraction list as `absolute`.  A subset
 whose best absolute value is 0 holds only zero-relevance walks and
 counts as empty, so no zero walk is ever extracted, and exhausted
-without max_k_tilde means every walk with nonzero relevance was.
+means every walk with nonzero relevance was.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def emp_neu_topk(
     """Grow the top-K-tilde absolute list until k positive walks are found.
 
     Only walks with nonzero relevance are extracted, so exhausted=True
-    without max_k_tilde means every such walk was extracted.  A dead
-    network (R^(L) all zero) has none and returns no walk.
+    means every such walk was extracted.  A dead network (R^(L) all zero)
+    has none and returns no walk.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

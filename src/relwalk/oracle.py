@@ -3,7 +3,9 @@
 This is the brute-force reference every fast search is tested against:
 straight-line products over the transition tensors, depth-first
 enumeration of the full walk space, full sort.  Kept deliberately
-simple and independent of the message-passing code paths.
+simple and independent of the message-passing code paths.  The dense
+transition tensors live only here (dense_tensor); the propagation stack
+itself stays factorized.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ class ScoredWalk:
             "neurons": None if self.neurons is None else list(self.neurons),
             "relevance": self.relevance,
         }
+
+
+def dense_tensor(stack: PropagationStack, l: int) -> np.ndarray:
+    """Full 4-index tensor T^(l), shape (M, N_l, M, N_{l+1}), by one dense
+    einsum over the stack's factors: O(M^2 N_l N_{l+1}) time and memory."""
+    num = np.einsum("ma,mn,nb->mnab", stack.lambdas[l], stack.hidden[l], stack.wups[l])
+    return num / stack.guarded_denominators[l][None, None, :, :]
 
 
 def _check_indices(stack: PropagationStack, nodes, neurons=None) -> None:
@@ -96,7 +105,7 @@ def exhaustive_topk_node(
     pos = 0
 
     # last-step contraction precomputed once: V[m, n, m'] = sum_n' T[m,n,m',n'] r[m',n']
-    last = stack.tensor(steps - 1)
+    last = dense_tensor(stack, steps - 1)
     v_last = np.einsum("anbm,bm->anb", last, stack.output_relevance)
 
     def walk_step(l: int, u: np.ndarray | None):
@@ -173,7 +182,7 @@ def exhaustive_topk_neuron(
     sizes = [m * d for d in dims]
     acc = np.ones(sizes[0])
     for l in range(steps):
-        a = stack.tensor(l).reshape(sizes[l], sizes[l + 1])
+        a = dense_tensor(stack, l).reshape(sizes[l], sizes[l + 1])
         acc = acc[..., None] * a.reshape((1,) * l + (sizes[l], sizes[l + 1]))
     acc = acc * stack.output_relevance.reshape(sizes[-1])
     flat = acc.reshape(-1)

@@ -33,7 +33,7 @@ class SplitResult:
 
     positive: list[ScoredWalk]        # the positive extractions, in extraction order
     extracted: list[ScoredWalk]       # top-K-tilde in extraction order
-    exhausted: bool                   # fewer than k positive walks found
+    exhausted: bool                   # the walk space ran out: every walk was extracted
     subsets_created: int
     argmax_ops: int                   # candidates scanned by every best-walk step
 
@@ -121,7 +121,7 @@ def split_topk(
     return result_type(
         positive=positive,
         extracted=extracted,
-        exhausted=len(positive) < k,
+        exhausted=not splitter.heap,
         subsets_created=splitter.subsets_created,
         argmax_ops=splitter.argmax_ops,
     )

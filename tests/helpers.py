@@ -1,5 +1,5 @@
-"""Shared test utilities: random instance builders and tie-aware top-K
-list comparison.
+"""Shared test utilities: random instance builders, the dense reference
+stack, and tie-aware top-K list comparison.
 
 Mathematically tied walks are common (symmetric motifs, activation and
 denominator cancellations).  The enumeration oracle and the message
@@ -13,6 +13,8 @@ group cut at the list boundary is checked by inclusion).
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from relwalk import (
@@ -22,10 +24,11 @@ from relwalk import (
     LayerSpec,
     ReadoutSpec,
     build_propagation,
+    dense_tensor,
     forward,
     init_model,
-    modified_adjacency,
     predicted_target,
+    random_graph,
 )
 
 
@@ -36,7 +39,6 @@ def random_instance(
     gamma: float = 1.0,
     task: str = "graph",
     target: int | None = None,
-    materialize: bool = False,
     edge_prob: float = 0.6,
     schedule: GammaSchedule | None = None,
     positive_weights: bool = False,
@@ -47,10 +49,8 @@ def random_instance(
     dead and relevances carry both signs.
     """
     rng = np.random.default_rng(seed)
-    a = (rng.random((m, m)) < edge_prob).astype(float)
-    a = np.maximum(a, a.T)
-    np.fill_diagonal(a, 0.0)
-    graph = Graph(modified_adjacency(a), rng.random((m, dims[0])) + 0.1, 0)
+    graph = random_graph(m, dims[0], edge_prob, rng)
+
     def weight(shape):
         w = rng.normal(size=shape) * 0.8 + 0.3
         return np.abs(w) if positive_weights else w
@@ -64,9 +64,19 @@ def random_instance(
         schedule = GammaSchedule.constant(gamma, model.num_steps)
     if target is None:
         target = predicted_target(model, acts) if task == "graph" else 0
-    stack = build_propagation(model, graph, acts, schedule, target,
-                              materialize=materialize)
+    stack = build_propagation(model, graph, acts, schedule, target)
     return model, graph, acts, stack
+
+
+def dense_slices(stack):
+    """Shallow copy of stack whose slice and entry read the dense oracle
+    tensors (dense_tensor) instead of the factors: the reference side of
+    the factorized/dense parity tests."""
+    tensors = [dense_tensor(stack, l) for l in range(stack.num_steps)]
+    dense = copy.copy(stack)
+    dense.slice = lambda l, m, mp: tensors[l][m, :, mp, :]
+    dense.entry = lambda l, m, n, mp, np_: float(tensors[l][m, n, mp, np_])
+    return dense
 
 
 def headed_instance(adjacency, seed, stabilize=False, dims=(3, 3, 3, 3)):

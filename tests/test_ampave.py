@@ -16,25 +16,19 @@ from relwalk import (
     amp_ave_topk,
     build_node_message_table,
     build_propagation,
+    dense_tensor,
     exhaustive_topk_node,
     forward,
     modified_adjacency,
     node_walk_relevance,
-    step_objective,
     step_objective_matrix,
     walks_to_edge_scores,
 )
 from relwalk.oracle import ScoredWalk
-from helpers import headed_instance, random_instance, sink_adjacency
+from helpers import dense_slices, headed_instance, random_instance, sink_adjacency
 
 
 # -- step objective --------------------------------------------------------------
-
-
-def test_step_objective_zero_for_missing_edge():
-    _, _, _, stack = random_instance(m=4, seed=0, edge_prob=0.0)
-    mu_next = np.ones(stack.dims[1])
-    assert step_objective(stack, 0, 0, 1, mu_next) == 0.0
 
 
 def test_step_objective_matrix_matches_tensor_contraction():
@@ -44,19 +38,8 @@ def test_step_objective_matrix_matches_tensor_contraction():
             mu_next = np.abs(np.random.default_rng(seed + l).normal(
                 size=(stack.num_nodes, stack.dims[l + 1])))
             via_factorized = step_objective_matrix(stack, l, mu_next)
-            via_tensor = np.einsum("anbm,bm->ab", stack.tensor(l), mu_next)
+            via_tensor = np.einsum("anbm,bm->ab", dense_tensor(stack, l), mu_next)
             np.testing.assert_allclose(via_factorized, via_tensor, atol=1e-9)
-
-
-def test_step_objective_single_pair_matches_matrix():
-    _, _, _, stack = random_instance(seed=2)
-    mu = np.abs(np.random.default_rng(0).normal(
-        size=(stack.num_nodes, stack.dims[1])))
-    full = step_objective_matrix(stack, 0, mu)
-    for m in range(stack.num_nodes):
-        for mp in range(stack.num_nodes):
-            assert step_objective(stack, 0, m, mp, mu[mp]) == pytest.approx(
-                full[m, mp], abs=1e-12)
 
 
 # -- single best walk -------------------------------------------------------------
@@ -152,9 +135,11 @@ def test_topk_reported_relevances_exact_and_positive_descending():
 
 
 def test_topk_factorized_matches_materialized():
+    # reference: the same stack with slices and entries read from the dense
+    # oracle tensors
     for seed in range(20):
-        _, _, _, s_mat = random_instance(seed=seed, materialize=True)
-        _, _, _, s_fac = random_instance(seed=seed, materialize=False)
+        _, _, _, s_fac = random_instance(seed=seed)
+        s_mat = dense_slices(s_fac)
         r_mat = amp_ave_topk(s_mat, 8)
         r_fac = amp_ave_topk(s_fac, 8)
         assert [w.nodes for w in r_mat.positive] == [w.nodes for w in r_fac.positive]

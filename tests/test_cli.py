@@ -122,7 +122,7 @@ def test_explain_budget_caps_extractions(ba_dir, model_file, capsys, method):
 
     assert summary()["k_tilde"] > 10
     capped = summary("--budget", "10")
-    assert capped["k_tilde"] <= 10 and capped["exhausted"]
+    assert capped["k_tilde"] <= 10 and not capped["exhausted"]
 
 
 def test_explain_summary_keys_same_for_both_methods(ba_dir, model_file, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from relwalk import (
     BenchRow,
+    PropagationStack,
     ScoredWalk,
     bench_rows_to_csv,
     column_similarity_histogram,
@@ -67,12 +68,12 @@ def test_short_oracle_rejected():
 
 
 def test_identical_columns_similarity_one():
-    *_, stack = random_instance(m=4, dims=(3, 3, 3), seed=3, positive_weights=True,
-                               materialize=True)
-    # overwrite every slice with identical columns
-    for l in range(stack.num_steps):
-        t = stack.materialized[l]
-        t[:] = t.mean(axis=3, keepdims=True)
+    # all-ones W_up: column n' of slice (m, m') is Lambda[m, m'] H[m] / den[m', n'],
+    # and den[m', n'] does not depend on n', so every column is the same
+    rng = np.random.default_rng(3)
+    lam = (rng.random((4, 4)) < 0.6) + np.eye(4)
+    stack = PropagationStack([lam, lam], [rng.random((4, 3)) + 0.1 for _ in range(2)],
+                             [np.ones((3, 3))] * 2, np.ones((4, 3)))
     hist = column_similarity_histogram(stack)
     assert hist.similarities.size > 0
     np.testing.assert_allclose(hist.similarities, 1.0, atol=1e-12)
@@ -80,10 +81,11 @@ def test_identical_columns_similarity_one():
 
 
 def test_zero_mean_slice_excluded_and_counted():
-    *_, stack = random_instance(m=2, dims=(2, 2, 2), seed=4, materialize=True)
-    # force one slice's columns to cancel exactly (mean column = 0)
-    stack.materialized[0][0, :, 0, 0] = [1.0, -1.0]
-    stack.materialized[0][0, :, 0, 1] = [-1.0, 1.0]
+    # den = column sums of H W_up = [1, -1], so slice (0, 0) has the
+    # columns [1, 0] and [-1, 0], which cancel exactly (mean column = 0)
+    stack = PropagationStack([np.ones((2, 2))], [np.eye(2)],
+                             [np.array([[1.0, 1.0], [0.0, -2.0]])], np.ones((2, 2)))
+    np.testing.assert_array_equal(stack.slice(0, 0, 0), [[1.0, -1.0], [0.0, 0.0]])
     hist = column_similarity_histogram(stack)
     assert hist.degenerate_slices >= 1
 
@@ -97,8 +99,14 @@ def test_histogram_mass_equals_included_columns():
 
 
 def test_all_zero_columns_are_skipped():
-    *_, stack = random_instance(m=3, dims=(2, 2, 2), seed=6, materialize=True)
-    stack.materialized[0][:, :, 0, 0] = 0.0
+    # a zeroed column of W_up gives a zero denominator, so that column of
+    # every slice is zeroed
+    rng = np.random.default_rng(6)
+    w = rng.normal(size=(2, 2))
+    w[:, 0] = 0.0
+    stack = PropagationStack([np.ones((3, 3))], [rng.random((3, 2)) + 0.1], [w],
+                             np.ones((3, 2)))
+    assert not stack.slice(0, 0, 0)[:, 0].any()
     hist = column_similarity_histogram(stack)
     assert hist.zero_columns >= 1
 

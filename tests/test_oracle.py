@@ -15,12 +15,14 @@ from relwalk import (
     ReadoutSpec,
     ScoredWalk,
     build_propagation,
+    dense_tensor,
     exhaustive_topk_node,
     exhaustive_topk_neuron,
     forward,
     neuron_walk_relevance,
     node_walk_relevance,
 )
+from relwalk.propagation import EPS_STAB
 from helpers import random_instance
 
 
@@ -37,7 +39,7 @@ def scalar_stack(weight=1.0, feature=0.4):
 
 def test_neuron_walk_single_factor_product():
     stack = scalar_stack()
-    assert stack.tensor(0)[0, 0, 0, 0] == pytest.approx(1.0)
+    assert dense_tensor(stack, 0)[0, 0, 0, 0] == pytest.approx(1.0)
     assert neuron_walk_relevance(stack, (0, 0), (0, 0)) == pytest.approx(0.4)
 
 
@@ -56,7 +58,7 @@ def test_neuron_walk_matches_independent_loop_product():
         neurons = tuple(rng.integers(d) for d in stack.dims)
         value = 1.0
         for l in range(stack.num_steps):
-            value *= stack.tensor(l)[nodes[l], neurons[l], nodes[l + 1], neurons[l + 1]]
+            value *= dense_tensor(stack, l)[nodes[l], neurons[l], nodes[l + 1], neurons[l + 1]]
         value *= stack.output_relevance[nodes[-1], neurons[-1]]
         assert neuron_walk_relevance(stack, nodes, neurons) == pytest.approx(
             value, abs=1e-14)
@@ -172,7 +174,7 @@ def test_neuron_enumeration_values_match_per_walk_recomputation():
 @given(st.integers(0, 10_000))
 def test_global_conservation(seed):
     _, _, _, stack = random_instance(m=4, dims=(2, 2, 2), seed=seed, edge_prob=1.0)
-    if any(np.any(np.abs(d) < stack.eps_stab) for d in stack.denominators):
+    if any(np.any(np.abs(d) < EPS_STAB) for d in stack.denominators):
         return  # zeroed columns break exact conservation by construction
     walks = exhaustive_topk_node(stack, 4 ** 3)
     total = sum(w.relevance for w in walks)

@@ -1,4 +1,8 @@
-"""Transition tensor construction, gamma schedules, output relevance."""
+"""Transition tensor construction, gamma schedules, output relevance.
+
+The stack is factorized only; oracle.dense_tensor is the dense reference
+its entries and slices are checked against.
+"""
 
 import numpy as np
 import pytest
@@ -13,12 +17,13 @@ from relwalk import (
     ParameterError,
     ReadoutSpec,
     build_propagation,
-    column_average,
+    dense_tensor,
     forward,
     init_output_relevance,
     modified_weight,
     parse_gamma,
 )
+from relwalk.propagation import EPS_STAB
 from helpers import random_instance
 
 
@@ -84,14 +89,14 @@ def test_single_entry_normalizes_to_one():
     model = GnnModel((LayerSpec(np.array([[2.0]])),), ReadoutSpec(task="graph"))
     acts = forward(model, graph)
     stack = build_propagation(model, graph, acts, GammaSchedule.constant(0.0, 1), 0)
-    assert stack.tensor(0)[0, 0, 0, 0] == pytest.approx(1.0)
+    assert dense_tensor(stack, 0)[0, 0, 0, 0] == pytest.approx(1.0)
 
 
 def test_columns_sum_to_one():
     _, _, _, stack = random_instance(seed=11)
     for l in range(stack.num_steps):
-        sums = stack.tensor(l).sum(axis=(0, 1))
-        nonzero = np.abs(stack.denominators[l]) >= stack.eps_stab
+        sums = dense_tensor(stack, l).sum(axis=(0, 1))
+        nonzero = np.abs(stack.denominators[l]) >= EPS_STAB
         np.testing.assert_allclose(sums[nonzero], 1.0, atol=1e-9)
         np.testing.assert_array_equal(sums[~nonzero], 0.0)
 
@@ -102,69 +107,35 @@ def test_dead_neuron_column_is_zeroed():
     model = GnnModel((LayerSpec(w),), ReadoutSpec(task="graph"))
     acts = forward(model, graph)
     stack = build_propagation(model, graph, acts, GammaSchedule.constant(0.0, 1), 1)
-    t = stack.tensor(0)
+    t = dense_tensor(stack, 0)
     assert np.all(t[:, :, 0, 0] == 0.0)   # zero denominator column
     assert t[0, 0, 0, 1] == pytest.approx(1.0)
 
 
 def test_factorized_matches_materialized_entries():
     for seed in range(5):
-        _, _, _, s_mat = random_instance(seed=seed, materialize=True)
-        _, _, _, s_fac = random_instance(seed=seed, materialize=False)
-        assert s_fac.is_factorized and not s_mat.is_factorized
-        for l in range(s_mat.num_steps):
-            np.testing.assert_allclose(s_fac.tensor(l), s_mat.tensor(l), atol=1e-12)
+        _, _, _, stack = random_instance(seed=seed)
+        dense = [dense_tensor(stack, l) for l in range(stack.num_steps)]
+        for l in range(stack.num_steps):
+            for m in range(stack.num_nodes):
+                for mp in range(stack.num_nodes):
+                    np.testing.assert_allclose(stack.slice(l, m, mp),
+                                               dense[l][m, :, mp, :], atol=1e-12)
         # random single entries through the on-demand path
         rng = np.random.default_rng(seed)
         for _ in range(20):
-            l = rng.integers(s_mat.num_steps)
+            l = rng.integers(stack.num_steps)
             m, mp = rng.integers(6, size=2)
-            n = rng.integers(s_mat.dims[l])
-            np_ = rng.integers(s_mat.dims[l + 1])
-            assert s_fac.entry(l, m, n, mp, np_) == pytest.approx(
-                s_mat.tensor(l)[m, n, mp, np_], abs=1e-12)
-
-
-def test_budget_forces_factorized_mode():
-    _, _, _, stack = random_instance(seed=0)
-    model, graph, acts, _ = random_instance(seed=0)
-    small = build_propagation(model, graph, acts,
-                              GammaSchedule.constant(1.0, model.num_steps), 0,
-                              materialize=True, tensor_budget=10)
-    assert small.is_factorized
+            n = rng.integers(stack.dims[l])
+            np_ = rng.integers(stack.dims[l + 1])
+            assert stack.entry(l, m, n, mp, np_) == pytest.approx(
+                dense[l][m, n, mp, np_], abs=1e-12)
 
 
 def test_schedule_length_must_match_depth():
     model, graph, acts, _ = random_instance(seed=0)
     with pytest.raises(ParameterError):
         build_propagation(model, graph, acts, GammaSchedule.constant(1.0, 2), 0)
-
-
-# -- column average -----------------------------------------------------------
-
-
-def test_column_average_identical_columns_fixed_point():
-    t = np.array([[2.0, 2.0], [3.0, 3.0]])
-    np.testing.assert_array_equal(column_average(t), t)
-
-
-def test_column_average_arithmetic():
-    np.testing.assert_array_equal(
-        column_average(np.array([[1.0, 3.0], [2.0, 4.0]])),
-        [[2.0, 2.0], [3.0, 3.0]],
-    )
-
-
-def test_column_average_distance_matches_loop():
-    rng = np.random.default_rng(5)
-    t = rng.normal(size=(4, 3))
-    tbar = column_average(t)
-    dist = 0.0
-    for i in range(4):
-        for j in range(3):
-            avg = sum(t[i, k] for k in range(3)) / 3
-            dist += (t[i, j] - avg) ** 2
-    assert np.linalg.norm(t - tbar) ** 2 == pytest.approx(dist)
 
 
 # -- output relevance ---------------------------------------------------------
@@ -211,7 +182,50 @@ def test_output_relevance_target_out_of_range():
 def test_column_sums_in_zero_one(seed, gamma):
     _, _, _, stack = random_instance(m=4, dims=(2, 3, 2), seed=seed, gamma=gamma)
     for l in range(stack.num_steps):
-        sums = stack.tensor(l).sum(axis=(0, 1))
+        sums = dense_tensor(stack, l).sum(axis=(0, 1))
         assert np.all(
             (np.abs(sums) <= 1e-9) | (np.abs(sums - 1.0) <= 1e-9)
         )
+
+
+# -- property: the factorized stack equals the dense reference ----------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.booleans(),
+       st.sampled_from([0.0, 0.3, 0.6, 1.0]))
+def test_slices_and_entries_equal_dense_tensor(seed, stabilize, kill_unit, edge_prob):
+    model, graph, _, _ = random_instance(m=4, dims=(2, 3, 3, 2), seed=seed,
+                                         edge_prob=edge_prob)
+    unit = seed % 3
+    if kill_unit:
+        # a zero weight column zeroes step 1's denominator column and leaves
+        # the unit dead (ReLU(0) = 0) at layer 2
+        layers = list(model.layers)
+        w = layers[1].weight.copy()
+        w[:, unit] = 0.0
+        layers[1] = LayerSpec(w)
+        model = GnnModel(tuple(layers), model.readout)
+    acts = forward(model, graph)
+    stack = build_propagation(model, graph, acts,
+                              GammaSchedule.constant(1.0, model.num_steps),
+                              int(np.argmax(acts.logits)), stabilize=stabilize)
+    if kill_unit:
+        assert not stack.hidden[2][:, unit].any()
+        assert not stack.denominators[1][:, unit].any()
+    dense = [dense_tensor(stack, l) for l in range(stack.num_steps)]
+    for l in range(stack.num_steps):
+        for m in range(stack.num_nodes):
+            for mp in range(stack.num_nodes):
+                np.testing.assert_allclose(stack.slice(l, m, mp), dense[l][m, :, mp, :],
+                                           rtol=1e-12, atol=1e-12)
+        if not stabilize:
+            sums = dense[l].sum(axis=(0, 1))
+            assert np.all((np.abs(sums) <= 1e-9) | (np.abs(sums - 1.0) <= 1e-9))
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        l = int(rng.integers(stack.num_steps))
+        m, mp = (int(v) for v in rng.integers(stack.num_nodes, size=2))
+        n, np_ = int(rng.integers(stack.dims[l])), int(rng.integers(stack.dims[l + 1]))
+        assert stack.entry(l, m, n, mp, np_) == pytest.approx(
+            dense[l][m, n, mp, np_], rel=1e-12, abs=1e-12)
