@@ -12,7 +12,6 @@ from .ampave import (
     amp_ave_basic,
     amp_ave_topk,
     build_node_message_table,
-    step_objective_matrix,
     walks_to_edge_scores,
 )
 from .datasets import (

@@ -18,8 +18,10 @@ shared with EMP-neu (splitting.py), which ranks each subset by the exact
 relevance of its representative and reports the same counters.
 
 The step objective factorizes over {Lambda, H, Wup}, the propagation
-stack's only representation, so no dense transition tensor is ever
-built, which is what makes the search feasible at large graph sizes.
+stack's only representation, and is maximized along the stack's edge
+list with EMP-neu's reduction (propagation.first_max_over_edges), so a
+step costs O(E N + M N^2) time and no dense transition tensor or M x M
+objective is ever built.
 """
 
 from __future__ import annotations
@@ -30,99 +32,77 @@ from functools import partial
 import numpy as np
 
 from .oracle import ScoredWalk, node_walk_relevance
-from .propagation import PropagationStack
+from .propagation import PropagationStack, first_max_over_edges
 from .splitting import SplitResult, split_topk
-
-# entries masked at once when re-running a row argmax over edges only; on
-# graphs where many rows need it, whole-row copies raise peak memory (by
-# 25 MiB on a 4000-node graph with ~1,200 such rows per step)
-_MASK_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
 class NodeMessageTable:
-    """Signed node-level messages, edge-restricted argmax steps, and per-step
-    objective matrices.
+    """Signed node-level messages and edge-restricted argmax steps.
 
     step[l] maps each node at layer l to its chosen node at layer l + 1:
-    the first maximizer of objective[l] over the continuations m' with
-    Lambda^(l)[m, m'] != 0 whose own completion follows edges.
-    objective[l][m, m'] is the neuron-marginalized step value from node m
-    at layer l to m' at l + 1 (unmasked).  mu[l] has shape (M, N_l):
-    mu[l][m] is the exact relevance vector of the greedy completion
-    backtracked from node m at layer l, so mu[0][m].sum() is the exact
-    relevance of the walk backtracked from m.  scaled[l] is mu[l + 1]
-    times the guarded inverse denominators of step l, the factor that
-    step l applies to it.  complete[l][m] says whether the completion
-    from m at layer l follows edges and ends on R^(L)'s support (False
-    only where no such continuation exists; mu[l][m] is then 0).
-    complete[-1] is that support itself: the nodes whose row of R^(L) is
-    nonzero, so the last node of every completion carries relevance.
+    the first maximizer of the neuron-marginalized step objective
+        Lambda^(l)[m, m'] (H^(l) W_up^(l))[m] . scaled[l][m']
+    over the continuations m' with Lambda^(l)[m, m'] != 0 whose own
+    completion follows edges (0 where m has none).  The objective is
+    scored on those edges only, one step at a time, and never stored.
+    mu[l] has shape (M, N_l): mu[l][m] is the exact relevance vector of
+    the greedy completion backtracked from node m at layer l, so
+    mu[0][m].sum() is the exact relevance of the walk backtracked from m.
+    scaled[l] is mu[l + 1] times the guarded inverse denominators of step
+    l, the factor that step l applies to it.  complete[l][m] says whether
+    the completion from m at layer l follows edges and ends on R^(L)'s
+    support (False only where no such continuation exists; mu[l][m] is
+    then 0).  complete[-1] is that support itself: the nodes whose row of
+    R^(L) is nonzero, so the last node of every completion carries
+    relevance.  Every array is (M,) or (M, N_l).
     """
+
+    # perfbench's traced ampave.objective_bytes sums `table.objective`; no
+    # table stores an objective, so it reads 0 until the benchmark drops it.
+    objective = ()
 
     mu: tuple[np.ndarray, ...]
     step: tuple[np.ndarray, ...]
-    objective: tuple[np.ndarray, ...]
     scaled: tuple[np.ndarray, ...]
     complete: tuple[np.ndarray, ...]
 
 
-def step_objective_matrix(stack: PropagationStack, l: int, mu_next: np.ndarray) -> np.ndarray:
-    """All-pairs step objective sum_{n_l, n_{l+1}} T^(l)[m,:,m',:] mu_next[m'].
-
-    Computed from the factorized pieces; equal to contracting the dense
-    tensor of oracle.dense_tensor.
+def edge_objective(stack: PropagationStack, l: int, scaled: np.ndarray,
+                   rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Step objective sum_{n_l, n_{l+1}} T^(l)[m, :, m', :] mu_next[m'] at
+    the edges (m, m') = (rows, cols), from scaled = mu_next times the
+    guarded inverse denominators of step l: O(E N) after one O(M N^2)
+    product.  Equal to contracting the dense tensor of oracle.dense_tensor.
     """
-    q = mu_next * stack.inverse_denominators[l]  # (M, N_{l+1})
-    return stack.lambdas[l] * ((stack.hidden[l] @ stack.wups[l]) @ q.T)
-
-
-def _edge_argmax(obj: np.ndarray, lam: np.ndarray, complete_next: np.ndarray) -> np.ndarray:
-    """First maximizer of each row of obj over the continuations m' with
-    lam[m, m'] != 0 and complete_next[m'].
-
-    The plain row argmax stands wherever it lands on such a continuation;
-    only the remaining rows are recomputed, a block of rows at a time, so
-    no M x M mask is built.  On an all-zero row the first allowed
-    continuation is the first maximizer, so only rows holding a nonzero
-    value are re-run with the rest masked out.
-    """
-    chosen = np.argmax(obj, axis=1)
-    rows = np.flatnonzero((lam[np.arange(len(chosen)), chosen] == 0)
-                          | ~complete_next[chosen])
-    block = max(1, _MASK_BLOCK_ENTRIES // len(chosen))
-    for start in range(0, rows.size, block):
-        sel = rows[start:start + block]
-        allowed = (lam[sel] != 0) & complete_next
-        values = obj[sel]
-        live = values.any(axis=1)
-        fixed = np.argmax(allowed, axis=1)
-        if live.any():
-            fixed[live] = np.argmax(np.where(allowed[live], values[live], -np.inf), axis=1)
-        chosen[sel] = fixed
-    return chosen
+    hw = stack.hidden[l] @ stack.wups[l]                        # (M, N_{l+1})
+    return stack.lambdas[l][rows, cols] * np.einsum("ej,ej->e", hw[rows], scaled[cols])
 
 
 def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:
-    rows = np.arange(stack.num_nodes)
+    """Backward greedy messages along the edge list, O(E N + M N^2) per step."""
+    m = stack.num_nodes
     mu = [None] * (stack.num_steps + 1)
     step = [None] * stack.num_steps
-    objective = [None] * stack.num_steps
     scaled = [None] * stack.num_steps
     complete = [None] * (stack.num_steps + 1)
     mu[-1] = stack.output_relevance
     complete[-1] = np.any(stack.output_relevance != 0, axis=1)
     for l in range(stack.num_steps - 1, -1, -1):
-        objective[l] = step_objective_matrix(stack, l, mu[l + 1])
-        lam = stack.lambdas[l]
-        step[l] = chosen = _edge_argmax(objective[l], lam, complete[l + 1])
-        lam_sel = lam[rows, chosen]
-        complete[l] = (lam_sel != 0) & complete[l + 1][chosen]
         scaled[l] = mu[l + 1] * stack.inverse_denominators[l]   # (M, N_{l+1})
+        rows, cols = stack.edges[l]
+        keep = complete[l + 1][cols]
+        rows, cols = rows[keep], cols[keep]
+        heads, _, first = first_max_over_edges(
+            rows, edge_objective(stack, l, scaled[l], rows, cols))
+        step[l] = np.zeros(m, dtype=np.intp)
+        step[l][heads] = cols[first]
+        complete[l] = np.zeros(m, dtype=bool)
+        complete[l][heads] = True
+        lam_sel = np.where(complete[l], stack.lambdas[l][np.arange(m), step[l]], 0.0)
         wq = scaled[l] @ stack.wups[l].T            # (M, N_l)
-        mu[l] = lam_sel[:, None] * stack.hidden[l] * wq[chosen]
-    return NodeMessageTable(tuple(mu), tuple(step), tuple(objective), tuple(scaled),
-                            tuple(complete))
+        mu[l] = lam_sel[:, None] * stack.hidden[l] * wq[step[l]]
+    return NodeMessageTable(tuple(mu), tuple(step), tuple(scaled), tuple(complete))
 
 
 def _backtrack(table: NodeMessageTable, layer: int, node: int) -> list[int]:
@@ -140,10 +120,8 @@ def amp_ave_basic(stack: PropagationStack) -> ScoredWalk | None:
     first extraction of amp_ave_topk.
     """
     table = build_node_message_table(stack)
-    if not np.any(table.mu[0].sum(axis=1) != 0):
-        return None
     relevance, nodes, _ = _constrained_best(stack, table, (), frozenset())
-    return ScoredWalk(nodes, relevance)
+    return None if nodes is None else ScoredWalk(nodes, relevance)
 
 
 def _constrained_best(stack: PropagationStack, table: NodeMessageTable,

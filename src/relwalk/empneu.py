@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .oracle import ScoredWalk, neuron_walk_relevance
-from .propagation import PropagationStack
+from .propagation import PropagationStack, first_max_over_edges
 from .splitting import SplitResult, split_topk
 
 
@@ -77,14 +77,11 @@ def build_message_table(stack: PropagationStack) -> MessageTable:
         g = np.take_along_axis(inner_scored, inner[:, :, None], axis=2)[:, :, 0]
         outer = np.zeros((m, n_l), dtype=np.intp)
         best = np.zeros((m, n_l))
-        lam = stack.lambdas[l]
-        rows, cols = np.nonzero(lam)                      # row-major edge list
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each row's first edge
-        heads = rows[starts]
-        scored = np.abs(lam[rows, cols])[:, None] * g[cols]              # (E, N_l)
-        best[heads] = np.maximum.reduceat(scored, starts, axis=0)
-        first = np.where(scored == best[rows], cols[:, None], m)
-        outer[heads] = np.minimum.reduceat(first, starts, axis=0)
+        rows, cols = stack.edges[l]
+        scored = np.abs(stack.lambdas[l][rows, cols])[:, None] * g[cols]  # (E, N_l)
+        heads, row_best, first = first_max_over_edges(rows, scored)
+        best[heads] = row_best
+        outer[heads] = cols[first]
         outer[best == 0] = 0
         mu[l] = (np.abs(stack.hidden[l]) * best).reshape(sizes[l])
         step[l] = (outer * n_next + inner[outer, np.arange(n_l)]).reshape(sizes[l])
@@ -162,13 +159,10 @@ def _pairs_to_walk(stack: PropagationStack, pairs: tuple[int, ...]) -> ScoredWal
 
 def emp_neu_basic(stack: PropagationStack) -> ScoredWalk | None:
     """The neuron-level walk with the highest absolute relevance, or None
-    if the network is fully dead (all messages zero)."""
+    if every walk has relevance 0; the first extraction of emp_neu_topk."""
     table = build_message_table(stack)
-    if not np.any(table.mu[0] > 0):
-        return None
-    start = int(np.argmax(table.mu[0]))
-    pairs = tuple(_backtrack(table, 0, start))
-    return _pairs_to_walk(stack, pairs)
+    _, pairs, _ = constrained_max(table, (), frozenset())
+    return None if pairs is None else _pairs_to_walk(stack, pairs)
 
 
 @dataclass

@@ -75,8 +75,7 @@ def column_similarity_histogram(stack: PropagationStack) -> SimilarityHistogram:
     zero_cols = 0
     degenerate = 0
     for l in range(stack.num_steps):
-        lam = stack.lambdas[l]
-        for m, mp in zip(*np.nonzero(lam)):
+        for m, mp in zip(*stack.edges[l]):
             t = stack.slice(l, int(m), int(mp))
             avg = t.mean(axis=1)
             avg_norm = np.linalg.norm(avg)

@@ -14,7 +14,8 @@ denominators, with single entries and (m, m') slices computed on demand:
 building it costs O(L M N (M + N)) time and O(M^2 + L N (M + N)) memory.
 The dense 4-index tensor, O(M^2 N^2) per step, is never built here; the
 brute-force oracle builds its own (oracle.dense_tensor) as the
-independent reference.
+independent reference.  Both searches maximize over a node's edges with
+first_max_over_edges on the stack's per-step edge lists.
 """
 
 from __future__ import annotations
@@ -93,7 +94,10 @@ class PropagationStack:
     guarded_denominators[l] is the step-l denominator with the stability
     guard applied (inf on zeroed columns, or shifted away from zero under
     stabilize); inverse_denominators[l] is its reciprocal (0 on zeroed
-    columns).  Both are computed once here and shared by every reader.
+    columns).  edges[l] is the row-major (rows, cols) edge list of Lam^(l),
+    its entries != 0.  All are computed once here and shared by every
+    reader; the edge scan runs once per distinct Lam array, so steps
+    sharing one adjacency share one edge list.
     """
 
     # perfbench's per-request counter reads `stack.materialized or ()` until
@@ -120,6 +124,9 @@ class PropagationStack:
         ]
         self.guarded_denominators = [self._guard(den) for den in self.denominators]
         self.inverse_denominators = [1.0 / den for den in self.guarded_denominators]
+        distinct = {id(lam): lam for lam in lambdas}
+        scans = {key: np.nonzero(lam) for key, lam in distinct.items()}
+        self.edges = [scans[id(lam)] for lam in lambdas]
 
     # -- shape info ---------------------------------------------------------
 
@@ -158,6 +165,28 @@ class PropagationStack:
             * self.wups[l]
             / self.guarded_denominators[l][mp][None, :]
         )
+
+
+def first_max_over_edges(rows: np.ndarray, scored: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First maximum of scored over each row's edges, as a segment reduction.
+
+    rows holds the row of each edge of a row-major edge list (as in
+    PropagationStack.edges, possibly filtered), scored its (E,) or (E, K)
+    values.  Returns (heads, best, first) for the rows with at least one
+    edge, in ascending order: best is each row's max over its edges, and
+    first the position in the edge list of the first edge reaching it.
+    Edges within a row come in column order, so cols[first] is the first
+    maximizing column.  An empty edge list gives empty arrays.
+    """
+    new_row = np.diff(rows, prepend=-1) != 0
+    starts = np.flatnonzero(new_row)
+    segment = np.cumsum(new_row) - 1
+    best = np.maximum.reduceat(scored, starts, axis=0)
+    position = np.arange(rows.size).reshape((-1,) + (1,) * (scored.ndim - 1))
+    first = np.minimum.reduceat(np.where(scored == best[segment], position, rows.size),
+                                starts, axis=0)
+    return rows[starts], best, first
 
 
 def build_propagation(

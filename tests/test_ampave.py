@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relwalk import (
     GammaSchedule,
@@ -21,25 +23,37 @@ from relwalk import (
     forward,
     modified_adjacency,
     node_walk_relevance,
-    step_objective_matrix,
     walks_to_edge_scores,
 )
+from relwalk.ampave import edge_objective
 from relwalk.oracle import ScoredWalk
+from relwalk.propagation import PropagationStack
 from helpers import dense_slices, headed_instance, random_instance, sink_adjacency
 
 
 # -- step objective --------------------------------------------------------------
 
 
-def test_step_objective_matrix_matches_tensor_contraction():
+def dense_objective(stack, l, mu_next):
+    """All-pairs step objective from the dense oracle tensor."""
+    return np.einsum("anbm,bm->ab", dense_tensor(stack, l), mu_next)
+
+
+def test_edge_objective_matches_tensor_contraction():
     for seed in range(5):
-        _, _, _, stack = random_instance(seed=seed)
+        _, _, _, stack = random_instance(seed=seed, edge_prob=0.5)
         for l in range(stack.num_steps):
-            mu_next = np.abs(np.random.default_rng(seed + l).normal(
-                size=(stack.num_nodes, stack.dims[l + 1])))
-            via_factorized = step_objective_matrix(stack, l, mu_next)
-            via_tensor = np.einsum("anbm,bm->ab", dense_tensor(stack, l), mu_next)
-            np.testing.assert_allclose(via_factorized, via_tensor, atol=1e-9)
+            mu_next = np.random.default_rng(seed + l).normal(
+                size=(stack.num_nodes, stack.dims[l + 1]))
+            rows, cols = stack.edges[l]
+            via_edges = edge_objective(stack, l, mu_next * stack.inverse_denominators[l],
+                                       rows, cols)
+            via_tensor = dense_objective(stack, l, mu_next)
+            np.testing.assert_allclose(via_edges, via_tensor[rows, cols], atol=1e-9)
+            # the objective off the edge list is exactly 0
+            off = np.ones_like(via_tensor, dtype=bool)
+            off[rows, cols] = False
+            assert not via_tensor[off].any()
 
 
 # -- single best walk -------------------------------------------------------------
@@ -283,41 +297,84 @@ def test_uncapped_topk_extracts_exactly_the_support_walks():
         assert all(oracle[w] == 0 for w in set(oracle) - set(walks))
 
 
-def test_edge_argmax_in_row_blocks_matches_one_block(monkeypatch):
-    from relwalk import ampave
+def masked_dense_objective(stack, table, l):
+    """Dense objective rows of step l, with -inf off the continuations the
+    table may choose (edges whose completion follows edges)."""
+    obj = dense_objective(stack, l, table.mu[l + 1])
+    allowed = (stack.lambdas[l] != 0) & table.complete[l + 1][None, :]
+    return obj, allowed, np.where(allowed, obj, -np.inf)
 
-    # headed models give signed objective rows, so the plain argmax often
-    # lands off the search space on rows that hold nonzero values, which
-    # is what the masked refit (the blocked path) redoes
-    refit = 0
-    for seed in range(5):
-        a = (np.random.default_rng(seed).random((8, 8)) < 0.3).astype(float)
-        stack = headed_instance(modified_adjacency(np.maximum(a, a.T)), seed)
-        whole = build_node_message_table(stack)
-        monkeypatch.setattr(ampave, "_MASK_BLOCK_ENTRIES", 8)
-        blocked = build_node_message_table(stack)
-        monkeypatch.undo()
-        for obj, a, b in zip(whole.objective, whole.step, blocked.step):
-            refit += int(np.sum((np.argmax(obj, axis=1) != a) & obj.any(axis=1)))
-            np.testing.assert_array_equal(a, b)
-    assert refit > 0
+
+def assert_steps_are_first_maximizers(stack, table, rel=1e-12):
+    """step[l][m] reaches the masked dense row max within rel, and is its
+    first maximizer wherever that is unique (0 on rows with no choice)."""
+    for l in range(stack.num_steps):
+        _, allowed, masked = masked_dense_objective(stack, table, l)
+        for m in range(stack.num_nodes):
+            row, chosen = masked[m], int(table.step[l][m])
+            if not allowed[m].any():
+                assert chosen == 0
+                continue
+            top = row.max()
+            near = np.flatnonzero(np.abs(row - top) <= rel * abs(top))
+            assert chosen in near, (l, m, chosen, near)
+            if near.size == 1:
+                assert chosen == int(np.argmax(row))
 
 
 def test_edge_argmax_on_node_task_equals_fully_masked_argmax():
     # R^(L) is zero outside the target row, so many objective rows are all
-    # zero; their first allowed continuation is the first maximizer
+    # zero, and on these rows no continuation is allowed: step is 0 there
     zero_rows = 0
     for seed in range(10):
         _, _, _, stack = random_instance(m=8, seed=seed, edge_prob=0.3, task="node",
                                          target=seed % 8)
         table = build_node_message_table(stack)
+        assert_steps_are_first_maximizers(stack, table)
         for l in range(stack.num_steps):
-            obj = table.objective[l]
-            allowed = (stack.lambdas[l] != 0) & table.complete[l + 1][None, :]
-            masked = np.argmax(np.where(allowed, obj, -np.inf), axis=1)
-            np.testing.assert_array_equal(table.step[l], masked)
-            zero_rows += int(np.sum(~obj.any(axis=1) & ~allowed[:, 0]))
+            obj, allowed, masked = masked_dense_objective(stack, table, l)
+            zero = ~obj.any(axis=1)
+            np.testing.assert_array_equal(table.step[l][zero],
+                                          np.argmax(masked, axis=1)[zero])
+            zero_rows += int(np.sum(zero & ~allowed[:, 0]))
     assert zero_rows > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.sampled_from([0.0, 0.3, 1.0]),
+       st.sampled_from(["graph", "node", "headed"]))
+def test_steps_are_first_maximizers_of_the_masked_objective(seed, stabilize, edge_prob,
+                                                            kind):
+    if kind == "headed":
+        a = (np.random.default_rng(seed).random((6, 6)) < edge_prob).astype(float)
+        stack = headed_instance(modified_adjacency(np.maximum(a, a.T)), seed,
+                                stabilize=stabilize)
+    else:
+        _, _, _, base = random_instance(seed=seed, edge_prob=edge_prob, task=kind,
+                                        target=seed % 6 if kind == "node" else None)
+        stack = PropagationStack(base.lambdas, base.hidden, base.wups,
+                                 base.output_relevance, stabilize=stabilize)
+    assert_steps_are_first_maximizers(stack, build_node_message_table(stack))
+
+
+def test_exact_ties_take_the_first_continuation():
+    # complete graph, uniform factors: every continuation scores the same
+    ones = [np.ones((3, 3)), np.ones((3, 3))]
+    stack = PropagationStack(ones, [np.ones((3, 2))] * 2, [np.ones((2, 2))] * 2,
+                             np.ones((3, 2)))
+    table = build_node_message_table(stack)
+    for step in table.step:
+        np.testing.assert_array_equal(step, 0)
+
+
+def test_node_message_table_holds_no_m_by_m_array():
+    _, _, _, stack = random_instance(m=40, seed=0, edge_prob=0.1)
+    table = build_node_message_table(stack)
+    bound = stack.num_nodes * max(stack.dims)
+    arrays = table.mu + table.step + table.scaled + table.complete
+    assert len(arrays) == 4 * stack.num_steps + 2
+    assert all(a.size <= bound for a in arrays)
+    assert table.objective == ()
 
 
 def test_completions_avoid_dead_ends():

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, file formats, and output contracts."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import relwalk
 from relwalk.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
 from relwalk.graphs import load_graph, load_model
 
@@ -276,6 +279,10 @@ def test_bench_estimates_oversized_exhaustive(capsys):
 
 
 def test_console_script_runs():
+    # the child imports the same relwalk as this process, installed or not
+    src = str(Path(relwalk.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "relwalk.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0

@@ -15,6 +15,7 @@ from relwalk import (
     Graph,
     LayerSpec,
     ParameterError,
+    PropagationStack,
     ReadoutSpec,
     build_propagation,
     dense_tensor,
@@ -23,7 +24,7 @@ from relwalk import (
     modified_weight,
     parse_gamma,
 )
-from relwalk.propagation import EPS_STAB
+from relwalk.propagation import EPS_STAB, first_max_over_edges
 from helpers import random_instance
 
 
@@ -110,6 +111,44 @@ def test_dead_neuron_column_is_zeroed():
     t = dense_tensor(stack, 0)
     assert np.all(t[:, :, 0, 0] == 0.0)   # zero denominator column
     assert t[0, 0, 0, 1] == pytest.approx(1.0)
+
+
+def test_stabilize_shifts_each_denominator_away_from_zero_by_its_sign():
+    # denominators [-2, 0, 3]: a negative one moves down, zero and a
+    # positive one move up, each by exactly EPS_STAB
+    stack = PropagationStack([np.ones((1, 1))], [np.ones((1, 1))],
+                             [np.array([[-2.0, 0.0, 3.0]])], np.ones((1, 3)),
+                             stabilize=True)
+    np.testing.assert_array_equal(stack.denominators[0], [[-2.0, 0.0, 3.0]])
+    np.testing.assert_array_equal(stack.guarded_denominators[0],
+                                  [[-2.0 - EPS_STAB, EPS_STAB, 3.0 + EPS_STAB]])
+    np.testing.assert_array_equal(stack.inverse_denominators[0],
+                                  1.0 / stack.guarded_denominators[0])
+
+
+def test_edge_lists_are_row_major_nonzeros_shared_by_steps():
+    _, _, _, stack = random_instance(seed=3, edge_prob=0.3)
+    for lam, (rows, cols) in zip(stack.lambdas, stack.edges):
+        expected_rows, expected_cols = np.nonzero(lam)
+        np.testing.assert_array_equal(rows, expected_rows)
+        np.testing.assert_array_equal(cols, expected_cols)
+    # every GCN step reads the one adjacency, so its edges are scanned once
+    assert all(e is stack.edges[0] for e in stack.edges)
+
+
+@pytest.mark.parametrize("width", [None, 3])
+def test_first_max_over_edges_equals_first_masked_argmax(width):
+    rng = np.random.default_rng(width or 0)
+    for _ in range(20):
+        mask = rng.random((7, 7)) < 0.4
+        # few distinct values, so rows tie often
+        values = rng.integers(-2, 3, size=(7, 7) if width is None else (7, 7, width))
+        rows, cols = np.nonzero(mask)
+        heads, best, first = first_max_over_edges(rows, values[rows, cols].astype(float))
+        np.testing.assert_array_equal(heads, np.flatnonzero(mask.any(axis=1)))
+        masked = np.where(mask if width is None else mask[:, :, None], values, -np.inf)
+        np.testing.assert_array_equal(best, masked.max(axis=1)[heads])
+        np.testing.assert_array_equal(cols[first], np.argmax(masked, axis=1)[heads])
 
 
 def test_factorized_matches_materialized_entries():
