@@ -12,10 +12,11 @@ step objective.  The messages start from the signed output relevance
 R^(L) and no absolute values are applied anywhere, so the greedy
 completions chase large positive relevance, the same sign as the walks
 the search keeps, and each message is the exact relevance vector of its
-completion.  Reported relevances are always exact node-level values of
-the returned walks.  The top-K walks come from the splitting engine
-shared with EMP-neu (splitting.py), which ranks each subset by the exact
-relevance of its representative and reports the same counters.
+completion.  So a candidate's score, its folded prefix times the message
+of its completion, is its walk's relevance (a product of per-step
+transitions summed over neurons) and is reported as such.  The top-K
+walks come from the splitting engine shared with EMP-neu (splitting.py),
+which ranks each subset by that relevance and reports the same counters.
 
 The step objective factorizes over {Lambda, H, Wup}, the propagation
 stack's only representation, and is maximized along the stack's edge
@@ -31,9 +32,9 @@ from functools import partial
 
 import numpy as np
 
-from .oracle import ScoredWalk, node_walk_relevance
+from .oracle import ScoredWalk
 from .propagation import PropagationStack, first_max_over_edges
-from .splitting import SplitResult, split_topk
+from .splitting import SplitResult, backtrack, split_topk
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,9 @@ class NodeMessageTable:
     the greedy completion backtracked from node m at layer l, so
     mu[0][m].sum() is the exact relevance of the walk backtracked from m.
     scaled[l] is mu[l + 1] times the guarded inverse denominators of step
-    l, the factor that step l applies to it.  complete[l][m] says whether
+    l, the factor that step l applies to it: a prefix folded to a node at
+    layer l, stepped into scaled[l], scores each next node m' by the exact
+    relevance of its walk (_constrained_best).  complete[l][m] says whether
     the completion from m at layer l follows edges and ends on R^(L)'s
     support (False only where no such continuation exists; mu[l][m] is
     then 0).  complete[-1] is that support itself: the nodes whose row of
@@ -105,16 +108,8 @@ def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:
     return NodeMessageTable(tuple(mu), tuple(step), tuple(scaled), tuple(complete))
 
 
-def _backtrack(table: NodeMessageTable, layer: int, node: int) -> list[int]:
-    nodes = [node]
-    for l in range(layer, len(table.step)):
-        node = int(table.step[l][node])
-        nodes.append(node)
-    return nodes
-
-
 def amp_ave_basic(stack: PropagationStack) -> ScoredWalk | None:
-    """Approximately most relevant node-level walk (exact reported relevance).
+    """Approximately most relevant node-level walk, with its relevance.
 
     This is the representative of the whole walk space, so it equals the
     first extraction of amp_ave_topk.
@@ -129,9 +124,10 @@ def _constrained_best(stack: PropagationStack, table: NodeMessageTable,
                       ) -> tuple[float, tuple[int, ...] | None, int]:
     """Representative walk of a subset: for every allowed node at the free
     position, complete the walk greedily along the message-table argmax
-    steps, score each completion exactly, and keep the best.
+    steps, score each completion's relevance from the folded prefix and
+    table.scaled, and keep the best.
 
-    Returns (exact relevance, walk or None, candidates scanned).  Allowed
+    Returns (that relevance, walk or None, candidates scanned).  Allowed
     nodes are those not excluded, reached from the last prefix node by an
     edge (Lambda != 0), and with a completion that follows edges and ends
     on R^(L)'s support, so every representative is such a walk; the walk
@@ -161,8 +157,8 @@ def _constrained_best(stack: PropagationStack, table: NodeMessageTable,
     j = int(np.argmax(scores))
     if scores[j] == -np.inf:
         return 0.0, None, scores.shape[0]
-    nodes = prefix + tuple(_backtrack(table, i, j))
-    return node_walk_relevance(stack, nodes), nodes, scores.shape[0]
+    nodes = prefix + tuple(backtrack(table.step, i, j))
+    return float(scores[j]), nodes, scores.shape[0]
 
 
 def amp_ave_topk(
@@ -172,7 +168,7 @@ def amp_ave_topk(
 ) -> SplitResult:
     """Top-k positive node-level walks via splitting search.
 
-    Subset bests are ranked by their exact recomputed relevance; K-tilde
+    Subset bests are ranked by the relevance that chose them; K-tilde
     grows one extraction at a time until k positive walks are collected,
     max_k_tilde extractions are made, or the search space runs out.  Only
     walks that follow edges (Lambda != 0 at every step) and end on R^(L)'s

@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     ba.add_argument("--features", choices=("ones", "degree"), default="ones")
     ba.add_argument("--normalize", action="store_true")
     ba.add_argument("--out", required=True, help="output directory")
-    _add_common(ba)
+    ba.add_argument("--seed", type=int, default=0)
 
     inf = gen_sub.add_parser("infection")
     inf.add_argument("--m", type=int, default=200)
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--carrier-frac", type=float, default=0.02)
     inf.add_argument("--mean-out-degree", type=float, default=4.0)
     inf.add_argument("--out", required=True, help="output scenario file")
-    _add_common(inf)
+    inf.add_argument("--seed", type=int, default=0)
 
     tr = sub.add_parser("train", help="train a model on a generated dataset")
     tr.add_argument("--data", required=True, help="dataset directory or scenario file")
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--normalize", action="store_true",
                     help="degree-normalize the adjacency before training")
     tr.add_argument("--out", required=True, help="output model file")
-    _add_common(tr)
+    tr.add_argument("--seed", type=int, default=0)
 
     ex = sub.add_parser("explain", help="search relevant walks for one prediction")
     ex.add_argument("--model", required=True)
@@ -252,6 +252,8 @@ def _load_dataset(path: str) -> tuple[list[Graph], str]:
 
 def _cmd_train(args) -> int:
     graphs, task = _load_dataset(args.data)
+    if not graphs:
+        raise ParameterError(f"dataset {args.data} holds no graphs")
     if args.normalize:
         from .graphs import modified_adjacency
         graphs = [
@@ -431,8 +433,9 @@ def main(argv: list[str] | None = None) -> int:
         "bench": _cmd_bench,
     }
     try:
-        if args.budget is not None and args.budget < 1:
-            raise ParameterError(f"--budget must be >= 1, got {args.budget}")
+        budget = getattr(args, "budget", None)
+        if budget is not None and budget < 1:
+            raise ParameterError(f"--budget must be >= 1, got {budget}")
         return handlers[args.command](args)
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)

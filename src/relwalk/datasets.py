@@ -77,6 +77,8 @@ def gen_ba2motif(
     feature_mode "ones" gives all-ones scalar features; "degree" gives
     one-hot degree features, which trainable bias-free models need.
     """
+    if n_graphs < 1:
+        raise ValueError("n_graphs must be >= 1")
     if base_size < 5:
         raise ValueError("base_size must be >= 5")
     if feature_mode not in ("ones", "degree"):
@@ -217,6 +219,8 @@ def gen_infection(
     after `steps`.  A fixed adjacency/carrier set can be passed to
     re-simulate on the same instance.
     """
+    if m < 2:
+        raise ValueError("m must be >= 2")
     if not (0.0 <= lam <= 1.0):
         raise ValueError("lambda must be in [0, 1]")
     if carriers is None and not (0.0 < carrier_frac < 1.0):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .oracle import ScoredWalk, neuron_walk_relevance
 from .propagation import PropagationStack, first_max_over_edges
-from .splitting import SplitResult, split_topk
+from .splitting import SplitResult, backtrack, split_topk
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class MessageTable:
     mu: tuple[np.ndarray, ...]
     step: tuple[np.ndarray, ...]
     factors: tuple[np.ndarray, ...]
-    sizes: tuple[int, ...]
     stack: PropagationStack
 
 
@@ -85,15 +84,7 @@ def build_message_table(stack: PropagationStack) -> MessageTable:
         outer[best == 0] = 0
         mu[l] = (np.abs(stack.hidden[l]) * best).reshape(sizes[l])
         step[l] = (outer * n_next + inner[outer, np.arange(n_l)]).reshape(sizes[l])
-    return MessageTable(tuple(mu), tuple(step), tuple(factors), tuple(sizes), stack)
-
-
-def _backtrack(table: MessageTable, layer: int, pair: int) -> list[int]:
-    pairs = [pair]
-    for l in range(layer, len(table.step)):
-        pair = int(table.step[l][pair])
-        pairs.append(pair)
-    return pairs
+    return MessageTable(tuple(mu), tuple(step), tuple(factors), stack)
 
 
 def _prefix_factor(table: MessageTable, prefix: tuple[int, ...]) -> float:
@@ -142,7 +133,7 @@ def constrained_max(
     if candidates[j] <= 0:
         return 0.0, None, candidates.shape[0]
     factor = _prefix_factor(table, prefix) if i else 1.0
-    walk = prefix + tuple(_backtrack(table, i, j))
+    walk = prefix + tuple(backtrack(table.step, i, j))
     return float(factor * candidates[j]), walk, candidates.shape[0]
 
 

@@ -142,7 +142,6 @@ class Step:
 
     weight: np.ndarray
     uses_adjacency: bool
-    layer_index: int  # which LayerSpec this step came from
 
 
 @dataclass(frozen=True)
@@ -176,10 +175,10 @@ class GnnModel:
     def steps(self) -> tuple[Step, ...]:
         """Per-weight propagation steps; GIN MLP blocks expand into two."""
         out = []
-        for i, layer in enumerate(self.layers):
-            out.append(Step(layer.weight, layer.adjacency_mode == "lambda", i))
+        for layer in self.layers:
+            out.append(Step(layer.weight, layer.adjacency_mode == "lambda"))
             if layer.hidden_weight is not None:
-                out.append(Step(layer.hidden_weight, False, i))
+                out.append(Step(layer.hidden_weight, False))
         return tuple(out)
 
     @property

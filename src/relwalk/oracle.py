@@ -45,7 +45,7 @@ def dense_tensor(stack: PropagationStack, l: int) -> np.ndarray:
     """Full 4-index tensor T^(l), shape (M, N_l, M, N_{l+1}), by one dense
     einsum over the stack's factors: O(M^2 N_l N_{l+1}) time and memory."""
     num = np.einsum("ma,mn,nb->mnab", stack.lambdas[l], stack.hidden[l], stack.wups[l])
-    return num / stack.guarded_denominators[l][None, None, :, :]
+    return num * stack.inverse_denominators[l][None, None, :, :]
 
 
 def _check_indices(stack: PropagationStack, nodes, neurons=None) -> None:

@@ -9,8 +9,8 @@ with Wup = W + gamma * relu(W).  Columns (fixed m', n') sum to one by
 construction; columns whose denominator is below a stability threshold
 are zeroed so the column sum stays exactly in {0, 1}.
 
-The stack is always kept factorized as {Lam, H, Wup} plus the guarded
-denominators, with single entries and (m, m') slices computed on demand:
+The stack is always kept factorized as {Lam, H, Wup} plus one guarded
+inverse denominator per step, with entries and (m, m') slices on demand:
 building it costs O(L M N (M + N)) time and O(M^2 + L N (M + N)) memory.
 The dense 4-index tensor, O(M^2 N^2) per step, is never built here; the
 brute-force oracle builds its own (oracle.dense_tensor) as the
@@ -91,13 +91,12 @@ class PropagationStack:
     Holds {Lam, H, Wup} per step and serves entries and slices of
     T^(l) from them.  Immutable after build.
 
-    guarded_denominators[l] is the step-l denominator with the stability
-    guard applied (inf on zeroed columns, or shifted away from zero under
-    stabilize); inverse_denominators[l] is its reciprocal (0 on zeroed
-    columns).  edges[l] is the row-major (rows, cols) edge list of Lam^(l),
-    its entries != 0.  All are computed once here and shared by every
-    reader; the edge scan runs once per distinct Lam array, so steps
-    sharing one adjacency share one edge list.
+    inverse_denominators[l] is the guarded 1 / den^(l): 0 on the zeroed
+    columns (|den| < EPS_STAB), or 1 / (den +- EPS_STAB) with the sign of
+    den under stabilize.  edges[l] is the row-major (rows, cols) edge list
+    of Lam^(l), its entries != 0.  Both are computed once here and shared;
+    the edge scan runs once per distinct Lam array, so steps sharing one
+    adjacency share one edge list.
     """
 
     # perfbench's per-request counter reads `stack.materialized or ()` until
@@ -118,12 +117,9 @@ class PropagationStack:
         self.wups = wups                  # modified weights per step
         self.output_relevance = output_relevance  # M x N^(L)
         self.stabilize = stabilize
-        # Denominators are O(M N) per step; cache them once per stack.
-        self.denominators = [
-            (lam.T @ h) @ w for lam, h, w in zip(lambdas, hidden, wups)
-        ]
-        self.guarded_denominators = [self._guard(den) for den in self.denominators]
-        self.inverse_denominators = [1.0 / den for den in self.guarded_denominators]
+        # One guarded inverse denominator per step, O(M N): cached once per stack.
+        self.inverse_denominators = [self._guarded_inverse((lam.T @ h) @ w)
+                                     for lam, h, w in zip(lambdas, hidden, wups)]
         distinct = {id(lam): lam for lam in lambdas}
         scans = {key: np.nonzero(lam) for key, lam in distinct.items()}
         self.edges = [scans[id(lam)] for lam in lambdas]
@@ -145,17 +141,15 @@ class PropagationStack:
 
     # -- entry access -------------------------------------------------------
 
-    def _guard(self, den: np.ndarray) -> np.ndarray:
+    def _guarded_inverse(self, den: np.ndarray) -> np.ndarray:
         if self.stabilize:
-            return den + EPS_STAB * np.where(den >= 0, 1.0, -1.0)
-        return np.where(np.abs(den) < EPS_STAB, np.inf, den)
+            return 1.0 / (den + EPS_STAB * np.where(den >= 0, 1.0, -1.0))
+        return np.divide(1.0, den, out=np.zeros_like(den), where=np.abs(den) >= EPS_STAB)
 
     def entry(self, l: int, m: int, n: int, mp: int, np_: int) -> float:
         """Single on-demand entry T^(l)[m, n, m', n']."""
-        den = self.guarded_denominators[l][mp, np_]
-        if den == np.inf:
-            return 0.0
-        return float(self.lambdas[l][m, mp] * self.hidden[l][m, n] * self.wups[l][n, np_] / den)
+        return float(self.lambdas[l][m, mp] * self.hidden[l][m, n] * self.wups[l][n, np_]
+                     * self.inverse_denominators[l][mp, np_])
 
     def slice(self, l: int, m: int, mp: int) -> np.ndarray:
         """T^(l)[m, :, m', :] as an N_l x N_{l+1} matrix."""
@@ -163,7 +157,7 @@ class PropagationStack:
             self.lambdas[l][m, mp]
             * self.hidden[l][m][:, None]
             * self.wups[l]
-            / self.guarded_denominators[l][mp][None, :]
+            * self.inverse_denominators[l][mp][None, :]
         )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .oracle import ScoredWalk
 
@@ -58,6 +58,16 @@ class SplitResult:
             "argmax_ops": self.argmax_ops,
             "exhausted": self.exhausted,
         }
+
+
+def backtrack(step: Sequence, layer: int, start: int) -> list[int]:
+    """start and its greedy completion through the last layer, read from a
+    message table's argmax step mappings (AMP-ave nodes, EMP-neu pairs)."""
+    path = [start]
+    for l in range(layer, len(step)):
+        start = int(step[l][start])
+        path.append(start)
+    return path
 
 
 class Splitter:

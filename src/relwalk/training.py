@@ -25,7 +25,6 @@ class TrainConfig:
     lr: float = 0.05
     lr_schedule: str = "decay"    # "decay": lr/(1 + epoch/epochs); "constant"
     seed: int = 0
-    verbose_every: int = 0        # 0 disables progress printing
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -213,8 +212,6 @@ def train(model: GnnModel, graphs: list[Graph], config: TrainConfig) -> TrainRes
             w -= lr * g
         result.losses.append(loss)
         result.accuracies.append(acc)
-        if config.verbose_every and (epoch + 1) % config.verbose_every == 0:
-            print(f"epoch {epoch + 1}: loss {loss:.4f} acc {acc:.3f}")
     result.model = _rebuild(model, weights)
     return result
 

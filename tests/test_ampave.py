@@ -136,16 +136,36 @@ def test_topk_degenerate_exactness():
             assert f.relevance == pytest.approx(e.relevance, abs=1e-12)
 
 
+def reported_relevance_stacks():
+    """random_instance seed 7, headed models with signed R^(L) on random
+    sparse graphs, and the sink graph, with stabilize off and on."""
+    yield random_instance(seed=7)[3]
+    for stabilize in (False, True):
+        for seed in range(10):
+            a = (np.random.default_rng(seed).random((6, 6)) < 0.5).astype(float)
+            yield headed_instance(modified_adjacency(np.maximum(a, a.T)), seed,
+                                  stabilize=stabilize)
+        for seed in range(5):
+            yield headed_instance(sink_adjacency(), seed, stabilize=stabilize,
+                                  dims=(2, 2, 2, 2))
+
+
 def test_topk_reported_relevances_exact_and_positive_descending():
-    _, _, _, stack = random_instance(seed=7)
-    result = amp_ave_topk(stack, 15)
-    values = [w.relevance for w in result.positive]
-    assert all(v > 0 for v in values)
-    for a, b in zip(values, values[1:]):
-        assert b <= a + 1e-12
-    for w in result.extracted:
-        assert w.relevance == pytest.approx(
-            node_walk_relevance(stack, w.nodes), abs=1e-12)
+    # the search reports the score that chose each walk; it must be the
+    # walk's relevance, negative extractions included
+    signed = negative = 0
+    for stack in reported_relevance_stacks():
+        signed += bool(np.any(stack.output_relevance < 0))
+        result = amp_ave_topk(stack, 15, max_k_tilde=200)
+        values = [w.relevance for w in result.positive]
+        assert all(v > 0 for v in values)
+        for a, b in zip(values, values[1:]):
+            assert b <= a + 1e-12
+        for w in result.extracted:
+            negative += w.relevance < 0
+            assert w.relevance == pytest.approx(
+                node_walk_relevance(stack, w.nodes), rel=1e-9, abs=1e-12)
+    assert signed >= 10 and negative >= 10, (signed, negative)
 
 
 def test_topk_factorized_matches_materialized():

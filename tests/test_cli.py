@@ -71,6 +71,25 @@ def test_gen_invalid_parameters_exit_2(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_gen_infection_single_node_exit_2(tmp_path):
+    code = main(["gen", "infection", "--m", "1", "--out", str(tmp_path / "s.json")])
+    assert code == EXIT_VALIDATION
+
+
+def test_gen_ba2motif_no_graphs_exit_2(tmp_path):
+    code = main(["gen", "ba2motif", "--n", "0", "--out", str(tmp_path / "ba")])
+    assert code == EXIT_VALIDATION
+
+
+def test_gen_rejects_explanation_flags(tmp_path):
+    # gen and train take --seed only; --gamma, --budget and --low-mem
+    # belong to the explanation subcommands
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "infection", "--m", "10", "--out", str(tmp_path / "s.json"),
+              "--gamma", "const:1"])
+    assert exc.value.code == 2
+
+
 # -- train --------------------------------------------------------------------------
 
 
@@ -84,6 +103,15 @@ def test_train_missing_data_exit_2(tmp_path):
     code = main(["train", "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "m.json")])
     assert code == EXIT_VALIDATION
+
+
+def test_train_empty_dataset_exit_2(tmp_path):
+    data = tmp_path / "empty"
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps({"dataset": "ba2motif", "files": []}))
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_VALIDATION
+    assert not (tmp_path / "m.json").exists()
 
 
 # -- explain ------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_columns_sum_to_one():
     _, _, _, stack = random_instance(seed=11)
     for l in range(stack.num_steps):
         sums = dense_tensor(stack, l).sum(axis=(0, 1))
-        nonzero = np.abs(stack.denominators[l]) >= EPS_STAB
+        nonzero = stack.inverse_denominators[l] != 0
         np.testing.assert_allclose(sums[nonzero], 1.0, atol=1e-9)
         np.testing.assert_array_equal(sums[~nonzero], 0.0)
 
@@ -114,16 +114,21 @@ def test_dead_neuron_column_is_zeroed():
 
 
 def test_stabilize_shifts_each_denominator_away_from_zero_by_its_sign():
-    # denominators [-2, 0, 3]: a negative one moves down, zero and a
-    # positive one move up, each by exactly EPS_STAB
-    stack = PropagationStack([np.ones((1, 1))], [np.ones((1, 1))],
-                             [np.array([[-2.0, 0.0, 3.0]])], np.ones((1, 3)),
-                             stabilize=True)
-    np.testing.assert_array_equal(stack.denominators[0], [[-2.0, 0.0, 3.0]])
-    np.testing.assert_array_equal(stack.guarded_denominators[0],
-                                  [[-2.0 - EPS_STAB, EPS_STAB, 3.0 + EPS_STAB]])
-    np.testing.assert_array_equal(stack.inverse_denominators[0],
-                                  1.0 / stack.guarded_denominators[0])
+    # denominators [-2, 0, EPS_STAB / 2, 3]: under stabilize a negative one
+    # moves down, the others move up, each by exactly EPS_STAB; without it
+    # the two below EPS_STAB get a zero inverse and the others 1 / den
+    weights = [np.array([[-2.0, 0.0, EPS_STAB / 2, 3.0]])]
+    stabilized = PropagationStack([np.ones((1, 1))], [np.ones((1, 1))], weights,
+                                  np.ones((1, 4)), stabilize=True)
+    np.testing.assert_array_equal(
+        stabilized.inverse_denominators[0],
+        [[1.0 / (-2.0 - EPS_STAB), 1.0 / EPS_STAB, 1.0 / (EPS_STAB / 2 + EPS_STAB),
+          1.0 / (3.0 + EPS_STAB)]])
+    zeroed = PropagationStack([np.ones((1, 1))], [np.ones((1, 1))], weights,
+                              np.ones((1, 4)))
+    np.testing.assert_array_equal(zeroed.inverse_denominators[0],
+                                  [[1.0 / -2.0, 0.0, 0.0, 1.0 / 3.0]])
+    np.testing.assert_array_equal(zeroed.slice(0, 0, 0), [[1.0, 0.0, 0.0, 1.0]])
 
 
 def test_edge_lists_are_row_major_nonzeros_shared_by_steps():
@@ -251,7 +256,9 @@ def test_slices_and_entries_equal_dense_tensor(seed, stabilize, kill_unit, edge_
                               int(np.argmax(acts.logits)), stabilize=stabilize)
     if kill_unit:
         assert not stack.hidden[2][:, unit].any()
-        assert not stack.denominators[1][:, unit].any()
+        # its step-1 denominator column is 0: a zero inverse, or 1 / EPS_STAB
+        np.testing.assert_array_equal(stack.inverse_denominators[1][:, unit],
+                                      1.0 / EPS_STAB if stabilize else 0.0)
     dense = [dense_tensor(stack, l) for l in range(stack.num_steps)]
     for l in range(stack.num_steps):
         for m in range(stack.num_nodes):
