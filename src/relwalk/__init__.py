@@ -27,7 +27,6 @@ from .empneu import (
     MessageTable,
     TopKResult,
     build_message_table,
-    constrained_max,
     emp_neu_basic,
     emp_neu_topk,
 )
@@ -82,7 +81,7 @@ from .propagation import (
     modified_weight,
     parse_gamma,
 )
-from .splitting import SplitResult, Splitter, split_topk
+from .splitting import SplitResult, Splitter, pick, split_topk
 from .training import (
     TrainConfig,
     TrainResult,

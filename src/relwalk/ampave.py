@@ -14,9 +14,10 @@ completions chase large positive relevance, the same sign as the walks
 the search keeps, and each message is the exact relevance vector of its
 completion.  So a candidate's score, its folded prefix times the message
 of its completion, is its walk's relevance (a product of per-step
-transitions summed over neurons) and is reported as such.  The top-K
-walks come from the splitting engine shared with EMP-neu (splitting.py),
-which ranks each subset by that relevance and reports the same counters.
+transitions summed over neurons) and is reported as such.  The search
+supplies only these candidate scores (candidate_scores); the splitting
+engine shared with EMP-neu (splitting.py) picks each subset's walk,
+ranks it by that relevance and reports the same counters.
 
 The step objective factorizes over {Lambda, H, Wup}, the propagation
 stack's only representation, and is maximized along the stack's edge
@@ -34,7 +35,7 @@ import numpy as np
 
 from .oracle import ScoredWalk
 from .propagation import PropagationStack, first_max_over_edges
-from .splitting import SplitResult, backtrack, split_topk
+from .splitting import SplitResult, pick, split_topk
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class NodeMessageTable:
     scaled[l] is mu[l + 1] times the guarded inverse denominators of step
     l, the factor that step l applies to it: a prefix folded to a node at
     layer l, stepped into scaled[l], scores each next node m' by the exact
-    relevance of its walk (_constrained_best).  complete[l][m] says whether
+    relevance of its walk (candidate_scores).  complete[l][m] says whether
     the completion from m at layer l follows edges and ends on R^(L)'s
     support (False only where no such continuation exists; mu[l][m] is
     then 0).  complete[-1] is that support itself: the nodes whose row of
@@ -115,26 +116,22 @@ def amp_ave_basic(stack: PropagationStack) -> ScoredWalk | None:
     first extraction of amp_ave_topk.
     """
     table = build_node_message_table(stack)
-    relevance, nodes, _ = _constrained_best(stack, table, (), frozenset())
-    return None if nodes is None else ScoredWalk(nodes, relevance)
+    best = pick(*candidate_scores(stack, table, ()), table.step, (), frozenset())
+    return None if best is None else ScoredWalk(best[1], best[0])
 
 
-def _constrained_best(stack: PropagationStack, table: NodeMessageTable,
-                      prefix: tuple[int, ...], excluded: frozenset[int],
-                      ) -> tuple[float, tuple[int, ...] | None, int]:
-    """Representative walk of a subset: for every allowed node at the free
-    position, complete the walk greedily along the message-table argmax
-    steps, score each completion's relevance from the folded prefix and
-    table.scaled, and keep the best.
+def candidate_scores(stack: PropagationStack, table: NodeMessageTable,
+                     prefix: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """Relevance of every node at the free position, completed greedily
+    along the message-table argmax steps and scored from the folded prefix
+    and table.scaled, with scale 1.0.
 
-    Returns (that relevance, walk or None, candidates scanned).  Allowed
-    nodes are those not excluded, reached from the last prefix node by an
-    edge (Lambda != 0), and with a completion that follows edges and ends
-    on R^(L)'s support, so every representative is such a walk; the walk
-    is None once the subset holds none.  Scoring all free-position
-    candidates (rather than only the single surrogate-argmax one) keeps
-    the approximate search from burying high-relevance walks behind weak
-    representatives.
+    A node scores -inf unless it is reached from the last prefix node by
+    an edge (Lambda != 0) and its completion follows edges and ends on
+    R^(L)'s support, so every representative is such a walk.  Scoring all
+    free-position candidates (rather than only the single surrogate-argmax
+    one) keeps the approximate search from burying high-relevance walks
+    behind weak representatives.
     """
     i = len(prefix)
     allowed = table.complete[i]
@@ -151,14 +148,7 @@ def _constrained_best(stack: PropagationStack, table: NodeMessageTable,
         lam = stack.lambdas[i - 1][p]
         scores = lam * (table.scaled[i - 1] @ contrib)
         allowed = allowed & (lam != 0)
-    scores = np.where(allowed, scores, -np.inf)
-    if excluded:
-        scores[list(excluded)] = -np.inf
-    j = int(np.argmax(scores))
-    if scores[j] == -np.inf:
-        return 0.0, None, scores.shape[0]
-    nodes = prefix + tuple(backtrack(table.step, i, j))
-    return float(scores[j]), nodes, scores.shape[0]
+    return np.where(allowed, scores, -np.inf), 1.0
 
 
 def amp_ave_topk(
@@ -176,10 +166,9 @@ def amp_ave_topk(
     exhausted means that every such walk was extracted; every walk outside
     that space has relevance exactly 0.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     table = build_node_message_table(stack)
-    return split_topk(partial(_constrained_best, stack, table), ScoredWalk, k, max_k_tilde)
+    return split_topk(partial(candidate_scores, stack, table), table.step,
+                      ScoredWalk, k, max_k_tilde)
 
 
 def walks_to_edge_scores(walks: list[ScoredWalk]) -> dict[tuple[int, int], float]:

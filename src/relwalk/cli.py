@@ -307,8 +307,9 @@ def _cmd_eval(args) -> int:
         oracle = exhaustive_topk_node(stack, max(max(ks), max(kstars)) + 64,
                                       budget=enum_budget)
         approx = amp_ave_topk(stack, max(ks), max_k_tilde=enum_budget).positive
+        points = precision_recall(approx, oracle, ks, kstars)
         print("K,K_star,precision,recall")
-        for p in precision_recall(approx, oracle, ks, kstars):
+        for p in points:
             print(f"{p.k},{p.k_star},{p.precision},{p.recall}")
         return EXIT_OK
 
@@ -341,13 +342,15 @@ def _cmd_eval(args) -> int:
 
 
 def _eval_infection_recall(args) -> int:
+    if args.max_targets is not None and args.max_targets < 1:
+        raise ParameterError(f"--max-targets must be >= 1, got {args.max_targets}")
     model = load_model(args.model)
     scenario = InfectionScenario.load(args.scenario)
     graph = scenario.graph
     acts = forward(model, graph)
     schedule = parse_gamma(args.gamma, model.num_steps)
     targets = [t for t in sorted(scenario.chains) if len(scenario.chains[t]) > 1]
-    if args.max_targets:
+    if args.max_targets is not None:
         targets = targets[: args.max_targets]
     enum_budget = _enum_budget(args)
     walks_per_target = {}

@@ -3,15 +3,15 @@
 Max-product message passing on absolute transition values finds the
 single most absolute-relevant neuron-level walk; the shared splitting
 engine (splitting.py) then extracts the top-K-tilde walks one at a time,
-asking constrained_max for the best walk of each subset, which reuses
-the message tables.  Walks are flat (m, n) pair tuples.  Signed
-relevances of returned walks are always recomputed from the transition
-entries, never from the absolute messages.  The result carries the
-engine's counters (k_tilde, negatives_skipped, subsets_created,
-argmax_ops, exhausted) and the extraction list as `absolute`.  A subset
-whose best absolute value is 0 holds only zero-relevance walks and
-counts as empty, so no zero walk is ever extracted, and exhausted
-means every walk with nonzero relevance was.
+picking the best walk of each subset from the scores that
+candidate_scores reads off the message tables.  Walks are flat (m, n)
+pair tuples.  Signed relevances of returned walks are always recomputed
+from the transition entries, never from the absolute messages.  The
+result carries the engine's counters (k_tilde, negatives_skipped,
+subsets_created, argmax_ops, exhausted) and the extraction list as
+`absolute`.  A subset whose best absolute value is 0 holds only
+zero-relevance walks and counts as empty, so no zero walk is ever
+extracted, and exhausted means every walk with nonzero relevance was.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .oracle import ScoredWalk, neuron_walk_relevance
 from .propagation import PropagationStack, first_max_over_edges
-from .splitting import SplitResult, backtrack, split_topk
+from .splitting import SplitResult, pick, split_topk
 
 
 @dataclass(frozen=True)
@@ -108,33 +108,17 @@ def _scored_row(table: MessageTable, l: int, pair: int) -> np.ndarray:
     return row.reshape(-1)
 
 
-def constrained_max(
-    table: MessageTable,
-    prefix: tuple[int, ...],
-    excluded: frozenset[int],
-) -> tuple[float, tuple[int, ...] | None, int]:
-    """Best absolute walk among those starting with the flat-pair prefix
-    and avoiding the excluded pairs at layer len(prefix).
+def candidate_scores(table: MessageTable, prefix: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """Best absolute continuation value of every pair at layer len(prefix)
+    after the flat-pair prefix, and the prefix's absolute factor as scale.
 
-    Returns (|relevance|, walk or None, candidates scanned).
     Maximization happens only at the free layer; everything downstream
     is read from the argmax step mappings.  The max-product is exact, so
-    a best value of 0 means every walk left in the subset has relevance
-    0: the subset then counts as empty (walk None).
+    a value of 0 means every walk through that pair has relevance 0: it
+    scores -inf, and a subset left with none counts as empty.
     """
-    i = len(prefix)
-    if i == 0:
-        candidates = table.mu[0].copy()
-    else:
-        candidates = _scored_row(table, i - 1, prefix[-1])
-    if excluded:
-        candidates[list(excluded)] = -np.inf
-    j = int(np.argmax(candidates))
-    if candidates[j] <= 0:
-        return 0.0, None, candidates.shape[0]
-    factor = _prefix_factor(table, prefix) if i else 1.0
-    walk = prefix + tuple(backtrack(table.step, i, j))
-    return float(factor * candidates[j]), walk, candidates.shape[0]
+    row = table.mu[0] if not prefix else _scored_row(table, len(prefix) - 1, prefix[-1])
+    return np.where(row == 0, -np.inf, row), _prefix_factor(table, prefix)
 
 
 def _pairs_to_walk(stack: PropagationStack, pairs: tuple[int, ...]) -> ScoredWalk:
@@ -152,8 +136,8 @@ def emp_neu_basic(stack: PropagationStack) -> ScoredWalk | None:
     """The neuron-level walk with the highest absolute relevance, or None
     if every walk has relevance 0; the first extraction of emp_neu_topk."""
     table = build_message_table(stack)
-    _, pairs, _ = constrained_max(table, (), frozenset())
-    return None if pairs is None else _pairs_to_walk(stack, pairs)
+    best = pick(*candidate_scores(table, ()), table.step, (), frozenset())
+    return None if best is None else _pairs_to_walk(stack, best[1])
 
 
 @dataclass
@@ -175,9 +159,7 @@ def emp_neu_topk(
     means every such walk was extracted.  A dead network (R^(L) all zero)
     has none and returns no walk.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     table = build_message_table(stack)
-    return split_topk(partial(constrained_max, table),
+    return split_topk(partial(candidate_scores, table), table.step,
                       lambda pairs, _: _pairs_to_walk(stack, pairs),
                       k, max_k_tilde, result_type=TopKResult)

@@ -331,7 +331,7 @@ def load_model(path) -> GnnModel:
     return model_from_dict(data)
 
 
-def graph_to_dict(graph: Graph, dense: bool = False) -> dict:
+def graph_to_dict(graph: Graph) -> dict:
     label = graph.label
     if isinstance(label, np.ndarray):
         label = label.tolist()
@@ -340,14 +340,14 @@ def graph_to_dict(graph: Graph, dense: bool = False) -> dict:
     # anything else (e.g. degree-normalized) must round-trip densely.
     a = graph.adjacency
     binary_with_loops = np.all(np.diag(a) == 1.0) and set(np.unique(a)) <= {0.0, 1.0}
-    if dense or not binary_with_loops:
+    if not binary_with_loops:
         out["dense"] = a.tolist()
     else:
         out["edges"] = [[i, j] for i, j in graph.edges]
     return out
 
 
-def graph_from_dict(data: dict, normalize: bool = False) -> Graph:
+def graph_from_dict(data: dict) -> Graph:
     if "num_nodes" not in data:
         raise ModelFormatError("num_nodes: missing")
     m = int(data["num_nodes"])
@@ -363,7 +363,7 @@ def graph_from_dict(data: dict, normalize: bool = False) -> Graph:
             if not (0 <= i < m and 0 <= j < m):
                 raise ModelFormatError(f"edges[{k}]: node index out of range")
             a[i, j] = 1.0
-        lam = modified_adjacency(a, normalize=normalize)
+        lam = modified_adjacency(a)
     else:
         raise ModelFormatError("graph needs either 'edges' or 'dense'")
     if "features" not in data:
@@ -375,15 +375,15 @@ def graph_from_dict(data: dict, normalize: bool = False) -> Graph:
     return Graph(lam, feats, label)
 
 
-def save_graph(graph: Graph, path, dense: bool = False) -> None:
+def save_graph(graph: Graph, path) -> None:
     with open(path, "w") as fh:
-        json.dump(graph_to_dict(graph, dense=dense), fh)
+        json.dump(graph_to_dict(graph), fh)
 
 
-def load_graph(path, normalize: bool = False) -> Graph:
+def load_graph(path) -> Graph:
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: {exc}") from exc
-    return graph_from_dict(data, normalize=normalize)
+    return graph_from_dict(data)

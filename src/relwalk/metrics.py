@@ -36,6 +36,8 @@ def precision_recall(
     sorted (descending relevance, lexicographic node ties), so the K*
     boundary cut is deterministic.
     """
+    if min(ks + k_stars) < 1:
+        raise ValueError(f"K and K* must be >= 1, got ks={ks} k_stars={k_stars}")
     if max(k_stars) > len(oracle):
         raise ValueError(f"oracle list shorter than max K* = {max(k_stars)}")
     points = []
@@ -44,7 +46,7 @@ def precision_recall(
         for k in ks:
             found = {w.nodes for w in approx[:k]}
             tp = len(found & true_set)
-            points.append(PRPoint(k, k_star, tp / k if k else 0.0, tp / k_star))
+            points.append(PRPoint(k, k_star, tp / k, tp / k_star))
     return points
 
 

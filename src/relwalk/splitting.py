@@ -1,18 +1,21 @@
 """Search-space splitting (Lawler 1972; Nilsson, Stat. Comput. 1998)
 shared by both walk searches.
 
-A subset of the walk space is a prefix, fixing positions 0 .. i-1, and a
-set of values excluded at the free position i.  A search supplies
-best(prefix, excluded) -> (priority, walk or None, candidates scanned):
-the representative walk of the subset (None once it holds no walk) and
-the value it is ranked by.  Live subsets wait in a heap keyed by
-(-priority, walk).  Popping the best one extracts its walk and splits
-the rest of the subset into at most L + 1 children: child j fixes the
-walk through position j - 1 and excludes its value at position j (the
-first child also keeps the subset's exclusions).  The live subsets and
-the extracted walks therefore partition the walk space: live subsets
-are disjoint, so their walks never tie in the key, and the heap runs
-empty exactly when every walk has been extracted.
+A subset of the walk space is a prefix, fixing positions 0 .. i-1, and
+a set of values excluded at the free position i.  A search supplies only
+scores(prefix) -> (candidates, scale): a fresh array of one score per
+value at the free position (-inf where no walk continues) and the
+prefix's factor.  pick takes a subset's representative: its first
+non-excluded maximizer, completed through the search's argmax steps and
+ranked by scale times its score (None once the subset holds no walk).
+Live subsets wait in a heap keyed by (-priority, walk).  Popping the
+best one extracts its walk and splits the rest of the subset into at
+most L + 1 children: child j fixes the walk through position j - 1 and
+excludes its value at position j (the first child also keeps the
+subset's exclusions).  The live subsets and the extracted walks
+therefore partition the walk space: live subsets are disjoint, so their
+walks never tie in the key, and the heap runs empty exactly when every
+walk has been extracted.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .oracle import ScoredWalk
 
 Walk = tuple[int, ...]
-BestInSubset = Callable[[Walk, frozenset], tuple[float, Walk | None, int]]
+Scorer = Callable[[Walk], tuple[np.ndarray, float]]
 
 
 @dataclass
@@ -35,7 +40,7 @@ class SplitResult:
     extracted: list[ScoredWalk]       # top-K-tilde in extraction order
     exhausted: bool                   # the walk space ran out: every walk was extracted
     subsets_created: int
-    argmax_ops: int                   # candidates scanned by every best-walk step
+    argmax_ops: int                   # candidates scored for every subset
 
     @property
     def k_tilde(self) -> int:
@@ -60,7 +65,7 @@ class SplitResult:
         }
 
 
-def backtrack(step: Sequence, layer: int, start: int) -> list[int]:
+def _backtrack(step: Sequence, layer: int, start: int) -> list[int]:
     """start and its greedy completion through the last layer, read from a
     message table's argmax step mappings (AMP-ave nodes, EMP-neu pairs)."""
     path = [start]
@@ -70,6 +75,22 @@ def backtrack(step: Sequence, layer: int, start: int) -> list[int]:
     return path
 
 
+def pick(scores: np.ndarray, scale: float, step: Sequence, prefix: Walk,
+         excluded: frozenset) -> tuple[float, Walk] | None:
+    """(scale * best score, walk) of a subset, or None if it holds no walk.
+
+    Sets the excluded entries of scores (a fresh array) to -inf and takes
+    the first maximizer, so ties go to the lowest value; scale stays
+    outside the argmax.
+    """
+    if excluded:
+        scores[list(excluded)] = -np.inf
+    j = int(np.argmax(scores))
+    if scores[j] == -np.inf:
+        return None
+    return scale * float(scores[j]), prefix + tuple(_backtrack(step, len(prefix), j))
+
+
 class Splitter:
     """The live subsets of one search, best first.
 
@@ -77,19 +98,20 @@ class Splitter:
     child, empty or not.
     """
 
-    def __init__(self, best: BestInSubset):
-        self.best = best
+    def __init__(self, scores: Scorer, step: Sequence):
+        self.scores = scores
+        self.step = step
         self.heap: list = []
         self.argmax_ops = 0
         self.subsets_created = int(self._push((), frozenset()))
 
     def _push(self, prefix: Walk, excluded: frozenset) -> bool:
-        priority, walk, scanned = self.best(prefix, excluded)
-        self.argmax_ops += scanned
-        if walk is None:
-            return False
-        heapq.heappush(self.heap, (-priority, walk, prefix, excluded))
-        return True
+        candidates, scale = self.scores(prefix)
+        self.argmax_ops += candidates.size
+        best = pick(candidates, scale, self.step, prefix, excluded)
+        if best is not None:
+            heapq.heappush(self.heap, (-best[0], best[1], prefix, excluded))
+        return best is not None
 
     @property
     def live(self) -> list[tuple[Walk, frozenset]]:
@@ -107,7 +129,8 @@ class Splitter:
 
 
 def split_topk(
-    best: BestInSubset,
+    scores: Scorer,
+    step: Sequence,
     score: Callable[[Walk, float], ScoredWalk],
     k: int,
     max_k_tilde: int | None = None,
@@ -118,7 +141,9 @@ def split_topk(
 
     score(walk, priority) gives the reported ScoredWalk of an extraction.
     """
-    splitter = Splitter(best)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    splitter = Splitter(scores, step)
     extracted: list[ScoredWalk] = []
     positive: list[ScoredWalk] = []
     while splitter.heap and len(positive) < k:

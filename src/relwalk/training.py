@@ -153,6 +153,13 @@ def _graph_loss_grads(model: GnnModel, graph: Graph):
     return float(loss), d_steps + [d_head], acts
 
 
+def _correct(model: GnnModel, graph: Graph, logits: np.ndarray) -> tuple[int, int]:
+    """Correct predictions and their number: one per graph, or one per node."""
+    if model.readout.task == "graph":
+        return int(np.argmax(logits) == int(graph.label)), 1
+    return int((np.argmax(logits, axis=1) == _labels_array(graph)).sum()), graph.num_nodes
+
+
 def batch_loss_grads(model: GnnModel, graphs: list[Graph]):
     """Mean loss and gradients over a batch, plus the accuracy."""
     total_loss = 0.0
@@ -164,13 +171,9 @@ def batch_loss_grads(model: GnnModel, graphs: list[Graph]):
         total_loss += loss
         for acc, d in zip(grads, g_grads):
             acc += d
-        if model.readout.task == "graph":
-            correct += int(np.argmax(acts.logits) == int(g.label))
-            count += 1
-        else:
-            labels = _labels_array(g)
-            correct += int((np.argmax(acts.logits, axis=1) == labels).sum())
-            count += g.num_nodes
+        hits, total = _correct(model, g, acts.logits)
+        correct += hits
+        count += total
     n = len(graphs)
     return total_loss / n, [d / n for d in grads], correct / count
 
@@ -217,15 +220,5 @@ def train(model: GnnModel, graphs: list[Graph], config: TrainConfig) -> TrainRes
 
 
 def accuracy(model: GnnModel, graphs: list[Graph]) -> float:
-    correct = 0
-    count = 0
-    for g in graphs:
-        acts = forward(model, g)
-        if model.readout.task == "graph":
-            correct += int(np.argmax(acts.logits) == int(g.label))
-            count += 1
-        else:
-            labels = _labels_array(g)
-            correct += int((np.argmax(acts.logits, axis=1) == labels).sum())
-            count += g.num_nodes
-    return correct / count
+    counts = [_correct(model, g, forward(model, g).logits) for g in graphs]
+    return sum(hits for hits, _ in counts) / sum(total for _, total in counts)

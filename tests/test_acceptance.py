@@ -21,7 +21,6 @@ from relwalk import (
     build_message_table,
     build_propagation,
     column_similarity_histogram,
-    constrained_max,
     emp_neu_topk,
     exhaustive_topk_neuron,
     exhaustive_topk_node,
@@ -32,6 +31,7 @@ from relwalk import (
     predicted_target,
     time_callable,
 )
+from relwalk.empneu import candidate_scores
 from relwalk.graphs import Graph, modified_adjacency
 from relwalk.training import batch_loss_grads
 
@@ -277,7 +277,7 @@ def test_splitting_partition_by_enumeration():
     space = [(p0, p1, p2) for p0 in range(sizes[0])
              for p1 in range(sizes[1]) for p2 in range(sizes[2])]
 
-    splitter = Splitter(partial(constrained_max, table))
+    splitter = Splitter(partial(candidate_scores, table), table.step)
     extracted = []
     for k_tilde in range(1, len(space) + 1):
         if not splitter.live:

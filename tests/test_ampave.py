@@ -25,7 +25,7 @@ from relwalk import (
     node_walk_relevance,
     walks_to_edge_scores,
 )
-from relwalk.ampave import edge_objective
+from relwalk.ampave import candidate_scores, edge_objective
 from relwalk.oracle import ScoredWalk
 from relwalk.propagation import PropagationStack
 from helpers import dense_slices, headed_instance, random_instance, sink_adjacency
@@ -209,12 +209,10 @@ def test_topk_rejects_bad_k():
 
 
 def test_splitting_partitions_node_walk_space():
-    from relwalk.ampave import _constrained_best
-
     _, _, _, stack = random_instance(m=3, dims=(2, 2, 2), seed=1, edge_prob=1.0)
     table = build_node_message_table(stack)
     space = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
-    splitter = Splitter(partial(_constrained_best, stack, table))
+    splitter = Splitter(partial(candidate_scores, stack, table), table.step)
     extracted = []
     for k_tilde in range(1, 20):
         found, _ = splitter.pop()

@@ -226,6 +226,14 @@ def test_eval_pr_tiny_budget_exit_3(ba_dir, model_file):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("flags", [["--kstars", "0"], ["--ks", "1,-1"]])
+def test_eval_pr_k_below_one_exit_2(ba_dir, model_file, flags, capsys):
+    code = main(["eval", "pr", "--model", str(model_file),
+                 "--graph", str(ba_dir / "graph_0000.json"), *flags])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_eval_pr_budget_below_one_exit_2(ba_dir, model_file, budget):
     code = main(["eval", "pr", "--model", str(model_file),
@@ -263,15 +271,21 @@ def test_eval_edge_recall_csv(ba_dir, model_file, capsys):
     assert all(a <= b for a, b in zip(recalls, recalls[1:]))
 
 
-def test_eval_infection_recall_json(tmp_path, capsys):
-    scenario = tmp_path / "scenario.json"
+@pytest.fixture(scope="module")
+def infection_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("infection")
+    scenario, model = out / "scenario.json", out / "model.json"
     assert main(["gen", "infection", "--m", "25", "--steps", "2",
                  "--lam", "0.8", "--carrier-frac", "0.1",
                  "--out", str(scenario), "--seed", "2"]) == EXIT_OK
-    model = tmp_path / "model.json"
     assert main(["train", "--data", str(scenario), "--layers", "2",
                  "--hidden", "4", "--epochs", "40", "--lr", "0.2",
                  "--normalize", "--out", str(model), "--seed", "2"]) == EXIT_OK
+    return scenario, model
+
+
+def test_eval_infection_recall_json(infection_files, capsys):
+    scenario, model = infection_files
     capsys.readouterr()
     code = main(["eval", "infection-recall", "--model", str(model),
                  "--scenario", str(scenario), "--topk", "3",
@@ -280,6 +294,17 @@ def test_eval_infection_recall_json(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert 0.0 <= report["recall_padded"] <= 1.0
     assert report["targets"] <= 5
+
+
+@pytest.mark.parametrize("max_targets", ["0", "-1"])
+def test_eval_infection_recall_max_targets_below_one_exit_2(infection_files, max_targets,
+                                                            capsys):
+    scenario, model = infection_files
+    capsys.readouterr()
+    code = main(["eval", "infection-recall", "--model", str(model),
+                 "--scenario", str(scenario), "--max-targets", max_targets])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
 
 
 # -- bench --------------------------------------------------------------------------

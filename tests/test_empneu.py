@@ -14,7 +14,6 @@ from relwalk import (
     Splitter,
     build_message_table,
     build_propagation,
-    constrained_max,
     dense_tensor,
     emp_neu_basic,
     emp_neu_topk,
@@ -23,11 +22,19 @@ from relwalk import (
     neuron_walk_relevance,
     predicted_target,
 )
+from relwalk.empneu import candidate_scores
+from relwalk.splitting import pick
+
 from helpers import assert_topk_equivalent, headed_instance, random_instance, sink_adjacency
 
 
 def flat_pair(stack, l, m, n):
     return m * stack.dims[l] + n
+
+
+def subset_best(table, prefix, excluded):
+    """(|relevance|, walk) of the representative of a subset, or None."""
+    return pick(*candidate_scores(table, prefix), table.step, prefix, excluded)
 
 
 # -- single best walk ----------------------------------------------------------
@@ -198,7 +205,7 @@ def test_constrained_max_excluding_top_start_matches_filtered_oracle():
     table = build_message_table(stack)
     best = emp_neu_basic(stack)
     top_pair = flat_pair(stack, 0, best.nodes[0], best.neurons[0])
-    best_abs, _, _ = constrained_max(table, (), frozenset({top_pair}))
+    best_abs, _ = subset_best(table, (), frozenset({top_pair}))
     total = stack.num_nodes ** 4 * int(np.prod(stack.dims))
     filtered = [
         w for w in exhaustive_topk_neuron(stack, total, absolute=True)
@@ -211,17 +218,16 @@ def test_constrained_max_annihilated_prefix():
     # prefix forcing a step between non-adjacent nodes has zero factor
     _, _, _, stack = random_instance(m=3, dims=(2, 2, 2), seed=0, edge_prob=0.0)
     table = build_message_table(stack)
-    best_abs, walk, _ = constrained_max(
+    best = subset_best(
         table, (flat_pair(stack, 0, 0, 0), flat_pair(stack, 1, 1, 0)), frozenset())
-    assert walk is None or best_abs == 0.0
+    assert best is None or best[0] == 0.0
 
 
 def test_constrained_max_all_excluded_is_empty():
     _, _, _, stack = random_instance(seed=1)
     table = build_message_table(stack)
     every_pair = frozenset(range(stack.num_nodes * stack.dims[0]))
-    _, walk, _ = constrained_max(table, (), every_pair)
-    assert walk is None
+    assert subset_best(table, (), every_pair) is None
 
 
 def test_constrained_max_table_reuse_is_stable():
@@ -229,8 +235,7 @@ def test_constrained_max_table_reuse_is_stable():
     table = build_message_table(stack)
     results = []
     for _ in range(2):
-        best_abs, walk, _ = constrained_max(table, (), frozenset({0}))
-        results.append((walk, best_abs))
+        results.append(subset_best(table, (), frozenset({0})))
     assert results[0] == results[1]
 
 
@@ -370,7 +375,7 @@ def test_splitting_partitions_unexplored_space():
         ]
         relevant = {w for w in space if pairs_relevance(stack, w) != 0}
         partial_spaces += 0 < len(relevant) < len(space)
-        splitter = Splitter(partial(constrained_max, table))
+        splitter = Splitter(partial(candidate_scores, table), table.step)
         extracted = []
         steps = stack.num_steps
         while splitter.heap:

@@ -152,15 +152,21 @@ def test_graph_round_trip_single_node(tmp_path):
 def test_edge_list_and_dense_forms_agree():
     a = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
     g = Graph(modified_adjacency(a), np.ones((3, 1)))
-    via_edges = graph_from_dict(graph_to_dict(g))
-    via_dense = graph_from_dict(graph_to_dict(g, dense=True))
+    data = graph_to_dict(g)
+    assert "edges" in data and "dense" not in data
+    via_edges = graph_from_dict(data)
+    del data["edges"]
+    data["dense"] = g.adjacency.tolist()
+    via_dense = graph_from_dict(data)
     assert np.array_equal(via_edges.adjacency, via_dense.adjacency)
 
 
 def test_normalized_adjacency_round_trips_via_dense():
     a = np.array([[0, 1], [1, 0]], dtype=float)
     g = Graph(modified_adjacency(a, normalize=True), np.ones((2, 1)))
-    loaded = graph_from_dict(graph_to_dict(g))
+    data = graph_to_dict(g)
+    assert "dense" in data and "edges" not in data
+    loaded = graph_from_dict(data)
     np.testing.assert_allclose(loaded.adjacency, g.adjacency, atol=0)
 
 

@@ -58,6 +58,13 @@ def test_recall_monotone_in_k_for_fixed_k_star():
     assert all(a <= b for a, b in zip(recalls, recalls[1:]))
 
 
+@pytest.mark.parametrize("ks,k_stars", [([0], [1]), ([1, -1], [1]), ([1], [0]), ([1], [2, -2])])
+def test_k_or_k_star_below_one_rejected(ks, k_stars):
+    oracle = walks((0, 1), (1, 2))
+    with pytest.raises(ValueError, match="K and K"):
+        precision_recall(oracle, oracle, ks=ks, k_stars=k_stars)
+
+
 def test_short_oracle_rejected():
     oracle = walks((0, 1))
     with pytest.raises(ValueError, match="oracle"):
