@@ -62,16 +62,13 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
+def _add_common(parser: argparse.ArgumentParser, budget: bool = True) -> None:
     parser.add_argument("--gamma", default="linear:3",
                         help="LRP-gamma schedule, 'const:X' or 'linear:X'")
-    parser.add_argument("--low-mem", action="store_true",
-                        help="no effect: transition tensors are always evaluated "
-                             "factorized; kept so existing scripts still run")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="enumeration budget override (>= 1); also caps the "
-                             "extractions of both searches")
+    if budget:
+        parser.add_argument("--budget", type=int, default=None,
+                            help="enumeration budget override (>= 1); also caps the "
+                                 "extractions of both searches")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="class index (graph task) or node index (node task); "
                          "default: predicted class")
     ex.add_argument("--report-abs", action="store_true",
-                    help="emit the full top-K-tilde absolute list (emp-neu)")
+                    help="emit the full top-K-tilde absolute list (emp-neu only)")
     ex.add_argument("--out", default=None, help="output file (default stdout)")
     _add_common(ex)
 
@@ -142,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     cs.add_argument("--graph", required=True)
     cs.add_argument("--bins", type=int, default=20)
     cs.add_argument("--target", type=int, default=None)
-    _add_common(cs)
+    _add_common(cs, budget=False)
 
     ir = ev_sub.add_parser("infection-recall")
     ir.add_argument("--model", required=True)
@@ -175,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--repetitions", type=int, default=5)
     be.add_argument("--hidden", type=int, default=8)
     be.add_argument("--out", default=None)
+    be.add_argument("--seed", type=int, default=0)
     _add_common(be)
 
     return top
@@ -281,12 +279,13 @@ def _run_search(args, stack, method: str, k: int):
 
 
 def _cmd_explain(args) -> int:
+    if args.report_abs and args.method != "emp-neu":
+        raise ParameterError("--report-abs needs --method emp-neu")
     model = load_model(args.model)
     graph = load_graph(args.graph)
     stack = _build_stack(args, model, graph, args.target)
     result = _run_search(args, stack, args.method, args.topk)
-    walks = result.absolute if (args.report_abs and args.method == "emp-neu") \
-        else result.positive
+    walks = result.absolute if args.report_abs else result.positive
     lines = [json.dumps(w.to_record()) for w in walks]
     lines.append(json.dumps({"summary": result.summary()}))
     _emit(lines, args.out)
@@ -296,13 +295,17 @@ def _cmd_explain(args) -> int:
 def _cmd_eval(args) -> int:
     if args.metric == "infection-recall":
         return _eval_infection_recall(args)
+    if args.metric == "pr":
+        ks = [int(x) for x in args.ks.split(",")]
+        kstars = [int(x) for x in args.kstars.split(",")]
+        if min(ks + kstars) < 1:
+            raise ParameterError(f"--ks and --kstars must be >= 1, "
+                                 f"got {args.ks!r} and {args.kstars!r}")
     model = load_model(args.model)
     graph = load_graph(args.graph)
     stack = _build_stack(args, model, graph, args.target)
 
     if args.metric == "pr":
-        ks = [int(x) for x in args.ks.split(",")]
-        kstars = [int(x) for x in args.kstars.split(",")]
         enum_budget = _enum_budget(args)
         oracle = exhaustive_topk_node(stack, max(max(ks), max(kstars)) + 64,
                                       budget=enum_budget)

@@ -176,14 +176,13 @@ def _simulate_si(
     lam: float,
     steps: int,
     rng: np.random.Generator,
-    record_chains: bool = False,
 ):
-    """Synchronous SI process; returns infected mask and, optionally, one
-    realized chain per node (through the smallest-index infector)."""
+    """Synchronous SI process; returns infected mask and one realized chain
+    per infected node (through the smallest-index infector)."""
     m = len(out_neighbors)
     infected = np.zeros(m, dtype=bool)
     infected[carriers] = True
-    chains = {c: [c] for c in carriers} if record_chains else None
+    chains = {c: [c] for c in carriers}
     for _ in range(steps):
         current = np.flatnonzero(infected)
         newly: dict[int, int] = {}
@@ -198,8 +197,7 @@ def _simulate_si(
                     newly[v] = int(u)
         for v, u in newly.items():
             infected[v] = True
-            if record_chains:
-                chains[v] = chains[u] + [v]
+            chains[v] = chains[u] + [v]
     return infected, chains
 
 
@@ -231,7 +229,7 @@ def gen_infection(
         n_carriers = max(1, int(np.ceil(carrier_frac * m)))
         carriers = sorted(int(c) for c in rng.choice(m, size=n_carriers, replace=False))
     out_neighbors = [np.flatnonzero(a[u]) for u in range(m)]
-    infected, chains = _simulate_si(out_neighbors, carriers, lam, steps, rng, record_chains=True)
+    infected, chains = _simulate_si(out_neighbors, carriers, lam, steps, rng)
 
     feats = np.zeros((m, 2))
     feats[:, 0] = 1.0
@@ -269,8 +267,7 @@ def oracle_estimate(scenario: InfectionScenario, q: int, seed: int = 1) -> Oracl
     for child in root.spawn(q):
         rng = np.random.default_rng(child)
         infected, chains = _simulate_si(
-            out_neighbors, scenario.carriers, scenario.lam, scenario.steps, rng,
-            record_chains=True,
+            out_neighbors, scenario.carriers, scenario.lam, scenario.steps, rng
         )
         x += infected
         for chain in chains.values():

@@ -80,15 +80,13 @@ def modified_adjacency(a: np.ndarray, normalize: bool = False) -> np.ndarray:
 class LayerSpec:
     """One GNN block.
 
-    weight maps the incoming feature dimension to the block output; an
-    optional hidden_weight turns the combine step into a two-layer MLP
-    (GIN style).  adjacency_mode is "lambda" (mix over the graph) or
-    "identity" (node-local transform).
+    weight maps the incoming feature dimension to the block output after
+    mixing over Lambda; an optional hidden_weight turns the combine step
+    into a two-layer MLP (GIN style).
     """
 
     weight: np.ndarray
     hidden_weight: np.ndarray | None = None
-    adjacency_mode: str = "lambda"
 
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=float)
@@ -102,8 +100,6 @@ class LayerSpec:
                     f"hidden_weight {w2.shape} does not chain after weight {w.shape}"
                 )
             object.__setattr__(self, "hidden_weight", w2)
-        if self.adjacency_mode not in ("lambda", "identity"):
-            raise ModelFormatError(f"unknown adjacency_mode {self.adjacency_mode!r}")
 
     @property
     def in_dim(self) -> int:
@@ -176,7 +172,7 @@ class GnnModel:
         """Per-weight propagation steps; GIN MLP blocks expand into two."""
         out = []
         for layer in self.layers:
-            out.append(Step(layer.weight, layer.adjacency_mode == "lambda"))
+            out.append(Step(layer.weight, True))
             if layer.hidden_weight is not None:
                 out.append(Step(layer.hidden_weight, False))
         return tuple(out)
@@ -278,7 +274,6 @@ def model_to_dict(model: GnnModel) -> dict:
             {
                 "w": layer.weight.tolist(),
                 "w2": None if layer.hidden_weight is None else layer.hidden_weight.tolist(),
-                "adjacency_mode": layer.adjacency_mode,
             }
             for layer in model.layers
         ],
@@ -296,13 +291,16 @@ def model_from_dict(data: dict) -> GnnModel:
     for i, entry in enumerate(data["layers"]):
         if "w" not in entry:
             raise ModelFormatError(f"layers[{i}].w: missing")
+        # every layer mixes over Lambda; older files name that "lambda"
+        mode = entry.get("adjacency_mode", "lambda")
+        if mode != "lambda":
+            raise ModelFormatError(f"layers[{i}].adjacency_mode: unsupported {mode!r}")
         w = _matrix(entry["w"], f"layers[{i}].w")
         w2 = entry.get("w2")
         layers.append(
             LayerSpec(
                 weight=w,
                 hidden_weight=None if w2 is None else _matrix(w2, f"layers[{i}].w2"),
-                adjacency_mode=entry.get("adjacency_mode", "lambda"),
             )
         )
     ro = data.get("readout", {})
@@ -357,12 +355,19 @@ def graph_from_dict(data: dict) -> Graph:
         if lam.shape != (m, m):
             raise ModelFormatError(f"dense: shape {lam.shape} != ({m}, {m})")
     elif "edges" in data:
+        try:
+            edges = np.asarray(data["edges"])
+        except ValueError as exc:  # ragged entries
+            raise ModelFormatError("edges: not a list of [i, j] pairs") from exc
+        if edges.shape == (0,):
+            edges = edges.astype(np.intp).reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+            raise ModelFormatError("edges: expected a list of [i, j] integer pairs")
+        bad = np.flatnonzero(((edges < 0) | (edges >= m)).any(axis=1))
+        if bad.size:
+            raise ModelFormatError(f"edges[{bad[0]}]: node index out of range")
         a = np.zeros((m, m))
-        for k, edge in enumerate(data["edges"]):
-            i, j = int(edge[0]), int(edge[1])
-            if not (0 <= i < m and 0 <= j < m):
-                raise ModelFormatError(f"edges[{k}]: node index out of range")
-            a[i, j] = 1.0
+        a[edges[:, 0], edges[:, 1]] = 1.0
         lam = modified_adjacency(a)
     else:
         raise ModelFormatError("graph needs either 'edges' or 'dense'")

@@ -87,10 +87,10 @@ def node_walk_relevance(stack: PropagationStack, nodes) -> float:
 def exhaustive_topk_node(
     stack: PropagationStack,
     k: int,
-    absolute: bool = False,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> list[ScoredWalk]:
-    """Enumerate every node-level walk, score it exactly, return the top k.
+    """Enumerate every node-level walk, score it exactly, return the top k
+    by signed relevance.
 
     Depth-first over m_0 outermost; ties resolved lexicographically on the
     node sequence.
@@ -109,42 +109,28 @@ def exhaustive_topk_node(
     v_last = np.einsum("anbm,bm->anb", last, stack.output_relevance)
 
     def walk_step(l: int, u: np.ndarray | None):
+        # u is the running row vector of the prefix, None once it is all zero
         nonlocal pos
         if l == steps:
-            m_prev = prefix[l - 1]
-            if u is None:
-                relevances[pos:pos + m] = 0.0
-                pos += m
-            else:
-                relevances[pos:pos + m] = u @ v_last[m_prev]
-                pos += m
+            relevances[pos:pos + m] = 0.0 if u is None else u @ v_last[prefix[l - 1]]
+            pos += m
             return
         for ml in range(m):
             prefix[l] = ml
             nxt = None
             if u is not None:
-                nxt = u @ stack.slice(l - 1, prefix[l - 1], ml) if l > 0 else u
-                if nxt is not None and not nxt.any():
+                nxt = u @ stack.slice(l - 1, prefix[l - 1], ml)
+                if not nxt.any():
                     nxt = None
             walk_step(l + 1, nxt)
 
     # the running row vector starts as all-ones over N^(0) (sums over n_0)
     ones = np.ones(stack.dims[0])
-    if steps == 1:
-        for m0 in range(m):
-            prefix[0] = m0
-            relevances[pos:pos + m] = ones @ v_last[m0]
-            pos += m
-    else:
-        for m0 in range(m):
-            prefix[0] = m0
-            for m1 in range(m):
-                prefix[1] = m1
-                u = ones @ stack.slice(0, m0, m1)
-                walk_step(2, u if u.any() else None)
+    for m0 in range(m):
+        prefix[0] = m0
+        walk_step(1, ones)
 
-    key = -np.abs(relevances) if absolute else -relevances
-    order = np.argsort(key, kind="stable")[:k]
+    order = np.argsort(-relevances, kind="stable")[:k]
     out = []
     for flat in order:
         nodes = []
@@ -160,13 +146,12 @@ def exhaustive_topk_node(
 def exhaustive_topk_neuron(
     stack: PropagationStack,
     k: int,
-    absolute: bool = True,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> list[ScoredWalk]:
-    """Enumerate every neuron-level walk and return the top k.
+    """Enumerate every neuron-level walk and return the top k by absolute
+    relevance (the order EMP-neu extracts in).
 
-    Sorts by absolute relevance when absolute=True, signed otherwise;
-    ties resolved lexicographically on the interleaved (m, n) sequence.
+    Ties resolved lexicographically on the interleaved (m, n) sequence.
     """
     m = stack.num_nodes
     dims = stack.dims
@@ -187,8 +172,7 @@ def exhaustive_topk_neuron(
     acc = acc * stack.output_relevance.reshape(sizes[-1])
     flat = acc.reshape(-1)
 
-    key = -np.abs(flat) if absolute else -flat
-    order = np.argsort(key, kind="stable")[:k]
+    order = np.argsort(-np.abs(flat), kind="stable")[:k]
     out = []
     for idx in order:
         pairs = []

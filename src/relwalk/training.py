@@ -96,7 +96,7 @@ def _rebuild(model: GnnModel, weights: list[np.ndarray]) -> GnnModel:
         if layer.hidden_weight is not None:
             w2 = weights[pos]
             pos += 1
-        layers.append(LayerSpec(w, hidden_weight=w2, adjacency_mode=layer.adjacency_mode))
+        layers.append(LayerSpec(w, hidden_weight=w2))
     return GnnModel(tuple(layers), ReadoutSpec(model.readout.task, weights[-1]))
 
 

@@ -82,8 +82,8 @@ def test_gen_ba2motif_no_graphs_exit_2(tmp_path):
 
 
 def test_gen_rejects_explanation_flags(tmp_path):
-    # gen and train take --seed only; --gamma, --budget and --low-mem
-    # belong to the explanation subcommands
+    # gen and train take --seed only; --gamma and --budget belong to the
+    # explanation subcommands
     with pytest.raises(SystemExit) as exc:
         main(["gen", "infection", "--m", "10", "--out", str(tmp_path / "s.json"),
               "--gamma", "const:1"])
@@ -177,15 +177,21 @@ def test_explain_budget_below_one_exit_2(ba_dir, model_file, capsys, budget):
     assert capsys.readouterr().out == ""
 
 
-def test_explain_low_mem_matches_default(ba_dir, model_file, capsys):
-    outputs = []
-    for flag in ([], ["--low-mem"]):
-        code = main(["explain", "--model", str(model_file),
-                     "--graph", str(ba_dir / "graph_0002.json"),
-                     "--topk", "4", *flag])
-        assert code == EXIT_OK
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+def test_explain_report_abs_needs_emp_neu(ba_dir, model_file, capsys):
+    code = main(["explain", "--model", str(model_file),
+                 "--graph", str(ba_dir / "graph_0000.json"),
+                 "--method", "amp-ave", "--report-abs"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+
+
+def test_explain_malformed_edge_list_exit_2(model_file, tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"num_nodes": 2, "features": [[1.0] * 5] * 2,
+                                 "edges": [[0]]}))
+    code = main(["explain", "--model", str(model_file), "--graph", str(graph)])
+    assert code == EXIT_VALIDATION
+    assert "edges" in capsys.readouterr().err
 
 
 def test_explain_gamma_flag_changes_output(ba_dir, model_file, capsys):
@@ -232,6 +238,16 @@ def test_eval_pr_k_below_one_exit_2(ba_dir, model_file, flags, capsys):
                  "--graph", str(ba_dir / "graph_0000.json"), *flags])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().out == ""
+
+
+def test_eval_pr_k_below_one_exit_2_before_enumeration(ba_dir, model_file, capsys):
+    # a budget of 10 would refuse the enumeration with exit 3; the K* check
+    # comes first
+    code = main(["eval", "pr", "--model", str(model_file),
+                 "--graph", str(ba_dir / "graph_0000.json"),
+                 "--kstars", "0", "--budget", "10"])
+    assert code == EXIT_VALIDATION
+    assert "kstars" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -326,6 +342,32 @@ def test_bench_estimates_oversized_exhaustive(capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "estimated from partial computation" in out
+
+
+# -- flags ------------------------------------------------------------------------
+
+
+# subcommand -> its required flags; each declares only the flags its handler reads
+COMMANDS = {
+    "explain": ["--model", "m", "--graph", "g"],
+    "eval pr": ["--model", "m", "--graph", "g"],
+    "eval colsim": ["--model", "m", "--graph", "g"],
+    "eval infection-recall": ["--model", "m", "--scenario", "s"],
+    "eval edge-recall": ["--model", "m", "--graph", "g"],
+    "eval positive-ratio": ["--model", "m", "--graph", "g"],
+    "bench": [],
+}
+UNREAD_FLAGS = ([(cmd, "--low-mem") for cmd in COMMANDS]
+                + [(cmd, "--seed 1") for cmd in COMMANDS if cmd != "bench"]
+                + [("eval colsim", "--budget 10")])
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_subcommand_rejects_flag_it_does_not_read(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), *COMMANDS[command], *flag.split()])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -- console entry point --------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_basic_equals_oracle_top1():
     for seed in range(10):
         _, _, _, stack = random_instance(seed=seed)
         found = emp_neu_basic(stack)
-        expected = exhaustive_topk_neuron(stack, 1, absolute=True)[0]
+        expected = exhaustive_topk_neuron(stack, 1)[0]
         assert abs(found.relevance) == pytest.approx(
             abs(expected.relevance), abs=1e-10)
         assert found.relevance == pytest.approx(expected.relevance, abs=1e-10)
@@ -208,7 +208,7 @@ def test_constrained_max_excluding_top_start_matches_filtered_oracle():
     best_abs, _ = subset_best(table, (), frozenset({top_pair}))
     total = stack.num_nodes ** 4 * int(np.prod(stack.dims))
     filtered = [
-        w for w in exhaustive_topk_neuron(stack, total, absolute=True)
+        w for w in exhaustive_topk_neuron(stack, total)
         if (w.nodes[0], w.neurons[0]) != (best.nodes[0], best.neurons[0])
     ]
     assert best_abs == pytest.approx(abs(filtered[0].relevance), abs=1e-10)
@@ -258,7 +258,7 @@ def test_topk_matches_oracle_walk_for_walk():
         _, _, _, stack = random_instance(seed=seed)
         result = emp_neu_topk(stack, 50, max_k_tilde=None)
         k_tilde = result.k_tilde
-        expected = exhaustive_topk_neuron(stack, k_tilde, absolute=True)
+        expected = exhaustive_topk_neuron(stack, k_tilde)
         assert_topk_equivalent(result.absolute, expected, tol=1e-10, absolute=True)
 
 
@@ -268,7 +268,7 @@ def test_topk_matches_oracle_on_sparse_and_node_instances(stabilize):
         if i % 3 == 0 or i >= 30:
             continue  # the dense graph-task case is covered above
         result = emp_neu_topk(stack, 15)
-        expected = exhaustive_topk_neuron(stack, result.k_tilde, absolute=True)
+        expected = exhaustive_topk_neuron(stack, result.k_tilde)
         assert_topk_equivalent(result.absolute, expected, tol=1e-10, absolute=True)
 
 
@@ -280,7 +280,7 @@ def test_uncapped_topk_extracts_exactly_the_nonzero_walks():
         _, _, _, stack = random_instance(m=5, dims=(2, 2, 2, 2), seed=seed,
                                          edge_prob=0.5, task="node", target=seed % 5)
         total = int(np.prod([stack.num_nodes * d for d in stack.dims]))
-        everything = exhaustive_topk_neuron(stack, total, absolute=True)
+        everything = exhaustive_topk_neuron(stack, total)
         expected = [w for w in everything if w.relevance != 0]
         assert len(expected) < total
         live += bool(expected)

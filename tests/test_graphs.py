@@ -181,6 +181,36 @@ def test_graph_validation_errors():
         graph_from_dict({"num_nodes": 2, "features": [[1], [1]]})
 
 
+@pytest.mark.parametrize("edges", [[[0]], [[0.7, 1]], [[0, 2]], [[0, 1], [-1, 0]],
+                                   [[0, 1], [1]], "01"])
+def test_malformed_edge_list_refused(edges):
+    # a short entry, a float index, an out-of-range index, a ragged list or
+    # a non-list never loads as some other graph
+    with pytest.raises(ModelFormatError):
+        graph_from_dict({"num_nodes": 2, "features": [[1], [1]], "edges": edges})
+
+
+def test_edge_list_loads_to_same_adjacency_as_loop():
+    rng = np.random.default_rng(0)
+    edges = rng.integers(0, 30, size=(200, 2)).tolist()
+    expected = np.zeros((30, 30))
+    for i, j in edges:
+        expected[i, j] = 1.0
+    g = graph_from_dict({"num_nodes": 30, "features": np.ones((30, 1)).tolist(),
+                         "edges": edges})
+    assert np.array_equal(g.adjacency, modified_adjacency(expected))
+
+
+def test_model_file_adjacency_mode():
+    # every layer mixes over Lambda: older files may say so, no file may say otherwise
+    layer = model_to_dict(single_node_model(2.0))["layers"][0]
+    assert "adjacency_mode" not in layer
+    for extra in ({}, {"adjacency_mode": "lambda"}):
+        assert model_from_dict({"layers": [{**layer, **extra}]}).steps[0].uses_adjacency
+    with pytest.raises(ModelFormatError, match="adjacency_mode"):
+        model_from_dict({"layers": [{**layer, "adjacency_mode": "identity"}]})
+
+
 def test_ba2motif_sample_has_25_nodes():
     g = gen_ba2motif(1, seed=0)[0]
     assert g.num_nodes == 25

@@ -5,16 +5,24 @@ import numpy as np
 import pytest
 
 from relwalk import (
+    GammaSchedule,
     PropagationStack,
     amp_ave_basic,
     amp_ave_topk,
     build_message_table,
     build_node_message_table,
+    build_propagation,
     emp_neu_basic,
     emp_neu_topk,
+    exhaustive_topk_neuron,
+    forward,
+    init_model,
     modified_adjacency,
+    node_walk_relevance,
+    predicted_target,
+    random_graph,
 )
-from helpers import headed_instance, random_instance
+from helpers import assert_topk_equivalent, headed_instance, random_instance
 
 SEARCHES = {"amp": (amp_ave_basic, amp_ave_topk), "emp": (emp_neu_basic, emp_neu_topk)}
 
@@ -63,3 +71,31 @@ def test_step_without_edges_leaves_no_walk():
         assert basic(stack) is None
         result = topk(stack, 5)
         assert not result.extracted and result.exhausted
+
+
+@pytest.mark.parametrize("stabilize", [False, True])
+@pytest.mark.parametrize("task", ["graph", "node"])
+def test_gin_identity_steps_match_oracles(task, stabilize):
+    # a GIN block expands into a step over Lambda and a node-local step whose
+    # edge list is the diagonal; both searches must agree with the oracles
+    m = 5
+    extractions = 0
+    for seed in range(10):
+        graph = random_graph(m, 3, 0.5, np.random.default_rng(seed))
+        model = init_model([3, 3, 3], 2, task=task, seed=seed, gin=True)
+        acts = forward(model, graph)
+        target = predicted_target(model, acts) if task == "graph" else seed % m
+        stack = build_propagation(model, graph, acts,
+                                  GammaSchedule.linear_decay(3.0, model.num_steps),
+                                  target, stabilize=stabilize)
+        for l, step in enumerate(model.steps):
+            if not step.uses_adjacency:
+                rows, cols = stack.edges[l]
+                assert np.array_equal(rows, np.arange(m)) and np.array_equal(cols, rows)
+        for walk in amp_ave_topk(stack, 5, max_k_tilde=40).extracted:
+            assert walk.relevance == pytest.approx(node_walk_relevance(stack, walk.nodes),
+                                                   rel=1e-9)
+            extractions += 1
+        found = emp_neu_topk(stack, 5, max_k_tilde=40).extracted
+        assert_topk_equivalent(found, exhaustive_topk_neuron(stack, len(found)))
+    assert extractions > 0
