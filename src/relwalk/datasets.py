@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, graph_from_dict, graph_to_dict, modified_adjacency
+from .graphs import Graph, ModelFormatError, graph_from_dict, graph_to_dict, modified_adjacency
 
 HOUSE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]  # square + roof
 CYCLE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
@@ -103,12 +103,9 @@ def gen_ba2motif(
 
 def motif_edges(graph: Graph, base_size: int = 20) -> set[tuple[int, int]]:
     """Motif-internal edges (both directions) of a generated sample."""
-    edges = set()
-    n = graph.num_nodes
-    for i, j in graph.edges:
-        if i >= base_size and j >= base_size and i < n and j < n:
-            edges.add((i, j))
-    return edges
+    rows, cols = graph.edge_index
+    keep = (rows != cols) & (rows >= base_size) & (cols >= base_size)
+    return set(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +141,11 @@ class InfectionScenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InfectionScenario":
+        if not isinstance(data, dict):
+            raise ModelFormatError("scenario: expected a JSON object")
+        for key in ("graph", "carriers", "lambda", "steps", "labels", "chains"):
+            if key not in data:
+                raise ModelFormatError(f"scenario: {key!r} missing")
         return cls(
             graph=graph_from_dict(data["graph"]),
             carriers=list(data["carriers"]),

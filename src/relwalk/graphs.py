@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -58,11 +60,11 @@ class Graph:
     def num_nodes(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        """Directed edge list excluding self-loops."""
-        rows, cols = np.nonzero(self.adjacency)
-        return [(int(i), int(j)) for i, j in zip(rows, cols) if i != j]
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row-major (rows, cols) of Lambda's nonzeros, self-loops included;
+        scanned once per graph and shared by every stack built on it."""
+        return np.nonzero(self.adjacency)
 
 
 def modified_adjacency(a: np.ndarray, normalize: bool = False) -> np.ndarray:
@@ -210,10 +212,6 @@ class Activations:
     logits: np.ndarray
 
 
-def step_lambda(graph: Graph, step: Step) -> np.ndarray:
-    return graph.adjacency if step.uses_adjacency else np.eye(graph.num_nodes)
-
-
 def forward(model: GnnModel, graph: Graph) -> Activations:
     """Deterministic forward pass retaining every intermediate activation.
 
@@ -227,7 +225,7 @@ def forward(model: GnnModel, graph: Graph) -> Activations:
     hidden = [h]
     aggregated = []
     for s, step in enumerate(model.steps):
-        z = step_lambda(graph, step).T @ h if step.uses_adjacency else h
+        z = graph.adjacency.T @ h if step.uses_adjacency else h
         pre = z @ step.weight
         if pre.shape[1] != step.weight.shape[1]:  # pragma: no cover - defensive
             raise ShapeError(f"step {s} produced shape {pre.shape}")
@@ -258,6 +256,12 @@ def predicted_target(model: GnnModel, acts: Activations, node: int | None = None
 # ---------------------------------------------------------------------------
 
 
+def _object(obj, path: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{path}: expected a JSON object")
+    return obj
+
+
 def _matrix(obj, path: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
@@ -285,10 +289,12 @@ def model_to_dict(model: GnnModel) -> dict:
 
 
 def model_from_dict(data: dict) -> GnnModel:
+    data = _object(data, "model")
     if "layers" not in data or not isinstance(data["layers"], list):
         raise ModelFormatError("layers: missing or not a list")
     layers = []
     for i, entry in enumerate(data["layers"]):
+        entry = _object(entry, f"layers[{i}]")
         if "w" not in entry:
             raise ModelFormatError(f"layers[{i}].w: missing")
         # every layer mixes over Lambda; older files name that "lambda"
@@ -303,7 +309,7 @@ def model_from_dict(data: dict) -> GnnModel:
                 hidden_weight=None if w2 is None else _matrix(w2, f"layers[{i}].w2"),
             )
         )
-    ro = data.get("readout", {})
+    ro = _object(data.get("readout", {}), "readout")
     head = ro.get("head")
     readout = ReadoutSpec(
         task=ro.get("task", "graph"),
@@ -341,14 +347,19 @@ def graph_to_dict(graph: Graph) -> dict:
     if not binary_with_loops:
         out["dense"] = a.tolist()
     else:
-        out["edges"] = [[i, j] for i, j in graph.edges]
+        rows, cols = graph.edge_index
+        out["edges"] = [[i, j] for i, j in zip(rows.tolist(), cols.tolist()) if i != j]
     return out
 
 
 def graph_from_dict(data: dict) -> Graph:
+    data = _object(data, "graph")
     if "num_nodes" not in data:
         raise ModelFormatError("num_nodes: missing")
-    m = int(data["num_nodes"])
+    try:
+        m = int(data["num_nodes"])
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError("num_nodes: not an integer") from exc
     if "dense" in data:
         # dense form stores the modified adjacency Lambda verbatim
         lam = _matrix(data["dense"], "dense")
@@ -361,7 +372,9 @@ def graph_from_dict(data: dict) -> Graph:
             raise ModelFormatError("edges: not a list of [i, j] pairs") from exc
         if edges.shape == (0,):
             edges = edges.astype(np.intp).reshape(0, 2)
-        if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+        if (edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu"
+                # np.asarray reads a JSON boolean among integers as 0 or 1
+                or bool in set(map(type, chain.from_iterable(data["edges"])))):
             raise ModelFormatError("edges: expected a list of [i, j] integer pairs")
         bad = np.flatnonzero(((edges < 0) | (edges >= m)).any(axis=1))
         if bad.size:

@@ -10,10 +10,11 @@ construction; columns whose denominator is below a stability threshold
 are zeroed so the column sum stays exactly in {0, 1}.
 
 The stack is always kept factorized as {Lam, H, Wup} plus one guarded
-inverse denominator per step, with entries and (m, m') slices on demand:
-building it costs O(L M N (M + N)) time and O(M^2 + L N (M + N)) memory.
-The dense 4-index tensor, O(M^2 N^2) per step, is never built here; the
-brute-force oracle builds its own (oracle.dense_tensor) as the
+inverse denominator per step, with entries and (m, m') slices on demand.
+build_propagation takes Lam^T H from forward and the edge lists from the
+graph's edge_index, so a target costs O(L M N^2) time beyond its output
+relevance.  The dense 4-index tensor, O(M^2 N^2) per step, is never built
+here; the brute-force oracle builds its own (oracle.dense_tensor) as the
 independent reference.  Both searches maximize over a node's edges with
 first_max_over_edges on the stack's per-step edge lists.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Activations, GnnModel, Graph, ShapeError, step_lambda
+from .graphs import Activations, GnnModel, Graph, ShapeError
 
 EPS_STAB = 1e-9
 
@@ -85,44 +86,31 @@ def modified_weight(w: np.ndarray, gamma: float) -> np.ndarray:
     return w + gamma * np.maximum(w, 0.0)
 
 
+@dataclass(eq=False)
 class PropagationStack:
     """Factorized per-step transitions plus output-layer relevance.
 
-    Holds {Lam, H, Wup} per step and serves entries and slices of
-    T^(l) from them.  Immutable after build.
-
-    inverse_denominators[l] is the guarded 1 / den^(l): 0 on the zeroed
-    columns (|den| < EPS_STAB), or 1 / (den +- EPS_STAB) with the sign of
-    den under stabilize.  edges[l] is the row-major (rows, cols) edge list
-    of Lam^(l), its entries != 0.  Both are computed once here and shared;
-    the edge scan runs once per distinct Lam array, so steps sharing one
-    adjacency share one edge list.
+    Holds {Lam, H, Wup} per step and serves entries and slices of T^(l)
+    from them; the constructor only stores what it is given.
+    edges[l] is the row-major (rows, cols) edge list of Lam^(l), its
+    entries != 0.  inverse_denominators[l] is the guarded 1 / den^(l),
+    0 on the zeroed columns (|den| < EPS_STAB).  In a stack from
+    build_propagation, the steps over the adjacency share the graph's
+    edge_index, and the node-local steps share one identity and one
+    diagonal edge list.
     """
+
+    lambdas: list[np.ndarray]                   # Lam used by step l (adjacency or identity)
+    edges: list[tuple[np.ndarray, np.ndarray]]  # row-major nonzeros of each Lam
+    hidden: list[np.ndarray]                    # H^(0) .. H^(L-1): inputs of each step
+    wups: list[np.ndarray]                      # modified weights per step
+    inverse_denominators: list[np.ndarray]      # guarded 1 / den^(l), M x N^(l+1)
+    output_relevance: np.ndarray                # M x N^(L)
 
     # perfbench's per-request counter reads `stack.materialized or ()` until
     # the benchmark drops propagation.materialized_bytes; no stack holds
     # dense tensors.
     materialized = None
-
-    def __init__(
-        self,
-        lambdas: list[np.ndarray],
-        hidden: list[np.ndarray],
-        wups: list[np.ndarray],
-        output_relevance: np.ndarray,
-        stabilize: bool = False,
-    ):
-        self.lambdas = lambdas            # Lam used by step l (adjacency or identity)
-        self.hidden = hidden              # H^(0) .. H^(L-1): inputs of each step
-        self.wups = wups                  # modified weights per step
-        self.output_relevance = output_relevance  # M x N^(L)
-        self.stabilize = stabilize
-        # One guarded inverse denominator per step, O(M N): cached once per stack.
-        self.inverse_denominators = [self._guarded_inverse((lam.T @ h) @ w)
-                                     for lam, h, w in zip(lambdas, hidden, wups)]
-        distinct = {id(lam): lam for lam in lambdas}
-        scans = {key: np.nonzero(lam) for key, lam in distinct.items()}
-        self.edges = [scans[id(lam)] for lam in lambdas]
 
     # -- shape info ---------------------------------------------------------
 
@@ -140,11 +128,6 @@ class PropagationStack:
         return [h.shape[1] for h in self.hidden] + [self.wups[-1].shape[1]]
 
     # -- entry access -------------------------------------------------------
-
-    def _guarded_inverse(self, den: np.ndarray) -> np.ndarray:
-        if self.stabilize:
-            return 1.0 / (den + EPS_STAB * np.where(den >= 0, 1.0, -1.0))
-        return np.divide(1.0, den, out=np.zeros_like(den), where=np.abs(den) >= EPS_STAB)
 
     def entry(self, l: int, m: int, n: int, mp: int, np_: int) -> float:
         """Single on-demand entry T^(l)[m, n, m', n']."""
@@ -189,14 +172,13 @@ def build_propagation(
     acts: Activations,
     schedule: GammaSchedule,
     target: int,
-    stabilize: bool = False,
     target_class: int | None = None,
 ) -> PropagationStack:
     """Assemble the propagation stack for one explanation target.
 
     target is a class index (graph task) or a node index (node task).
-    stabilize shifts every denominator away from zero by EPS_STAB instead
-    of zeroing the columns whose denominator is below it.
+    The denominators are acts.aggregated[l] @ Wup^(l), as forward already
+    holds Lam^T H.
     """
     steps = model.steps
     if len(acts.hidden) != len(steps) + 1:
@@ -207,12 +189,20 @@ def build_propagation(
         raise ParameterError(
             f"gamma schedule length {len(schedule)} != propagation depth {len(steps)}"
         )
-    lambdas = [step_lambda(graph, s) for s in steps]
-    hidden = [acts.hidden[l] for l in range(len(steps))]
+    m = graph.num_nodes
+    identity = None if all(s.uses_adjacency for s in steps) else np.eye(m)
+    diagonal = (np.arange(m),) * 2
     wups = [modified_weight(s.weight, g) for s, g in zip(steps, schedule.values)]
-    out_rel = init_output_relevance(model, acts, target, target_class=target_class)
-
-    return PropagationStack(lambdas, hidden, wups, out_rel, stabilize=stabilize)
+    dens = [z @ w for z, w in zip(acts.aggregated, wups)]     # (Lam^T H) Wup
+    return PropagationStack(
+        lambdas=[graph.adjacency if s.uses_adjacency else identity for s in steps],
+        edges=[graph.edge_index if s.uses_adjacency else diagonal for s in steps],
+        hidden=list(acts.hidden[:-1]),
+        wups=wups,
+        inverse_denominators=[
+            np.divide(1.0, d, out=np.zeros_like(d), where=np.abs(d) >= EPS_STAB) for d in dens],
+        output_relevance=init_output_relevance(model, acts, target, target_class=target_class),
+    )
 
 
 def init_output_relevance(

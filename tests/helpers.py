@@ -1,5 +1,5 @@
-"""Shared test utilities: random instance builders, the dense reference
-stack, and tie-aware top-K list comparison.
+"""Shared test utilities: random instance builders, the hand-built and
+dense reference stacks, and tie-aware top-K list comparison.
 
 Mathematically tied walks are common (symmetric motifs, activation and
 denominator cancellations).  The enumeration oracle and the message
@@ -22,6 +22,7 @@ from relwalk import (
     Graph,
     GnnModel,
     LayerSpec,
+    PropagationStack,
     ReadoutSpec,
     build_propagation,
     dense_tensor,
@@ -30,6 +31,7 @@ from relwalk import (
     predicted_target,
     random_graph,
 )
+from relwalk.propagation import EPS_STAB
 
 
 def random_instance(
@@ -42,14 +44,18 @@ def random_instance(
     edge_prob: float = 0.6,
     schedule: GammaSchedule | None = None,
     positive_weights: bool = False,
+    weighted: bool = False,
 ):
     """Seeded random GCN + graph + propagation stack for search tests.
 
     Weights and features are shifted positive-ward so the network is not
-    dead and relevances carry both signs.
+    dead and relevances carry both signs.  weighted scales Lambda's
+    entries with scale_edges; weights and features stay the same.
     """
     rng = np.random.default_rng(seed)
     graph = random_graph(m, dims[0], edge_prob, rng)
+    if weighted:
+        graph = Graph(scale_edges(graph.adjacency, seed), graph.features, graph.label)
 
     def weight(shape):
         w = rng.normal(size=shape) * 0.8 + 0.3
@@ -68,6 +74,25 @@ def random_instance(
     return model, graph, acts, stack
 
 
+def scale_edges(adjacency, seed):
+    """adjacency with each entry scaled by a seeded factor in [0.5, 1.5):
+    the same edges, but a Lambda whose values are not all 1."""
+    return adjacency * np.random.default_rng(seed).uniform(0.5, 1.5, adjacency.shape)
+
+
+def stack_from_factors(lambdas, hidden, wups, output_relevance):
+    """PropagationStack built by hand from its factors, independently of
+    build_propagation: edges[l] is np.nonzero(Lam^(l)) and the inverse
+    denominators are the guarded 1 / ((Lam^T H) W_up)."""
+    inverse = []
+    for lam, h, w in zip(lambdas, hidden, wups):
+        den = (lam.T @ h) @ w
+        with np.errstate(divide="ignore", over="ignore"):
+            inverse.append(np.where(np.abs(den) >= EPS_STAB, 1.0 / den, 0.0))
+    return PropagationStack(lambdas, [np.nonzero(lam) for lam in lambdas], hidden, wups,
+                            inverse, output_relevance)
+
+
 def dense_slices(stack):
     """Shallow copy of stack whose slice and entry read the dense oracle
     tensors (dense_tensor) instead of the factors: the reference side of
@@ -79,15 +104,18 @@ def dense_slices(stack):
     return dense
 
 
-def headed_instance(adjacency, seed, stabilize=False, dims=(3, 3, 3, 3)):
-    """Random GCN with a linear head, so R^(L) carries both signs."""
+def headed_instance(adjacency, seed, weighted=False, dims=(3, 3, 3, 3)):
+    """Random GCN with a linear head, so R^(L) carries both signs.
+    weighted scales the adjacency's entries with scale_edges."""
     rng = np.random.default_rng(seed)
+    if weighted:
+        adjacency = scale_edges(adjacency, seed)
     graph = Graph(adjacency, rng.random((len(adjacency), dims[0])) + 0.1, 0)
     model = init_model(list(dims), 2, seed=seed)
     acts = forward(model, graph)
     return build_propagation(model, graph, acts,
                              GammaSchedule.constant(1.0, model.num_steps),
-                             predicted_target(model, acts), stabilize=stabilize)
+                             predicted_target(model, acts))
 
 
 def sink_adjacency():

@@ -27,8 +27,8 @@ from relwalk import (
 )
 from relwalk.ampave import candidate_scores, edge_objective
 from relwalk.oracle import ScoredWalk
-from relwalk.propagation import PropagationStack
-from helpers import dense_slices, headed_instance, random_instance, sink_adjacency
+from helpers import (dense_slices, headed_instance, random_instance, sink_adjacency,
+                     stack_from_factors)
 
 
 # -- step objective --------------------------------------------------------------
@@ -138,15 +138,15 @@ def test_topk_degenerate_exactness():
 
 def reported_relevance_stacks():
     """random_instance seed 7, headed models with signed R^(L) on random
-    sparse graphs, and the sink graph, with stabilize off and on."""
+    sparse graphs, and the sink graph, with Lambda's entries 1 and scaled."""
     yield random_instance(seed=7)[3]
-    for stabilize in (False, True):
+    for weighted in (False, True):
         for seed in range(10):
             a = (np.random.default_rng(seed).random((6, 6)) < 0.5).astype(float)
             yield headed_instance(modified_adjacency(np.maximum(a, a.T)), seed,
-                                  stabilize=stabilize)
+                                  weighted=weighted)
         for seed in range(5):
-            yield headed_instance(sink_adjacency(), seed, stabilize=stabilize,
+            yield headed_instance(sink_adjacency(), seed, weighted=weighted,
                                   dims=(2, 2, 2, 2))
 
 
@@ -250,13 +250,13 @@ def support_walks(stack):
     return [w for w in edge_following_walks(stack) if ends_on_support(stack, w)]
 
 
-@pytest.mark.parametrize("stabilize", [False, True])
-def test_messages_are_exact_relevances_of_greedy_completions(stabilize):
+@pytest.mark.parametrize("weighted", [False, True])
+def test_messages_are_exact_relevances_of_greedy_completions(weighted):
     signed = 0
     for seed in range(10):
         a = (np.random.default_rng(seed).random((6, 6)) < 0.5).astype(float)
         stack = headed_instance(modified_adjacency(np.maximum(a, a.T)), seed,
-                                stabilize=stabilize)
+                                weighted=weighted)
         signed += bool(np.any(stack.output_relevance < 0))
         table = build_node_message_table(stack)
         for m in range(stack.num_nodes):
@@ -361,25 +361,24 @@ def test_edge_argmax_on_node_task_equals_fully_masked_argmax():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.booleans(), st.sampled_from([0.0, 0.3, 1.0]),
        st.sampled_from(["graph", "node", "headed"]))
-def test_steps_are_first_maximizers_of_the_masked_objective(seed, stabilize, edge_prob,
+def test_steps_are_first_maximizers_of_the_masked_objective(seed, weighted, edge_prob,
                                                             kind):
     if kind == "headed":
         a = (np.random.default_rng(seed).random((6, 6)) < edge_prob).astype(float)
         stack = headed_instance(modified_adjacency(np.maximum(a, a.T)), seed,
-                                stabilize=stabilize)
+                                weighted=weighted)
     else:
-        _, _, _, base = random_instance(seed=seed, edge_prob=edge_prob, task=kind,
-                                        target=seed % 6 if kind == "node" else None)
-        stack = PropagationStack(base.lambdas, base.hidden, base.wups,
-                                 base.output_relevance, stabilize=stabilize)
+        _, _, _, stack = random_instance(seed=seed, edge_prob=edge_prob, task=kind,
+                                         target=seed % 6 if kind == "node" else None,
+                                         weighted=weighted)
     assert_steps_are_first_maximizers(stack, build_node_message_table(stack))
 
 
 def test_exact_ties_take_the_first_continuation():
     # complete graph, uniform factors: every continuation scores the same
     ones = [np.ones((3, 3)), np.ones((3, 3))]
-    stack = PropagationStack(ones, [np.ones((3, 2))] * 2, [np.ones((2, 2))] * 2,
-                             np.ones((3, 2)))
+    stack = stack_from_factors(ones, [np.ones((3, 2))] * 2, [np.ones((2, 2))] * 2,
+                               np.ones((3, 2)))
     table = build_node_message_table(stack)
     for step in table.step:
         np.testing.assert_array_equal(step, 0)

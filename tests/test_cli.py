@@ -194,6 +194,21 @@ def test_explain_malformed_edge_list_exit_2(model_file, tmp_path, capsys):
     assert "edges" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("model", "5"), ("model", '{"layers": [5]}'),
+    ("model", '{"layers": [{"w": [[1.0]]}], "readout": 3}'), ("graph", "5")],
+    ids=["model-number", "layer-number", "readout-number", "graph-number"])
+def test_explain_malformed_model_or_graph_file_exit_2(ba_dir, model_file, tmp_path, capsys,
+                                                      kind, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    model = bad if kind == "model" else model_file
+    graph = bad if kind == "graph" else ba_dir / "graph_0000.json"
+    code = main(["explain", "--model", str(model), "--graph", str(graph)])
+    assert code == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+
+
 def test_explain_gamma_flag_changes_output(ba_dir, model_file, capsys):
     outputs = []
     for gamma in ("const:0.2", "const:5"):
@@ -321,6 +336,20 @@ def test_eval_infection_recall_max_targets_below_one_exit_2(infection_files, max
                  "--scenario", str(scenario), "--max-targets", max_targets])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_scenario_missing_key_exit_2(infection_files, tmp_path, capsys, command):
+    scenario, model = infection_files
+    data = json.loads(scenario.read_text())
+    del data["chains"]
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(data))
+    argv = {"eval": ["eval", "infection-recall", "--model", str(model), "--scenario", str(bad)],
+            "train": ["train", "--data", str(bad), "--out", str(tmp_path / "m.json")]}
+    capsys.readouterr()
+    assert main(argv[command]) == EXIT_VALIDATION
+    assert "chains" in capsys.readouterr().err
 
 
 # -- bench --------------------------------------------------------------------------

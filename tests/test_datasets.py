@@ -5,6 +5,7 @@ import pytest
 
 from relwalk import (
     InfectionScenario,
+    ModelFormatError,
     gen_ba2motif,
     gen_infection,
     graph_to_dict,
@@ -120,6 +121,14 @@ def test_scenario_round_trip(tmp_path):
     scenario.save(path)
     loaded = InfectionScenario.load(path)
     assert loaded.to_dict() == scenario.to_dict()
+
+
+@pytest.mark.parametrize("key", ["graph", "carriers", "lambda", "steps", "labels", "chains"])
+def test_scenario_missing_key_refused(key):
+    data = gen_infection(10, steps=1, lam=0.5, seed=0).to_dict()
+    del data[key]
+    with pytest.raises(ModelFormatError, match=key):
+        InfectionScenario.from_dict(data)
 
 
 def test_generation_determinism():

@@ -20,7 +20,6 @@ from relwalk import (
     exhaustive_topk_neuron,
     forward,
     neuron_walk_relevance,
-    predicted_target,
 )
 from relwalk.empneu import candidate_scores
 from relwalk.splitting import pick
@@ -91,22 +90,15 @@ def test_topk_dead_network_returns_no_walk():
 REL = 1e-12
 
 
-def table_instances(stabilize):
+def table_instances(weighted):
     """Stacks over 60 seeds: dense and sparse graphs, graph and node tasks;
     then 5 seeds on a directed graph with a sink, whose row of Lambda has
-    no edge."""
+    no edge.  weighted scales Lambda's entries (helpers.scale_edges)."""
     for seed in range(60):
         kwargs = [{}, {"edge_prob": 0.3}, {"task": "node", "target": seed % 6}][seed % 3]
-        model, graph, acts, stack = random_instance(seed=seed, **kwargs)
-        if stabilize:
-            target = predicted_target(model, acts) if model.readout.task == "graph" \
-                else kwargs["target"]
-            stack = build_propagation(model, graph, acts,
-                                      GammaSchedule.constant(1.0, model.num_steps),
-                                      target, stabilize=True)
-        yield stack
+        yield random_instance(seed=seed, weighted=weighted, **kwargs)[3]
     for seed in range(5):
-        yield headed_instance(sink_adjacency(), seed, stabilize=stabilize)
+        yield headed_instance(sink_adjacency(), seed, weighted=weighted)
 
 
 def dense_max_product(stack):
@@ -122,10 +114,10 @@ def dense_max_product(stack):
     return mu, scored
 
 
-@pytest.mark.parametrize("stabilize", [False, True])
-def test_message_table_mu_matches_dense_max_product(stabilize):
+@pytest.mark.parametrize("weighted", [False, True])
+def test_message_table_mu_matches_dense_max_product(weighted):
     dead = edgeless = 0
-    for stack in table_instances(stabilize):
+    for stack in table_instances(weighted):
         dead += sum(int(np.sum(h == 0)) for h in stack.hidden[1:])
         edgeless += sum(int(np.sum(~lam.any(axis=1))) for lam in stack.lambdas)
         table = build_message_table(stack)
@@ -136,15 +128,15 @@ def test_message_table_mu_matches_dense_max_product(stabilize):
     assert edgeless > 0  # rows with no edge give empty segments
 
 
-@pytest.mark.parametrize("stabilize", [False, True])
-def test_message_table_step_is_dense_first_maximizer(stabilize):
+@pytest.mark.parametrize("weighted", [False, True])
+def test_message_table_step_is_dense_first_maximizer(weighted):
     # Exact ties are common (with gamma = 1 and a non-negative weight column
     # R / den is exactly 1/2), and the dense and factorized products round
     # differently, so ties are compared by value group: the step is a
     # maximizer within REL, and equals the dense first maximizer wherever
     # that maximizer is unique.
     unique = 0
-    for stack in table_instances(stabilize):
+    for stack in table_instances(weighted):
         table = build_message_table(stack)
         mu, scored = dense_max_product(stack)
         for l in range(stack.num_steps):
@@ -180,9 +172,9 @@ def max_over_all_node_pairs(stack):
     return [a.reshape(-1) for a in mu], [a.reshape(-1) for a in step]
 
 
-@pytest.mark.parametrize("stabilize", [False, True])
-def test_message_table_equals_max_over_all_node_pairs(stabilize):
-    for stack in table_instances(stabilize):
+@pytest.mark.parametrize("weighted", [False, True])
+def test_message_table_equals_max_over_all_node_pairs(weighted):
+    for stack in table_instances(weighted):
         table = build_message_table(stack)
         mu, step = max_over_all_node_pairs(stack)
         for a, b in zip(table.mu + table.step, mu + step):
@@ -262,9 +254,9 @@ def test_topk_matches_oracle_walk_for_walk():
         assert_topk_equivalent(result.absolute, expected, tol=1e-10, absolute=True)
 
 
-@pytest.mark.parametrize("stabilize", [False, True])
-def test_topk_matches_oracle_on_sparse_and_node_instances(stabilize):
-    for i, stack in enumerate(table_instances(stabilize)):
+@pytest.mark.parametrize("weighted", [False, True])
+def test_topk_matches_oracle_on_sparse_and_node_instances(weighted):
+    for i, stack in enumerate(table_instances(weighted)):
         if i % 3 == 0 or i >= 30:
             continue  # the dense graph-task case is covered above
         result = emp_neu_topk(stack, 15)

@@ -139,6 +139,20 @@ def test_model_from_dict_errors():
         model_from_dict(bad)
 
 
+@pytest.mark.parametrize("data", [5, {"layers": [5]},
+                                  {"layers": [{"w": [[1.0]]}], "readout": 3}])
+def test_model_file_whose_entries_are_not_objects_refused(data):
+    # a top-level number, a layer that is a number, a readout that is a number
+    with pytest.raises(ModelFormatError):
+        model_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [5, {"num_nodes": [2], "features": [[1], [1]], "edges": []}])
+def test_graph_file_not_an_object_or_without_integer_size_refused(data):
+    with pytest.raises(ModelFormatError):
+        graph_from_dict(data)
+
+
 def test_graph_round_trip_single_node(tmp_path):
     g = Graph(np.array([[1.0]]), np.array([[1.0]]), label=1)
     path = tmp_path / "g.json"
@@ -154,6 +168,10 @@ def test_edge_list_and_dense_forms_agree():
     g = Graph(modified_adjacency(a), np.ones((3, 1)))
     data = graph_to_dict(g)
     assert "edges" in data and "dense" not in data
+    # row-major nonzeros without the self-loops, as plain ints
+    assert data["edges"] == [[i, j] for i in range(3) for j in range(3)
+                             if i != j and g.adjacency[i, j] != 0]
+    assert all(type(v) is int for edge in data["edges"] for v in edge)
     via_edges = graph_from_dict(data)
     del data["edges"]
     data["dense"] = g.adjacency.tolist()
@@ -182,10 +200,10 @@ def test_graph_validation_errors():
 
 
 @pytest.mark.parametrize("edges", [[[0]], [[0.7, 1]], [[0, 2]], [[0, 1], [-1, 0]],
-                                   [[0, 1], [1]], "01"])
+                                   [[0, 1], [1]], "01", [[0, True]]])
 def test_malformed_edge_list_refused(edges):
-    # a short entry, a float index, an out-of-range index, a ragged list or
-    # a non-list never loads as some other graph
+    # a short entry, a float index, an out-of-range index, a ragged list,
+    # a non-list or a boolean index never loads as some other graph
     with pytest.raises(ModelFormatError):
         graph_from_dict({"num_nodes": 2, "features": [[1], [1]], "edges": edges})
 

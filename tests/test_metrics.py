@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from relwalk import (
     BenchRow,
-    PropagationStack,
     ScoredWalk,
     bench_rows_to_csv,
     column_similarity_histogram,
@@ -20,7 +19,7 @@ from relwalk import (
 )
 from relwalk.metrics import _is_subsequence
 
-from helpers import random_instance
+from helpers import random_instance, stack_from_factors
 
 
 def walks(*node_seqs, start=1.0):
@@ -79,8 +78,8 @@ def test_identical_columns_similarity_one():
     # and den[m', n'] does not depend on n', so every column is the same
     rng = np.random.default_rng(3)
     lam = (rng.random((4, 4)) < 0.6) + np.eye(4)
-    stack = PropagationStack([lam, lam], [rng.random((4, 3)) + 0.1 for _ in range(2)],
-                             [np.ones((3, 3))] * 2, np.ones((4, 3)))
+    stack = stack_from_factors([lam, lam], [rng.random((4, 3)) + 0.1 for _ in range(2)],
+                               [np.ones((3, 3))] * 2, np.ones((4, 3)))
     hist = column_similarity_histogram(stack)
     assert hist.similarities.size > 0
     np.testing.assert_allclose(hist.similarities, 1.0, atol=1e-12)
@@ -90,8 +89,8 @@ def test_identical_columns_similarity_one():
 def test_zero_mean_slice_excluded_and_counted():
     # den = column sums of H W_up = [1, -1], so slice (0, 0) has the
     # columns [1, 0] and [-1, 0], which cancel exactly (mean column = 0)
-    stack = PropagationStack([np.ones((2, 2))], [np.eye(2)],
-                             [np.array([[1.0, 1.0], [0.0, -2.0]])], np.ones((2, 2)))
+    stack = stack_from_factors([np.ones((2, 2))], [np.eye(2)],
+                               [np.array([[1.0, 1.0], [0.0, -2.0]])], np.ones((2, 2)))
     np.testing.assert_array_equal(stack.slice(0, 0, 0), [[1.0, -1.0], [0.0, 0.0]])
     hist = column_similarity_histogram(stack)
     assert hist.degenerate_slices >= 1
@@ -111,8 +110,8 @@ def test_all_zero_columns_are_skipped():
     rng = np.random.default_rng(6)
     w = rng.normal(size=(2, 2))
     w[:, 0] = 0.0
-    stack = PropagationStack([np.ones((3, 3))], [rng.random((3, 2)) + 0.1], [w],
-                             np.ones((3, 2)))
+    stack = stack_from_factors([np.ones((3, 3))], [rng.random((3, 2)) + 0.1], [w],
+                               np.ones((3, 2)))
     assert not stack.slice(0, 0, 0)[:, 0].any()
     hist = column_similarity_histogram(stack)
     assert hist.zero_columns >= 1

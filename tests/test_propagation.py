@@ -15,17 +15,18 @@ from relwalk import (
     Graph,
     LayerSpec,
     ParameterError,
-    PropagationStack,
     ReadoutSpec,
     build_propagation,
     dense_tensor,
     forward,
+    init_model,
     init_output_relevance,
     modified_weight,
     parse_gamma,
+    random_graph,
 )
 from relwalk.propagation import EPS_STAB, first_max_over_edges
-from helpers import random_instance
+from helpers import random_instance, stack_from_factors
 
 
 # -- modified weights --------------------------------------------------------
@@ -113,22 +114,17 @@ def test_dead_neuron_column_is_zeroed():
     assert t[0, 0, 0, 1] == pytest.approx(1.0)
 
 
-def test_stabilize_shifts_each_denominator_away_from_zero_by_its_sign():
-    # denominators [-2, 0, EPS_STAB / 2, 3]: under stabilize a negative one
-    # moves down, the others move up, each by exactly EPS_STAB; without it
-    # the two below EPS_STAB get a zero inverse and the others 1 / den
-    weights = [np.array([[-2.0, 0.0, EPS_STAB / 2, 3.0]])]
-    stabilized = PropagationStack([np.ones((1, 1))], [np.ones((1, 1))], weights,
-                                  np.ones((1, 4)), stabilize=True)
-    np.testing.assert_array_equal(
-        stabilized.inverse_denominators[0],
-        [[1.0 / (-2.0 - EPS_STAB), 1.0 / EPS_STAB, 1.0 / (EPS_STAB / 2 + EPS_STAB),
-          1.0 / (3.0 + EPS_STAB)]])
-    zeroed = PropagationStack([np.ones((1, 1))], [np.ones((1, 1))], weights,
-                              np.ones((1, 4)))
-    np.testing.assert_array_equal(zeroed.inverse_denominators[0],
+def test_denominators_below_eps_stab_get_a_zero_inverse():
+    # one node, Lam = H = 1 and gamma = 0, so the denominators are the
+    # weights [-2, 0, EPS_STAB / 2, 3]: the two below EPS_STAB get a zero
+    # inverse and the others 1 / den
+    graph = Graph(np.array([[1.0]]), np.array([[1.0]]))
+    model = GnnModel((LayerSpec(np.array([[-2.0, 0.0, EPS_STAB / 2, 3.0]])),))
+    stack = build_propagation(model, graph, forward(model, graph),
+                              GammaSchedule.constant(0.0, 1), 3)
+    np.testing.assert_array_equal(stack.inverse_denominators[0],
                                   [[1.0 / -2.0, 0.0, 0.0, 1.0 / 3.0]])
-    np.testing.assert_array_equal(zeroed.slice(0, 0, 0), [[1.0, 0.0, 0.0, 1.0]])
+    np.testing.assert_array_equal(stack.slice(0, 0, 0), [[1.0, 0.0, 0.0, 1.0]])
 
 
 def test_edge_lists_are_row_major_nonzeros_shared_by_steps():
@@ -139,6 +135,35 @@ def test_edge_lists_are_row_major_nonzeros_shared_by_steps():
         np.testing.assert_array_equal(cols, expected_cols)
     # every GCN step reads the one adjacency, so its edges are scanned once
     assert all(e is stack.edges[0] for e in stack.edges)
+    for task in ("graph", "node"):
+        for gin in (False, True):
+            for seed in range(5):
+                graph = random_graph(6, 3, 0.4, np.random.default_rng(seed))
+                model = init_model([3, 3, 3], 2, task=task, seed=seed, gin=gin)
+                acts = forward(model, graph)
+                # two targets: two classes, or two nodes
+                for target in (0, 1):
+                    stack = build_propagation(model, graph, acts,
+                                              GammaSchedule.linear_decay(3.0, model.num_steps),
+                                              target)
+                    ref = stack_from_factors(stack.lambdas, stack.hidden, stack.wups,
+                                             stack.output_relevance)
+                    diagonal = None
+                    for l, step in enumerate(model.steps):
+                        for got, expected in zip(stack.edges[l], ref.edges[l]):
+                            np.testing.assert_array_equal(got, expected)
+                        # the stack's denominators come from forward's Lam^T H,
+                        # the reference's from its own product: the same bits
+                        assert (stack.inverse_denominators[l].tobytes()
+                                == ref.inverse_denominators[l].tobytes())
+                        if step.uses_adjacency:
+                            assert stack.lambdas[l] is graph.adjacency
+                            assert stack.edges[l] is graph.edge_index
+                        else:
+                            if diagonal is None:
+                                diagonal = stack.edges[l]
+                            assert stack.edges[l] is diagonal
+                    assert gin == (diagonal is not None)
 
 
 @pytest.mark.parametrize("width", [None, 3])
@@ -238,9 +263,9 @@ def test_column_sums_in_zero_one(seed, gamma):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.booleans(), st.booleans(),
        st.sampled_from([0.0, 0.3, 0.6, 1.0]))
-def test_slices_and_entries_equal_dense_tensor(seed, stabilize, kill_unit, edge_prob):
+def test_slices_and_entries_equal_dense_tensor(seed, weighted, kill_unit, edge_prob):
     model, graph, _, _ = random_instance(m=4, dims=(2, 3, 3, 2), seed=seed,
-                                         edge_prob=edge_prob)
+                                         edge_prob=edge_prob, weighted=weighted)
     unit = seed % 3
     if kill_unit:
         # a zero weight column zeroes step 1's denominator column and leaves
@@ -253,21 +278,19 @@ def test_slices_and_entries_equal_dense_tensor(seed, stabilize, kill_unit, edge_
     acts = forward(model, graph)
     stack = build_propagation(model, graph, acts,
                               GammaSchedule.constant(1.0, model.num_steps),
-                              int(np.argmax(acts.logits)), stabilize=stabilize)
+                              int(np.argmax(acts.logits)))
     if kill_unit:
         assert not stack.hidden[2][:, unit].any()
-        # its step-1 denominator column is 0: a zero inverse, or 1 / EPS_STAB
-        np.testing.assert_array_equal(stack.inverse_denominators[1][:, unit],
-                                      1.0 / EPS_STAB if stabilize else 0.0)
+        # its step-1 denominator column is 0, so its inverse is 0
+        np.testing.assert_array_equal(stack.inverse_denominators[1][:, unit], 0.0)
     dense = [dense_tensor(stack, l) for l in range(stack.num_steps)]
     for l in range(stack.num_steps):
         for m in range(stack.num_nodes):
             for mp in range(stack.num_nodes):
                 np.testing.assert_allclose(stack.slice(l, m, mp), dense[l][m, :, mp, :],
                                            rtol=1e-12, atol=1e-12)
-        if not stabilize:
-            sums = dense[l].sum(axis=(0, 1))
-            assert np.all((np.abs(sums) <= 1e-9) | (np.abs(sums - 1.0) <= 1e-9))
+        sums = dense[l].sum(axis=(0, 1))
+        assert np.all((np.abs(sums) <= 1e-9) | (np.abs(sums - 1.0) <= 1e-9))
     rng = np.random.default_rng(seed)
     for _ in range(20):
         l = int(rng.integers(stack.num_steps))

@@ -6,7 +6,7 @@ import pytest
 
 from relwalk import (
     GammaSchedule,
-    PropagationStack,
+    Graph,
     amp_ave_basic,
     amp_ave_topk,
     build_message_table,
@@ -22,7 +22,8 @@ from relwalk import (
     predicted_target,
     random_graph,
 )
-from helpers import assert_topk_equivalent, headed_instance, random_instance
+from helpers import (assert_topk_equivalent, headed_instance, random_instance, scale_edges,
+                     stack_from_factors)
 
 SEARCHES = {"amp": (amp_ave_basic, amp_ave_topk), "emp": (emp_neu_basic, emp_neu_topk)}
 
@@ -62,7 +63,7 @@ def test_step_without_edges_leaves_no_walk():
     lambdas = [np.ones((3, 3)), np.zeros((3, 3))]
     hidden = [np.ones((3, 2)), np.ones((3, 2))]
     wups = [np.ones((2, 2)), np.ones((2, 2))]
-    stack = PropagationStack(lambdas, hidden, wups, np.ones((3, 2)))
+    stack = stack_from_factors(lambdas, hidden, wups, np.ones((3, 2)))
     assert stack.edges[1][0].size == 0
     build_message_table(stack)
     table = build_node_message_table(stack)
@@ -73,21 +74,24 @@ def test_step_without_edges_leaves_no_walk():
         assert not result.extracted and result.exhausted
 
 
-@pytest.mark.parametrize("stabilize", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("task", ["graph", "node"])
-def test_gin_identity_steps_match_oracles(task, stabilize):
+def test_gin_identity_steps_match_oracles(task, weighted):
     # a GIN block expands into a step over Lambda and a node-local step whose
-    # edge list is the diagonal; both searches must agree with the oracles
+    # edge list is the diagonal; both searches must agree with the oracles,
+    # also when Lambda's entries are not all 1
     m = 5
     extractions = 0
     for seed in range(10):
         graph = random_graph(m, 3, 0.5, np.random.default_rng(seed))
+        if weighted:
+            graph = Graph(scale_edges(graph.adjacency, seed), graph.features)
         model = init_model([3, 3, 3], 2, task=task, seed=seed, gin=True)
         acts = forward(model, graph)
         target = predicted_target(model, acts) if task == "graph" else seed % m
         stack = build_propagation(model, graph, acts,
                                   GammaSchedule.linear_decay(3.0, model.num_steps),
-                                  target, stabilize=stabilize)
+                                  target)
         for l, step in enumerate(model.steps):
             if not step.uses_adjacency:
                 rows, cols = stack.edges[l]
