@@ -21,20 +21,22 @@ ranks it by that relevance and reports the same counters.
 
 The step objective factorizes over {Lambda, H, Wup}, the propagation
 stack's only representation, and is maximized along the stack's edge
-list with EMP-neu's reduction (propagation.first_max_over_edges), so a
+list with EMP-neu's reduction (propagation.segment_first_max), so a
 step costs O(E N + M N^2) time and no dense transition tensor or M x M
-objective is ever built.
+objective is ever built.  A subset after a prefix scores only the
+successors of the prefix's last node.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .oracle import ScoredWalk
-from .propagation import PropagationStack, first_max_over_edges
+from .propagation import PropagationStack, edge_segments, segment_first_max
 from .splitting import SplitResult, pick, split_topk
 
 
@@ -59,7 +61,10 @@ class NodeMessageTable:
     support (False only where no such continuation exists; mu[l][m] is
     then 0).  complete[-1] is that support itself: the nodes whose row of
     R^(L) is nonzero, so the last node of every completion carries
-    relevance.  Every array is (M,) or (M, N_l).
+    relevance.  Every array is (M,) or (M, N_l).  successors[l] holds the
+    edges of step l whose completion from m' is complete, as CSR: (row
+    pointers as a Python array, cols, Lambda values); a node's
+    continuations at layer l + 1 are its row.
     """
 
     # perfbench's traced ampave.objective_bytes sums `table.objective`; no
@@ -70,17 +75,19 @@ class NodeMessageTable:
     step: tuple[np.ndarray, ...]
     scaled: tuple[np.ndarray, ...]
     complete: tuple[np.ndarray, ...]
+    successors: tuple[tuple[array, np.ndarray, np.ndarray], ...]
 
 
 def edge_objective(stack: PropagationStack, l: int, scaled: np.ndarray,
-                   rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+                   rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Step objective sum_{n_l, n_{l+1}} T^(l)[m, :, m', :] mu_next[m'] at
-    the edges (m, m') = (rows, cols), from scaled = mu_next times the
-    guarded inverse denominators of step l: O(E N) after one O(M N^2)
-    product.  Equal to contracting the dense tensor of oracle.dense_tensor.
+    the edges (m, m') = (rows, cols), where Lambda^(l) holds values, from
+    scaled = mu_next times the guarded inverse denominators of step l:
+    O(E N) after one O(M N^2) product.  Equal to contracting the dense
+    tensor of oracle.dense_tensor.
     """
     hw = stack.hidden[l] @ stack.wups[l]                        # (M, N_{l+1})
-    return stack.lambdas[l][rows, cols] * np.einsum("ej,ej->e", hw[rows], scaled[cols])
+    return values * np.einsum("ej,ej->e", hw[rows], scaled[cols])
 
 
 def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:
@@ -90,23 +97,30 @@ def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:
     step = [None] * stack.num_steps
     scaled = [None] * stack.num_steps
     complete = [None] * (stack.num_steps + 1)
+    successors = [None] * stack.num_steps
     mu[-1] = stack.output_relevance
     complete[-1] = np.any(stack.output_relevance != 0, axis=1)
     for l in range(stack.num_steps - 1, -1, -1):
         scaled[l] = mu[l + 1] * stack.inverse_denominators[l]   # (M, N_{l+1})
         rows, cols = stack.edges[l]
         keep = complete[l + 1][cols]
-        rows, cols = rows[keep], cols[keep]
-        heads, _, first = first_max_over_edges(
-            rows, edge_objective(stack, l, scaled[l], rows, cols))
+        rows, cols, values = rows[keep], cols[keep], stack.edge_values[l][keep]
+        successors[l] = (array("q", np.searchsorted(rows, np.arange(m + 1)).astype(np.int64)
+                                    .tobytes()),
+                         cols, values)
+        heads, starts, segment = edge_segments(rows)
+        _, first = segment_first_max(edge_objective(stack, l, scaled[l], rows, cols, values),
+                                     starts, segment)
         step[l] = np.zeros(m, dtype=np.intp)
         step[l][heads] = cols[first]
         complete[l] = np.zeros(m, dtype=bool)
         complete[l][heads] = True
-        lam_sel = np.where(complete[l], stack.lambdas[l][np.arange(m), step[l]], 0.0)
+        lam_sel = np.zeros(m)
+        lam_sel[heads] = values[first]
         wq = scaled[l] @ stack.wups[l].T            # (M, N_l)
         mu[l] = lam_sel[:, None] * stack.hidden[l] * wq[step[l]]
-    return NodeMessageTable(tuple(mu), tuple(step), tuple(scaled), tuple(complete))
+    return NodeMessageTable(tuple(mu), tuple(step), tuple(scaled), tuple(complete),
+                            tuple(successors))
 
 
 def amp_ave_basic(stack: PropagationStack) -> ScoredWalk | None:
@@ -120,35 +134,34 @@ def amp_ave_basic(stack: PropagationStack) -> ScoredWalk | None:
     return None if best is None else ScoredWalk(best[1], best[0])
 
 
-def candidate_scores(stack: PropagationStack, table: NodeMessageTable,
-                     prefix: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    """Relevance of every node at the free position, completed greedily
-    along the message-table argmax steps and scored from the folded prefix
-    and table.scaled, with scale 1.0.
+def candidate_scores(stack: PropagationStack, table: NodeMessageTable, prefix: tuple[int, ...]
+                     ) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """Relevance of every candidate node at the free position, completed
+    greedily along the message-table argmax steps and scored from the
+    folded prefix and table.scaled, with scale 1.0.
 
-    A node scores -inf unless it is reached from the last prefix node by
-    an edge (Lambda != 0) and its completion follows edges and ends on
-    R^(L)'s support, so every representative is such a walk.  Scoring all
-    free-position candidates (rather than only the single surrogate-argmax
-    one) keeps the approximate search from burying high-relevance walks
-    behind weak representatives.
+    After a prefix the candidates are the successors of its last node
+    (Lambda != 0) whose completion follows edges and ends on R^(L)'s
+    support (table.successors), so a subset costs O(out-degree N) beyond
+    its fold; at the root they are all nodes, and those whose completion
+    does not score -inf.  So every representative is such a walk.
+    Scoring all free-position candidates (rather than only the single
+    surrogate-argmax one) keeps the approximate search from burying
+    high-relevance walks behind weak representatives.
     """
     i = len(prefix)
-    allowed = table.complete[i]
     if i == 0:
-        scores = table.mu[0].sum(axis=1)
-    else:
-        # fold the prefix chain into a single row vector, then score all
-        # candidates at the free position in one vectorized step
-        row = np.ones(stack.dims[0])
-        for l in range(i - 1):
-            row = row @ stack.slice(l, prefix[l], prefix[l + 1])
-        p = prefix[-1]
-        contrib = (row * stack.hidden[i - 1][p]) @ stack.wups[i - 1]  # (N_i,)
-        lam = stack.lambdas[i - 1][p]
-        scores = lam * (table.scaled[i - 1] @ contrib)
-        allowed = allowed & (lam != 0)
-    return np.where(allowed, scores, -np.inf), 1.0
+        return None, np.where(table.complete[0], table.mu[0].sum(axis=1), -np.inf), 1.0
+    # fold the prefix chain into a single row vector, then score the
+    # successors of its last node in one vectorized step
+    row = np.ones(stack.hidden[0].shape[1])
+    for l in range(i - 1):
+        row = row @ stack.slice(l, prefix[l], prefix[l + 1])
+    p = prefix[-1]
+    contrib = (row * stack.hidden[i - 1][p]) @ stack.wups[i - 1]  # (N_i,)
+    ptr, cols, lam = table.successors[i - 1]
+    cols, lam = cols[ptr[p]:ptr[p + 1]], lam[ptr[p]:ptr[p + 1]]
+    return cols, lam * (table.scaled[i - 1][cols] @ contrib), 1.0
 
 
 def amp_ave_topk(

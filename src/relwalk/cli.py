@@ -243,7 +243,10 @@ def _load_dataset(path: str) -> tuple[list[Graph], str]:
     p = Path(path)
     if p.is_dir():
         manifest = json.loads((p / "manifest.json").read_text())
-        return [load_graph(p / f) for f in manifest["files"]], "graph"
+        files = manifest.get("files") if isinstance(manifest, dict) else None
+        if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
+            raise ModelFormatError(f"{p / 'manifest.json'}: 'files' must be a list of file names")
+        return [load_graph(p / f) for f in files], "graph"
     scenario = InfectionScenario.load(p)
     return [scenario.graph], "node"
 

@@ -146,14 +146,25 @@ class InfectionScenario:
         for key in ("graph", "carriers", "lambda", "steps", "labels", "chains"):
             if key not in data:
                 raise ModelFormatError(f"scenario: {key!r} missing")
-        return cls(
-            graph=graph_from_dict(data["graph"]),
-            carriers=list(data["carriers"]),
-            lam=float(data["lambda"]),
-            steps=int(data["steps"]),
-            labels=np.asarray(data["labels"], dtype=bool),
-            chains={int(k): list(v) for k, v in data["chains"].items()},
-        )
+        graph = graph_from_dict(data["graph"])
+        m = graph.num_nodes
+        carriers, labels, chains = data["carriers"], data["labels"], data["chains"]
+        if not _node_list(carriers, m):
+            raise ModelFormatError("scenario: 'carriers' must be a list of node indices")
+        if not isinstance(labels, list) or len(labels) != m:
+            raise ModelFormatError("scenario: 'labels' must be a list with one entry per node")
+        try:
+            chains = {int(k): v for k, v in chains.items()} if isinstance(chains, dict) else None
+        except ValueError:
+            chains = None
+        if chains is None or not _node_list(list(chains), m) or not all(
+                _node_list(c, m) for c in chains.values()):
+            raise ModelFormatError("scenario: 'chains' must be an object of node-index lists")
+        try:
+            lam, steps = float(data["lambda"]), int(data["steps"])
+        except (TypeError, ValueError) as exc:
+            raise ModelFormatError(f"scenario: 'lambda' or 'steps' not a number: {exc}") from exc
+        return cls(graph, carriers, lam, steps, np.asarray(labels, dtype=bool), chains)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -163,6 +174,13 @@ class InfectionScenario:
     def load(cls, path) -> "InfectionScenario":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _node_list(value, m: int) -> bool:
+    """Whether value is a JSON list of node indices in range(m)."""
+    return isinstance(value, list) and all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < m
+        for v in value)
 
 
 def _er_directed(m: int, mean_out_degree: float, rng: np.random.Generator) -> np.ndarray:

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .oracle import ScoredWalk, neuron_walk_relevance
-from .propagation import PropagationStack, first_max_over_edges
+from .propagation import PropagationStack, edge_segments, segment_first_max
 from .splitting import SplitResult, pick, split_topk
 
 
@@ -71,19 +71,25 @@ def build_message_table(stack: PropagationStack) -> MessageTable:
         n_l, n_next = dims[l], dims[l + 1]
         nu = mu[l + 1].reshape(m, n_next) * np.abs(stack.inverse_denominators[l])
         factors[l] = nu
-        inner_scored = np.abs(stack.wups[l])[None, :, :] * nu[:, None, :]  # (M', N_l, N_l+1)
-        inner = np.argmax(inner_scored, axis=2)                           # (M', N_l)
-        g = np.take_along_axis(inner_scored, inner[:, :, None], axis=2)[:, :, 0]
+        rows, cols = stack.edges[l]
+        heads, starts, segment = edge_segments(rows)
+        weights = np.abs(stack.edge_values[l])
+        inner = np.empty((m, n_l), dtype=np.intp)
         outer = np.zeros((m, n_l), dtype=np.intp)
         best = np.zeros((m, n_l))
-        rows, cols = stack.edges[l]
-        scored = np.abs(stack.lambdas[l][rows, cols])[:, None] * g[cols]  # (E, N_l)
-        heads, row_best, first = first_max_over_edges(rows, scored)
-        best[heads] = row_best
-        outer[heads] = cols[first]
+        # one n at a time, so no temporary holds more than M N or E values
+        for n, w in enumerate(np.abs(stack.wups[l])):
+            inner_scored = w[None, :] * nu                                # (M', N_l+1)
+            inner[:, n] = np.argmax(inner_scored, axis=1)
+            g = inner_scored[np.arange(m), inner[:, n]]                   # (M',)
+            best[heads, n], first = segment_first_max(g[cols] * weights, starts, segment)
+            outer[heads, n] = cols[first]
         outer[best == 0] = 0
         mu[l] = (np.abs(stack.hidden[l]) * best).reshape(sizes[l])
-        step[l] = (outer * n_next + inner[outer, np.arange(n_l)]).reshape(sizes[l])
+        inner = inner[outer, np.arange(n_l)]
+        outer *= n_next
+        outer += inner
+        step[l] = outer.reshape(sizes[l])
     return MessageTable(tuple(mu), tuple(step), tuple(factors), stack)
 
 
@@ -98,27 +104,39 @@ def _prefix_factor(table: MessageTable, prefix: tuple[int, ...]) -> float:
     return value
 
 
-def _scored_row(table: MessageTable, l: int, pair: int) -> np.ndarray:
-    """|T^(l)[m, n, :, :]| * mu[l + 1] for pair = (m, n), flat over (m', n')."""
+def _scored_row(table: MessageTable, l: int, pair: int) -> tuple[np.ndarray, np.ndarray]:
+    """|T^(l)[m, n, m', :]| * mu[l + 1] for pair = (m, n) and the successors
+    m' of m: the flat (m', n') pairs, ascending, and their values."""
     stack = table.stack
-    m, n = divmod(pair, stack.dims[l])
-    lam = np.abs(stack.lambdas[l][m])
+    dims = stack.dims
+    n_next = dims[l + 1]
+    m, n = divmod(pair, dims[l])
+    cols, lam = stack.out_edges(l, m)
     w = np.abs(stack.wups[l][n])
-    row = abs(stack.hidden[l][m, n]) * (lam[:, None] * (w[None, :] * table.factors[l]))
-    return row.reshape(-1)
+    row = abs(stack.hidden[l][m, n]) * (np.abs(lam)[:, None]
+                                        * (w[None, :] * table.factors[l][cols]))
+    return (cols[:, None] * n_next + np.arange(n_next)).reshape(-1), row.reshape(-1)
 
 
-def candidate_scores(table: MessageTable, prefix: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    """Best absolute continuation value of every pair at layer len(prefix)
-    after the flat-pair prefix, and the prefix's absolute factor as scale.
+def candidate_scores(table: MessageTable, prefix: tuple[int, ...]
+                     ) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """Best absolute continuation value of every candidate pair at layer
+    len(prefix) after the flat-pair prefix, and the prefix's absolute
+    factor as scale.
 
-    Maximization happens only at the free layer; everything downstream
-    is read from the argmax step mappings.  The max-product is exact, so
-    a value of 0 means every walk through that pair has relevance 0: it
-    scores -inf, and a subset left with none counts as empty.
+    After a prefix the candidates are the pairs on the successors of its
+    last node, so a subset costs O(out-degree N) beyond its prefix
+    factor; at the root they are all pairs.  Maximization happens only at
+    the free layer; everything downstream is read from the argmax step
+    mappings.  The max-product is exact, so a value of 0 means every walk
+    through that pair has relevance 0: it scores -inf, and a subset left
+    with none counts as empty.
     """
-    row = table.mu[0] if not prefix else _scored_row(table, len(prefix) - 1, prefix[-1])
-    return np.where(row == 0, -np.inf, row), _prefix_factor(table, prefix)
+    if prefix:
+        values, row = _scored_row(table, len(prefix) - 1, prefix[-1])
+    else:
+        values, row = None, table.mu[0]
+    return values, np.where(row == 0, -np.inf, row), _prefix_factor(table, prefix)
 
 
 def _pairs_to_walk(stack: PropagationStack, pairs: tuple[int, ...]) -> ScoredWalk:

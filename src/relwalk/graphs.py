@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * ``Lambda`` is the modified adjacency matrix (self-loops included).
   ``Lambda[u, v] != 0`` means node ``u`` sends messages to node ``v``;
   for undirected graphs the matrix is symmetric and the distinction is
-  irrelevant.
+  irrelevant.  A ``Graph`` holds it as CSR arrays, and as a dense matrix
+  only when it was built from one.
 * A GIN-style block with a two-layer MLP combine is expanded into two
   propagation steps: the first mixes over ``Lambda``, the second is an
   intra-node (identity adjacency) step.
@@ -30,41 +31,119 @@ class ModelFormatError(ValueError):
     """Malformed model or graph file."""
 
 
-@dataclass(frozen=True)
 class Graph:
-    """A graph instance to be explained.
+    """A graph instance to be explained: Lambda and the M x N0 node features.
 
-    adjacency is the modified adjacency Lambda (self-loops included),
-    features is the M x N0 initial node feature matrix.
+    Lambda, the modified adjacency (self-loops included), is always held
+    as row-major CSR arrays, csr = (indptr, indices, data): row m's
+    nonzeros sit at indptr[m]:indptr[m + 1], in column order.  A graph
+    built from a matrix, Graph(adjacency, features), also keeps that
+    matrix and aggregates with the dense (BLAS) product.  A graph built
+    from its CSR arrays, Graph.from_csr (the JSON edge-list form), never
+    holds an M x M array: it aggregates with a segment sum, and adjacency
+    densifies on demand without caching, so the product a graph uses
+    follows only the form it was built from.
     """
 
-    adjacency: np.ndarray
-    features: np.ndarray
-    label: int | np.ndarray | None = None
-
-    def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=float)
-        feats = np.asarray(self.features, dtype=float)
+    def __init__(self, adjacency, features, label: int | np.ndarray | None = None):
+        adj = np.asarray(adjacency, dtype=float)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ShapeError(f"adjacency must be square, got {adj.shape}")
-        if feats.ndim != 2 or feats.shape[0] != adj.shape[0]:
-            raise ShapeError(
-                f"features rows ({feats.shape}) must match adjacency dim {adj.shape[0]}"
-            )
+        self._set_features(adj.shape[0], features, label)
         if np.any(adj < 0):
             raise ShapeError("adjacency entries must be nonnegative")
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "features", feats)
+        self._matrix = adj
+
+    @classmethod
+    def from_csr(cls, indptr, indices, data, features,
+                 label: int | np.ndarray | None = None) -> "Graph":
+        """Graph from Lambda's row-major CSR arrays: positive data, indices
+        ascending within each row; no M x M array is built."""
+        indptr = np.asarray(indptr, dtype=np.intp)
+        indices = np.asarray(indices, dtype=np.intp)
+        data = np.asarray(data, dtype=float)
+        if (indptr.ndim != 1 or indptr.size < 1 or indptr[0] != 0
+                or np.any(np.diff(indptr) < 0) or indices.shape != (indptr[-1],)
+                or data.shape != indices.shape):
+            raise ShapeError("CSR arrays do not fit together")
+        m = indptr.size - 1
+        rows = np.repeat(np.arange(m), np.diff(indptr))
+        if (np.any((indices < 0) | (indices >= m))
+                or np.any((np.diff(indices) <= 0) & (np.diff(rows) == 0))):
+            raise ShapeError("CSR indices must be in range and ascending within each row")
+        if not np.all(data > 0):
+            raise ShapeError("CSR data must be positive")
+        graph = cls.__new__(cls)
+        graph._set_features(m, features, label)
+        graph._matrix = None
+        # given here, so the cached properties never read a matrix
+        graph.csr = (indptr, indices, data)
+        graph.edge_index = (rows, indices)
+        return graph
+
+    def _set_features(self, m: int, features, label) -> None:
+        feats = np.asarray(features, dtype=float)
+        if feats.ndim != 2 or feats.shape[0] != m:
+            raise ShapeError(f"features rows ({feats.shape}) must match adjacency dim {m}")
+        self.features = feats
+        self.label = label
 
     @property
     def num_nodes(self) -> int:
-        return self.adjacency.shape[0]
+        return self.features.shape[0]
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, data) of Lambda; read off the matrix once per
+        graph built from one."""
+        rows, cols = np.nonzero(self._matrix)
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=self.num_nodes), out=indptr[1:])
+        return indptr, cols, self._matrix[rows, cols]
 
     @cached_property
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row-major (rows, cols) of Lambda's nonzeros, self-loops included;
-        scanned once per graph and shared by every stack built on it."""
-        return np.nonzero(self.adjacency)
+        """Row-major (rows, cols) of Lambda's nonzeros, self-loops included:
+        the CSR arrays with each edge's row spelled out, shared by every
+        stack built on this graph."""
+        indptr, indices, _ = self.csr
+        return np.repeat(np.arange(self.num_nodes), np.diff(indptr)), indices
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Lambda as an M x M matrix: the one the graph was built from, or a
+        fresh densification of the CSR arrays (for oracles and tests)."""
+        if self._matrix is not None:
+            return self._matrix
+        rows, cols = self.edge_index
+        lam = np.zeros((self.num_nodes, self.num_nodes))
+        lam[rows, cols] = self.csr[2]
+        return lam
+
+    def aggregate(self, h: np.ndarray) -> np.ndarray:
+        """Lambda^T h: node v receives sum_u Lambda[u, v] h[u]."""
+        if self._matrix is not None:
+            return self._matrix.T @ h
+        rows, cols = self.edge_index
+        return _segment_sum(cols, h[rows], self.num_nodes, self.csr[2])
+
+    def aggregate_adjoint(self, g: np.ndarray) -> np.ndarray:
+        """Lambda g, the adjoint of aggregate (the backward pass of training)."""
+        if self._matrix is not None:
+            return self._matrix @ g
+        rows, cols = self.edge_index
+        return _segment_sum(rows, g[cols], self.num_nodes, self.csr[2])
+
+
+def _segment_sum(targets: np.ndarray, values: np.ndarray, m: int,
+                 weights: np.ndarray) -> np.ndarray:
+    """M x N sums of the rows of values (E x N, a fresh gather, scaled in
+    place) times weights (E,) by their target node, as one bincount over
+    the flat keys target * N + n."""
+    values *= weights[:, None]
+    n = values.shape[1]
+    keys = (targets[:, None] * n + np.arange(n)).ravel()
+    return np.bincount(keys, weights=values.ravel(), minlength=m * n).reshape(m, n)
 
 
 def modified_adjacency(a: np.ndarray, normalize: bool = False) -> np.ndarray:
@@ -225,7 +304,7 @@ def forward(model: GnnModel, graph: Graph) -> Activations:
     hidden = [h]
     aggregated = []
     for s, step in enumerate(model.steps):
-        z = graph.adjacency.T @ h if step.uses_adjacency else h
+        z = graph.aggregate(h) if step.uses_adjacency else h
         pre = z @ step.weight
         if pre.shape[1] != step.weight.shape[1]:  # pragma: no cover - defensive
             raise ShapeError(f"step {s} produced shape {pre.shape}")
@@ -342,13 +421,12 @@ def graph_to_dict(graph: Graph) -> dict:
     out: dict = {"num_nodes": graph.num_nodes, "features": graph.features.tolist(), "label": label}
     # The edge-list form can only represent unweighted A + I adjacencies;
     # anything else (e.g. degree-normalized) must round-trip densely.
-    a = graph.adjacency
-    binary_with_loops = np.all(np.diag(a) == 1.0) and set(np.unique(a)) <= {0.0, 1.0}
-    if not binary_with_loops:
-        out["dense"] = a.tolist()
+    rows, cols = graph.edge_index
+    loops = rows == cols
+    if np.count_nonzero(loops) == graph.num_nodes and np.all(graph.csr[2] == 1.0):
+        out["edges"] = np.column_stack([rows[~loops], cols[~loops]]).tolist()
     else:
-        rows, cols = graph.edge_index
-        out["edges"] = [[i, j] for i, j in zip(rows.tolist(), cols.tolist()) if i != j]
+        out["dense"] = graph.adjacency.tolist()
     return out
 
 
@@ -360,6 +438,8 @@ def graph_from_dict(data: dict) -> Graph:
         m = int(data["num_nodes"])
     except (TypeError, ValueError) as exc:
         raise ModelFormatError("num_nodes: not an integer") from exc
+    if m < 0:
+        raise ModelFormatError("num_nodes: must be >= 0")
     if "dense" in data:
         # dense form stores the modified adjacency Lambda verbatim
         lam = _matrix(data["dense"], "dense")
@@ -379,9 +459,14 @@ def graph_from_dict(data: dict) -> Graph:
         bad = np.flatnonzero(((edges < 0) | (edges >= m)).any(axis=1))
         if bad.size:
             raise ModelFormatError(f"edges[{bad[0]}]: node index out of range")
-        a = np.zeros((m, m))
-        a[edges[:, 0], edges[:, 1]] = 1.0
-        lam = modified_adjacency(a)
+        # Lambda = A + I straight as CSR, row-major: each listed pair of A
+        # once, plus the diagonal, where a listed [i, i] makes Lambda[i, i] 2
+        pairs = np.unique(edges[:, 0] * m + edges[:, 1])
+        keys = np.union1d(pairs, np.arange(m) * (m + 1))
+        rows, cols = np.divmod(keys, m)
+        values = 1.0 + ((rows == cols) & np.isin(keys, pairs))
+        csr = (np.searchsorted(rows, np.arange(m + 1)), cols, values)
+        lam = None
     else:
         raise ModelFormatError("graph needs either 'edges' or 'dense'")
     if "features" not in data:
@@ -390,6 +475,8 @@ def graph_from_dict(data: dict) -> Graph:
     label = data.get("label")
     if isinstance(label, list):
         label = np.asarray(label)
+    if lam is None:
+        return Graph.from_csr(*csr, feats, label)
     return Graph(lam, feats, label)
 
 

@@ -11,17 +11,21 @@ are zeroed so the column sum stays exactly in {0, 1}.
 
 The stack is always kept factorized as {Lam, H, Wup} plus one guarded
 inverse denominator per step, with entries and (m, m') slices on demand.
-build_propagation takes Lam^T H from forward and the edge lists from the
-graph's edge_index, so a target costs O(L M N^2) time beyond its output
-relevance.  The dense 4-index tensor, O(M^2 N^2) per step, is never built
-here; the brute-force oracle builds its own (oracle.dense_tensor) as the
-independent reference.  Both searches maximize over a node's edges with
-first_max_over_edges on the stack's per-step edge lists.
+Lam is kept only at its nonzeros, as the graph's CSR arrays, so no stack
+holds an M x M array.  build_propagation takes Lam^T H from forward and
+the edge lists from the graph, so a target costs O(L M N^2) time beyond
+its output relevance.  The dense 4-index tensor, O(M^2 N^2) per step, is
+never built here; the brute-force oracle builds its own
+(oracle.dense_tensor) as the independent reference.  Both searches maximize over a node's edges with
+segment_first_max on the stack's per-step edge lists.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,17 +95,19 @@ class PropagationStack:
     """Factorized per-step transitions plus output-layer relevance.
 
     Holds {Lam, H, Wup} per step and serves entries and slices of T^(l)
-    from them; the constructor only stores what it is given.
-    edges[l] is the row-major (rows, cols) edge list of Lam^(l), its
-    entries != 0.  inverse_denominators[l] is the guarded 1 / den^(l),
-    0 on the zeroed columns (|den| < EPS_STAB).  In a stack from
-    build_propagation, the steps over the adjacency share the graph's
-    edge_index, and the node-local steps share one identity and one
-    diagonal edge list.
+    from them; the constructor only stores what it is given.  Lam^(l) is
+    held only at its nonzeros: edges[l] is their row-major (rows, cols)
+    list, edge_values[l] the values there, and row m's edges sit at
+    row_pointers[l][m]:row_pointers[l][m + 1], in column order.
+    inverse_denominators[l] is the guarded 1 / den^(l), 0 on the zeroed
+    columns (|den| < EPS_STAB).  In a stack from build_propagation, the
+    steps over the adjacency share the graph's CSR arrays, and the
+    node-local steps share one diagonal with unit values.
     """
 
-    lambdas: list[np.ndarray]                   # Lam used by step l (adjacency or identity)
     edges: list[tuple[np.ndarray, np.ndarray]]  # row-major nonzeros of each Lam
+    edge_values: list[np.ndarray]               # Lam^(l) at edges[l]
+    row_pointers: list[np.ndarray]              # CSR row pointers of edges[l]
     hidden: list[np.ndarray]                    # H^(0) .. H^(L-1): inputs of each step
     wups: list[np.ndarray]                      # modified weights per step
     inverse_denominators: list[np.ndarray]      # guarded 1 / den^(l), M x N^(l+1)
@@ -122,48 +128,84 @@ class PropagationStack:
     def num_nodes(self) -> int:
         return self.hidden[0].shape[0]
 
-    @property
+    @cached_property
     def dims(self) -> list[int]:
         """Feature dimension per layer, length num_steps + 1."""
         return [h.shape[1] for h in self.hidden] + [self.wups[-1].shape[1]]
+
+    # -- Lam access -----------------------------------------------------------
+
+    def out_edges(self, l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, values) of row m of Lam^(l): m's successors, in column order."""
+        ptr = self._python_rows[l][0]
+        lo, hi = ptr[m], ptr[m + 1]
+        return self.edges[l][1][lo:hi], self.edge_values[l][lo:hi]
+
+    @cached_property
+    def _python_rows(self) -> list[tuple[array, array, array]]:
+        """(row pointers, cols, values) of each step as Python arrays, whose
+        items read as Python scalars, for scalar reads by bisection; built
+        once per distinct edge list."""
+        built = {}
+        out = []
+        for ptr, (_, cols), values in zip(self.row_pointers, self.edges, self.edge_values):
+            key = (id(ptr), id(cols), id(values))
+            if key not in built:
+                built[key] = (array("q", ptr.astype(np.int64).tobytes()),
+                              array("q", cols.astype(np.int64).tobytes()),
+                              array("d", values.astype(float).tobytes()))
+            out.append(built[key])
+        return out
+
+    def lam(self, l: int, m: int, mp: int) -> float:
+        """Lam^(l)[m, m'], 0 off the edges: a bisection in row m."""
+        ptr, cols, values = self._python_rows[l]
+        hi = ptr[m + 1]
+        i = bisect_left(cols, mp, ptr[m], hi)
+        return values[i] if i < hi and cols[i] == mp else 0.0
 
     # -- entry access -------------------------------------------------------
 
     def entry(self, l: int, m: int, n: int, mp: int, np_: int) -> float:
         """Single on-demand entry T^(l)[m, n, m', n']."""
-        return float(self.lambdas[l][m, mp] * self.hidden[l][m, n] * self.wups[l][n, np_]
+        return float(self.lam(l, m, mp) * self.hidden[l][m, n] * self.wups[l][n, np_]
                      * self.inverse_denominators[l][mp, np_])
 
     def slice(self, l: int, m: int, mp: int) -> np.ndarray:
         """T^(l)[m, :, m', :] as an N_l x N_{l+1} matrix."""
         return (
-            self.lambdas[l][m, mp]
+            self.lam(l, m, mp)
             * self.hidden[l][m][:, None]
             * self.wups[l]
             * self.inverse_denominators[l][mp][None, :]
         )
 
 
-def first_max_over_edges(rows: np.ndarray, scored: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First maximum of scored over each row's edges, as a segment reduction.
-
-    rows holds the row of each edge of a row-major edge list (as in
-    PropagationStack.edges, possibly filtered), scored its (E,) or (E, K)
-    values.  Returns (heads, best, first) for the rows with at least one
-    edge, in ascending order: best is each row's max over its edges, and
-    first the position in the edge list of the first edge reaching it.
-    Edges within a row come in column order, so cols[first] is the first
-    maximizing column.  An empty edge list gives empty arrays.
-    """
+def edge_segments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(heads, starts, segment) of a row-major edge list's rows (as in
+    PropagationStack.edges, possibly filtered): the rows with at least
+    one edge, in ascending order, the position of each one's first edge,
+    and each edge's index into heads.  An empty edge list gives empty
+    arrays."""
     new_row = np.diff(rows, prepend=-1) != 0
     starts = np.flatnonzero(new_row)
-    segment = np.cumsum(new_row) - 1
-    best = np.maximum.reduceat(scored, starts, axis=0)
-    position = np.arange(rows.size).reshape((-1,) + (1,) * (scored.ndim - 1))
-    first = np.minimum.reduceat(np.where(scored == best[segment], position, rows.size),
-                                starts, axis=0)
-    return rows[starts], best, first
+    return rows[starts], starts, np.cumsum(new_row) - 1
+
+
+def segment_first_max(column: np.ndarray, starts: np.ndarray, segment: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """First maximum of one (E,) column of edge values over each row's
+    edges, as a segment reduction over edge_segments' starts and segment.
+
+    Returns (best, first) per head: the row's max over its edges, and the
+    position in the edge list of the first edge reaching it.  Edges within
+    a row come in column order, so cols[first] is the first maximizing
+    column.
+    """
+    best = np.maximum.reduceat(column, starts)
+    position = np.arange(column.size)
+    return best, np.minimum.reduceat(np.where(column == best[segment], position, column.size),
+                                     starts)
 
 
 def build_propagation(
@@ -190,13 +232,16 @@ def build_propagation(
             f"gamma schedule length {len(schedule)} != propagation depth {len(steps)}"
         )
     m = graph.num_nodes
-    identity = None if all(s.uses_adjacency for s in steps) else np.eye(m)
-    diagonal = (np.arange(m),) * 2
+    indptr, _, values = graph.csr
+    # node-local steps mix over Lam = I: the diagonal, unit values
+    diagonal, unit, diagonal_ptr = (np.arange(m),) * 2, np.ones(m), np.arange(m + 1)
     wups = [modified_weight(s.weight, g) for s, g in zip(steps, schedule.values)]
     dens = [z @ w for z, w in zip(acts.aggregated, wups)]     # (Lam^T H) Wup
+    adjacency = [s.uses_adjacency for s in steps]
     return PropagationStack(
-        lambdas=[graph.adjacency if s.uses_adjacency else identity for s in steps],
-        edges=[graph.edge_index if s.uses_adjacency else diagonal for s in steps],
+        edges=[graph.edge_index if a else diagonal for a in adjacency],
+        edge_values=[values if a else unit for a in adjacency],
+        row_pointers=[indptr if a else diagonal_ptr for a in adjacency],
         hidden=list(acts.hidden[:-1]),
         wups=wups,
         inverse_denominators=[

@@ -3,11 +3,14 @@ shared by both walk searches.
 
 A subset of the walk space is a prefix, fixing positions 0 .. i-1, and
 a set of values excluded at the free position i.  A search supplies only
-scores(prefix) -> (candidates, scale): a fresh array of one score per
-value at the free position (-inf where no walk continues) and the
-prefix's factor.  pick takes a subset's representative: its first
-non-excluded maximizer, completed through the search's argmax steps and
-ranked by scale times its score (None once the subset holds no walk).
+scores(prefix) -> (values, scores, scale): the ascending candidate
+values at the free position (None for every value, 0 .. len(scores) - 1;
+after a prefix, the successors of its last value), a fresh array of one
+score per candidate (-inf where no walk continues) and the prefix's
+factor.  Every other value holds no walk.  pick takes a subset's
+representative: its first non-excluded maximizer, completed through the
+search's argmax steps and ranked by scale times its score (None once the
+subset holds no walk).
 Live subsets wait in a heap keyed by (-priority, walk).  Popping the
 best one extracts its walk and splits the rest of the subset into at
 most L + 1 children: child j fixes the walk through position j - 1 and
@@ -29,7 +32,7 @@ import numpy as np
 from .oracle import ScoredWalk
 
 Walk = tuple[int, ...]
-Scorer = Callable[[Walk], tuple[np.ndarray, float]]
+Scorer = Callable[[Walk], tuple[np.ndarray | None, np.ndarray, float]]
 
 
 @dataclass
@@ -40,7 +43,7 @@ class SplitResult:
     extracted: list[ScoredWalk]       # top-K-tilde in extraction order
     exhausted: bool                   # the walk space ran out: every walk was extracted
     subsets_created: int
-    argmax_ops: int                   # candidates scored for every subset
+    argmax_ops: int                   # candidates scored, summed over subsets
 
     @property
     def k_tilde(self) -> int:
@@ -75,20 +78,23 @@ def _backtrack(step: Sequence, layer: int, start: int) -> list[int]:
     return path
 
 
-def pick(scores: np.ndarray, scale: float, step: Sequence, prefix: Walk,
-         excluded: frozenset) -> tuple[float, Walk] | None:
+def pick(values: np.ndarray | None, scores: np.ndarray, scale: float, step: Sequence,
+         prefix: Walk, excluded: frozenset) -> tuple[float, Walk] | None:
     """(scale * best score, walk) of a subset, or None if it holds no walk.
 
-    Sets the excluded entries of scores (a fresh array) to -inf and takes
-    the first maximizer, so ties go to the lowest value; scale stays
-    outside the argmax.
+    Sets the scores of the excluded values to -inf in scores (a fresh
+    array) and takes the first maximizer, so ties go to the lowest value;
+    scale stays outside the argmax.  Every excluded value is among the
+    candidates: it was an extracted walk's value after the same prefix.
     """
     if excluded:
-        scores[list(excluded)] = -np.inf
+        excluded = list(excluded)
+        scores[excluded if values is None else np.searchsorted(values, excluded)] = -np.inf
     j = int(np.argmax(scores))
     if scores[j] == -np.inf:
         return None
-    return scale * float(scores[j]), prefix + tuple(_backtrack(step, len(prefix), j))
+    start = j if values is None else int(values[j])
+    return scale * float(scores[j]), prefix + tuple(_backtrack(step, len(prefix), start))
 
 
 class Splitter:
@@ -106,9 +112,9 @@ class Splitter:
         self.subsets_created = int(self._push((), frozenset()))
 
     def _push(self, prefix: Walk, excluded: frozenset) -> bool:
-        candidates, scale = self.scores(prefix)
-        self.argmax_ops += candidates.size
-        best = pick(candidates, scale, self.step, prefix, excluded)
+        values, scores, scale = self.scores(prefix)
+        self.argmax_ops += scores.size
+        best = pick(values, scores, scale, self.step, prefix, excluded)
         if best is not None:
             heapq.heappush(self.heap, (-best[0], best[1], prefix, excluded))
         return best is not None

@@ -142,14 +142,14 @@ def _graph_loss_grads(model: GnnModel, graph: Graph):
         dh = dlogits @ head.T
 
     d_steps = [None] * len(steps)
-    lam_t = graph.adjacency  # z = Lambda^T h, so dh = Lambda dz
     for s in range(len(steps) - 1, -1, -1):
         mask = acts.hidden[s + 1] > 0
         dpre = dh * mask
         z = acts.aggregated[s]
         d_steps[s] = z.T @ dpre
         dz = dpre @ steps[s].weight.T
-        dh = lam_t @ dz if steps[s].uses_adjacency else dz
+        # z = Lambda^T h, so dh = Lambda dz
+        dh = graph.aggregate_adjoint(dz) if steps[s].uses_adjacency else dz
     return float(loss), d_steps + [d_head], acts
 
 

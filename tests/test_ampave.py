@@ -26,7 +26,7 @@ from relwalk import (
     walks_to_edge_scores,
 )
 from relwalk.ampave import candidate_scores, edge_objective
-from relwalk.oracle import ScoredWalk
+from relwalk.oracle import ScoredWalk, dense_lambda
 from helpers import (dense_slices, headed_instance, random_instance, sink_adjacency,
                      stack_from_factors)
 
@@ -47,7 +47,7 @@ def test_edge_objective_matches_tensor_contraction():
                 size=(stack.num_nodes, stack.dims[l + 1]))
             rows, cols = stack.edges[l]
             via_edges = edge_objective(stack, l, mu_next * stack.inverse_denominators[l],
-                                       rows, cols)
+                                       rows, cols, stack.edge_values[l])
             via_tensor = dense_objective(stack, l, mu_next)
             np.testing.assert_allclose(via_edges, via_tensor[rows, cols], atol=1e-9)
             # the objective off the edge list is exactly 0
@@ -232,7 +232,7 @@ def test_splitting_partitions_node_walk_space():
 
 
 def follows_edges(stack, nodes):
-    return all(stack.lambdas[l][nodes[l], nodes[l + 1]] != 0
+    return all(stack.lam(l, nodes[l], nodes[l + 1]) != 0
                for l in range(stack.num_steps))
 
 
@@ -319,7 +319,7 @@ def masked_dense_objective(stack, table, l):
     """Dense objective rows of step l, with -inf off the continuations the
     table may choose (edges whose completion follows edges)."""
     obj = dense_objective(stack, l, table.mu[l + 1])
-    allowed = (stack.lambdas[l] != 0) & table.complete[l + 1][None, :]
+    allowed = (dense_lambda(stack, l) != 0) & table.complete[l + 1][None, :]
     return obj, allowed, np.where(allowed, obj, -np.inf)
 
 

@@ -352,6 +352,36 @@ def test_scenario_missing_key_exit_2(infection_files, tmp_path, capsys, command)
     assert "chains" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("chains", []), ("chains", {"3": 3}), ("chains", {"x": [0]}), ("carriers", "0"),
+    ("carriers", [True]), ("carriers", [99]), ("labels", {}), ("labels", [1, 0])])
+def test_scenario_key_of_wrong_type_exit_2(infection_files, tmp_path, capsys, key, value):
+    scenario, _ = infection_files
+    data = json.loads(scenario.read_text())
+    data[key] = value
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["train", "--data", str(bad), "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("manifest", [{"dataset": "ba2motif"}, {"files": "graph_0000.json"},
+                                      {"files": [0]}, ["graph_0000.json"]])
+def test_train_manifest_without_a_file_list_exit_2(ba_dir, tmp_path, capsys, manifest):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "graph_0000.json").write_text((ba_dir / "graph_0000.json").read_text())
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_VALIDATION
+    assert "files" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 # -- bench --------------------------------------------------------------------------
 
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relwalk import (
     GnnModel,
@@ -20,6 +22,7 @@ from relwalk import (
     model_from_dict,
     model_to_dict,
     modified_adjacency,
+    random_graph,
     save_graph,
     save_model,
 )
@@ -232,3 +235,62 @@ def test_model_file_adjacency_mode():
 def test_ba2motif_sample_has_25_nodes():
     g = gen_ba2motif(1, seed=0)[0]
     assert g.num_nodes == 25
+
+
+# -- CSR storage ---------------------------------------------------------------------
+
+# a node count and a list of [i, j] pairs among its nodes: unsorted, often
+# repeated, with self pairs, and sometimes empty
+edge_lists = st.integers(1, 8).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                         max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists)
+def test_edge_list_gives_exactly_the_dense_constructions_lambda(case):
+    m, edges = case
+    a = np.zeros((m, m))
+    for i, j in edges:
+        a[i, j] = 1.0          # a repeated pair counts once; [i, i] makes Lambda[i, i] 2
+    dense = Graph(modified_adjacency(a), np.ones((m, 1)))
+    data = {"num_nodes": m, "features": np.ones((m, 1)).tolist(),
+            "edges": [list(e) for e in edges]}
+    graph = graph_from_dict(data)
+    assert np.array_equal(graph.adjacency, dense.adjacency)
+    for got, expected in zip(graph.csr + graph.edge_index, dense.csr + dense.edge_index):
+        np.testing.assert_array_equal(got, expected)
+    # both forms write the same file, and reading it back writes it again
+    assert graph_to_dict(graph) == graph_to_dict(dense)
+    assert graph_to_dict(graph_from_dict(graph_to_dict(graph))) == graph_to_dict(graph)
+
+
+def test_products_follow_the_form_the_graph_was_built_from():
+    rng = np.random.default_rng(0)
+    dense = random_graph(30, 4, 0.2, rng)
+    sparse = graph_from_dict(graph_to_dict(dense))
+    h = rng.normal(size=(30, 5))
+    # a graph built from a matrix keeps its BLAS products, bit for bit
+    assert dense.aggregate(h).tobytes() == (dense.adjacency.T @ h).tobytes()
+    assert dense.aggregate_adjoint(h).tobytes() == (dense.adjacency @ h).tobytes()
+    # a graph built from an edge list sums over its edges: equal to rounding
+    np.testing.assert_allclose(sparse.aggregate(h), dense.adjacency.T @ h, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sparse.aggregate_adjoint(h), dense.adjacency @ h,
+                               rtol=1e-12, atol=0)
+    # its dense Lambda is a fresh array on every call, never kept
+    assert np.array_equal(sparse.adjacency, dense.adjacency)
+    assert sparse.adjacency is not sparse.adjacency
+
+
+@pytest.mark.parametrize("indptr, indices, data", [
+    ([0, 1], [0, 0], [1.0, 1.0]),        # indptr does not cover the edges
+    ([1, 1, 1], [], []),                  # indptr does not start at 0
+    ([0, 2, 2], [1, 0], [1.0, 1.0]),     # a row's columns descend
+    ([0, 2, 2], [0, 0], [1.0, 1.0]),     # a row repeats a column
+    ([0, 1, 1], [2], [1.0]),             # column out of range
+    ([0, 1, 1], [0], [0.0]),             # a stored zero
+    ([0, 1, 1], [0], [-1.0]),            # a negative entry
+])
+def test_malformed_csr_refused(indptr, indices, data):
+    with pytest.raises(ShapeError):
+        Graph.from_csr(indptr, indices, data, np.ones((len(indptr) - 1, 1)))

@@ -4,6 +4,8 @@ The stack is factorized only; oracle.dense_tensor is the dense reference
 its entries and slices are checked against.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,13 +21,15 @@ from relwalk import (
     build_propagation,
     dense_tensor,
     forward,
+    graph_from_dict,
     init_model,
     init_output_relevance,
     modified_weight,
     parse_gamma,
     random_graph,
 )
-from relwalk.propagation import EPS_STAB, first_max_over_edges
+from relwalk.oracle import dense_lambda
+from relwalk.propagation import EPS_STAB, edge_segments, segment_first_max
 from helpers import random_instance, stack_from_factors
 
 
@@ -128,11 +132,12 @@ def test_denominators_below_eps_stab_get_a_zero_inverse():
 
 
 def test_edge_lists_are_row_major_nonzeros_shared_by_steps():
-    _, _, _, stack = random_instance(seed=3, edge_prob=0.3)
-    for lam, (rows, cols) in zip(stack.lambdas, stack.edges):
-        expected_rows, expected_cols = np.nonzero(lam)
+    _, graph, _, stack = random_instance(seed=3, edge_prob=0.3)
+    expected_rows, expected_cols = np.nonzero(graph.adjacency)
+    for (rows, cols), values in zip(stack.edges, stack.edge_values):
         np.testing.assert_array_equal(rows, expected_rows)
         np.testing.assert_array_equal(cols, expected_cols)
+        np.testing.assert_array_equal(values, graph.adjacency[rows, cols])
     # every GCN step reads the one adjacency, so its edges are scanned once
     assert all(e is stack.edges[0] for e in stack.edges)
     for task in ("graph", "node"):
@@ -146,19 +151,22 @@ def test_edge_lists_are_row_major_nonzeros_shared_by_steps():
                     stack = build_propagation(model, graph, acts,
                                               GammaSchedule.linear_decay(3.0, model.num_steps),
                                               target)
-                    ref = stack_from_factors(stack.lambdas, stack.hidden, stack.wups,
-                                             stack.output_relevance)
+                    ref = stack_from_factors(
+                        [dense_lambda(stack, l) for l in range(stack.num_steps)],
+                        stack.hidden, stack.wups, stack.output_relevance)
                     diagonal = None
                     for l, step in enumerate(model.steps):
-                        for got, expected in zip(stack.edges[l], ref.edges[l]):
+                        for got, expected in zip(
+                                stack.edges[l] + (stack.edge_values[l], stack.row_pointers[l]),
+                                ref.edges[l] + (ref.edge_values[l], ref.row_pointers[l])):
                             np.testing.assert_array_equal(got, expected)
                         # the stack's denominators come from forward's Lam^T H,
                         # the reference's from its own product: the same bits
                         assert (stack.inverse_denominators[l].tobytes()
                                 == ref.inverse_denominators[l].tobytes())
                         if step.uses_adjacency:
-                            assert stack.lambdas[l] is graph.adjacency
                             assert stack.edges[l] is graph.edge_index
+                            assert stack.edge_values[l] is graph.csr[2]
                         else:
                             if diagonal is None:
                                 diagonal = stack.edges[l]
@@ -174,7 +182,14 @@ def test_first_max_over_edges_equals_first_masked_argmax(width):
         # few distinct values, so rows tie often
         values = rng.integers(-2, 3, size=(7, 7) if width is None else (7, 7, width))
         rows, cols = np.nonzero(mask)
-        heads, best, first = first_max_over_edges(rows, values[rows, cols].astype(float))
+        heads, starts, segment = edge_segments(rows)
+        scored = values[rows, cols].astype(float)
+        if width is None:
+            best, first = segment_first_max(scored, starts, segment)
+        else:
+            # one column at a time, as EMP-neu's table build reduces each neuron
+            best, first = map(np.column_stack, zip(*(
+                segment_first_max(scored[:, j], starts, segment) for j in range(width))))
         np.testing.assert_array_equal(heads, np.flatnonzero(mask.any(axis=1)))
         masked = np.where(mask if width is None else mask[:, :, None], values, -np.inf)
         np.testing.assert_array_equal(best, masked.max(axis=1)[heads])
@@ -298,3 +313,32 @@ def test_slices_and_entries_equal_dense_tensor(seed, weighted, kill_unit, edge_p
         n, np_ = int(rng.integers(stack.dims[l])), int(rng.integers(stack.dims[l + 1]))
         assert stack.entry(l, m, n, mp, np_) == pytest.approx(
             dense[l][m, n, mp, np_], rel=1e-12, abs=1e-12)
+
+
+def test_gin_stack_on_an_edge_list_graph_holds_no_m_by_m_array():
+    # a ring, loaded from its edge list; its node-local steps share one
+    # diagonal with unit values instead of an M x M identity per target
+    m = 3000
+    ring = [[i, (i + 1) % m] for i in range(m)] + [[(i + 1) % m, i] for i in range(m)]
+    graph = graph_from_dict({"num_nodes": m, "features": np.ones((m, 2)).tolist(),
+                             "edges": ring})
+    model = init_model([2, 2, 2], 2, task="node", seed=0, gin=True)
+    acts = forward(model, graph)
+    schedule = GammaSchedule.linear_decay(3.0, model.num_steps)
+    local = [l for l, step in enumerate(model.steps) if not step.uses_adjacency]
+    for target in (0, 1):
+        tracemalloc.start()
+        try:
+            stack = build_propagation(model, graph, acts, schedule, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m            # an identity alone takes 8 M^2 bytes
+        arrays = [a for l in range(stack.num_steps)
+                  for a in stack.edges[l] + (stack.edge_values[l], stack.row_pointers[l])]
+        arrays += stack.hidden + stack.wups + stack.inverse_denominators
+        assert max(a.size for a in arrays + [stack.output_relevance]) < m * m
+        assert all(stack.edges[l] is stack.edges[local[0]] for l in local)
+        for l in local:
+            np.testing.assert_array_equal(stack.edges[l], (np.arange(m),) * 2)
+            np.testing.assert_array_equal(stack.edge_values[l], 1.0)

@@ -16,6 +16,8 @@ from relwalk import (
     emp_neu_topk,
     exhaustive_topk_neuron,
     forward,
+    graph_from_dict,
+    graph_to_dict,
     init_model,
     modified_adjacency,
     node_walk_relevance,
@@ -103,3 +105,39 @@ def test_gin_identity_steps_match_oracles(task, weighted):
         found = emp_neu_topk(stack, 5, max_k_tilde=40).extracted
         assert_topk_equivalent(found, exhaustive_topk_neuron(stack, len(found)))
     assert extractions > 0
+
+
+def assert_close_relative(got, expected, rel=1e-12):
+    assert np.abs(got - expected).max(initial=0.0) <= rel * np.abs(expected).max(initial=0.0)
+
+
+@pytest.mark.parametrize("task", ["graph", "node"])
+@pytest.mark.parametrize("gin", [False, True])
+def test_matrix_and_edge_list_forms_give_equal_stacks_and_walks(task, gin):
+    # the matrix form multiplies with BLAS, the edge-list form sums over
+    # edges: stacks agree to rounding, and top-K walks by value group
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        dense = random_graph(7, 3, 0.4, rng)
+        data = graph_to_dict(dense)
+        assert "edges" in data
+        sparse = graph_from_dict(data)
+        model = init_model([3, 3, 3] if gin else [3, 3, 3, 3], 2, task=task, seed=seed, gin=gin)
+        schedule = GammaSchedule.linear_decay(3.0, model.num_steps)
+        target = seed % 7
+        if task == "graph":
+            target = predicted_target(model, forward(model, dense))
+        a, b = (build_propagation(model, g, forward(model, g), schedule, target)
+                for g in (dense, sparse))
+        for l in range(a.num_steps):
+            for got, expected in zip(b.edges[l] + (b.edge_values[l], b.row_pointers[l]),
+                                     a.edges[l] + (a.edge_values[l], a.row_pointers[l])):
+                np.testing.assert_array_equal(got, expected)
+        for got, expected in zip(b.hidden + b.inverse_denominators + [b.output_relevance],
+                                 a.hidden + a.inverse_denominators + [a.output_relevance]):
+            assert_close_relative(got, expected)
+        for search, absolute in ((amp_ave_topk, False), (emp_neu_topk, True)):
+            expected = search(a, 5, max_k_tilde=200)
+            found = search(b, 5, max_k_tilde=200)
+            assert_topk_equivalent(found.extracted, expected.extracted, absolute=absolute)
+            assert_topk_equivalent(found.positive, expected.positive, absolute=absolute)
