@@ -35,6 +35,7 @@ from functools import partial
 
 import numpy as np
 
+from .graphs import EDGE_BLOCK
 from .oracle import ScoredWalk
 from .propagation import PropagationStack, edge_segments, segment_first_max
 from .splitting import SplitResult, pick, split_topk
@@ -84,10 +85,21 @@ def edge_objective(stack: PropagationStack, l: int, scaled: np.ndarray,
     the edges (m, m') = (rows, cols), where Lambda^(l) holds values, from
     scaled = mu_next times the guarded inverse denominators of step l:
     O(E N) after one O(M N^2) product.  Equal to contracting the dense
-    tensor of oracle.dense_tensor.
+    tensor of oracle.dense_tensor.  The rows of hw and scaled are gathered
+    EDGE_BLOCK edges at a time into two reused buffers, so no E x N array
+    is built.
     """
     hw = stack.hidden[l] @ stack.wups[l]                        # (M, N_{l+1})
-    return values * np.einsum("ej,ej->e", hw[rows], scaled[cols])
+    out = np.empty(rows.size)
+    size = min(rows.size, EDGE_BLOCK)
+    left, right = np.empty((size, hw.shape[1])), np.empty((size, hw.shape[1]))
+    for a in range(0, rows.size, EDGE_BLOCK):
+        b = min(a + EDGE_BLOCK, rows.size)
+        hw.take(rows[a:b], axis=0, out=left[:b - a], mode="clip")
+        scaled.take(cols[a:b], axis=0, out=right[:b - a], mode="clip")
+        np.einsum("ej,ej->e", left[:b - a], right[:b - a], out=out[a:b])
+    out *= values
+    return out
 
 
 def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:

@@ -278,10 +278,14 @@ def oracle_estimate(scenario: InfectionScenario, q: int, seed: int = 1) -> Oracl
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    # strip self-loops added by the Lambda modification
-    a = scenario.graph.adjacency - np.eye(scenario.graph.num_nodes)
-    out_neighbors = [np.flatnonzero(a[u]) for u in range(scenario.graph.num_nodes)]
-    x = np.zeros(scenario.graph.num_nodes)
+    # the nonzeros of Lambda - I, read off the CSR arrays: a unit self-loop
+    # (added by the Lambda modification) drops out, a listed [i, i] stays
+    graph = scenario.graph
+    rows, cols = graph.edge_index
+    keep = graph.csr[2] != (rows == cols)
+    rows, cols = rows[keep], cols[keep]
+    out_neighbors = np.split(cols, np.searchsorted(rows, np.arange(1, graph.num_nodes)))
+    x = np.zeros(graph.num_nodes)
     y: dict[tuple[int, ...], int] = {}
     root = np.random.SeedSequence(seed)
     for child in root.spawn(q):

@@ -40,9 +40,10 @@ class Graph:
     built from a matrix, Graph(adjacency, features), also keeps that
     matrix and aggregates with the dense (BLAS) product.  A graph built
     from its CSR arrays, Graph.from_csr (the JSON edge-list form), never
-    holds an M x M array: it aggregates with a segment sum, and adjacency
-    densifies on demand without caching, so the product a graph uses
-    follows only the form it was built from.
+    holds an M x M array: it aggregates with a segment sum over its edges
+    in blocks (Lambda g in CSR order, Lambda^T h in column order), and
+    adjacency densifies on demand without caching, so the product a graph
+    uses follows only the form it was built from.
     """
 
     def __init__(self, adjacency, features, label: int | np.ndarray | None = None):
@@ -120,30 +121,97 @@ class Graph:
         lam[rows, cols] = self.csr[2]
         return lam
 
+    @cached_property
+    def _column_blocks(self) -> tuple:
+        """Lambda^T's edge blocks for aggregate: the edges in column-major
+        order, by one stable argsort of the CSR columns, so each column keeps
+        its rows ascending."""
+        rows, cols = self.edge_index
+        order = np.argsort(cols, kind="stable")
+        return _edge_blocks(cols[order], rows[order], self.csr[2][order], self.num_nodes)
+
+    @cached_property
+    def _row_blocks(self) -> tuple:
+        """Lambda's edge blocks for aggregate_adjoint, in CSR order."""
+        rows, cols = self.edge_index
+        return _edge_blocks(rows, cols, self.csr[2], self.num_nodes)
+
     def aggregate(self, h: np.ndarray) -> np.ndarray:
         """Lambda^T h: node v receives sum_u Lambda[u, v] h[u]."""
         if self._matrix is not None:
             return self._matrix.T @ h
-        rows, cols = self.edge_index
-        return _segment_sum(cols, h[rows], self.num_nodes, self.csr[2])
+        return _segment_sum(self._column_blocks, h, self.num_nodes)
 
     def aggregate_adjoint(self, g: np.ndarray) -> np.ndarray:
         """Lambda g, the adjoint of aggregate (the backward pass of training)."""
         if self._matrix is not None:
             return self._matrix @ g
-        rows, cols = self.edge_index
-        return _segment_sum(rows, g[cols], self.num_nodes, self.csr[2])
+        return _segment_sum(self._row_blocks, g, self.num_nodes)
 
 
-def _segment_sum(targets: np.ndarray, values: np.ndarray, m: int,
-                 weights: np.ndarray) -> np.ndarray:
-    """M x N sums of the rows of values (E x N, a fresh gather, scaled in
-    place) times weights (E,) by their target node, as one bincount over
-    the flat keys target * N + n."""
-    values *= weights[:, None]
-    n = values.shape[1]
-    keys = (targets[:, None] * n + np.arange(n)).ravel()
-    return np.bincount(keys, weights=values.ravel(), minlength=m * n).reshape(m, n)
+# Edges per block of the per-edge kernels (here and in AMP-ave's step
+# objective): a block's (EDGE_BLOCK, N) float64 buffer is 256 KiB at N = 16,
+# so it stays in cache and no E x N array is ever gathered.
+EDGE_BLOCK = 2048
+
+
+def _edge_blocks(targets: np.ndarray, sources: np.ndarray, weights: np.ndarray,
+                 m: int) -> tuple:
+    """The edges, sorted by target, cut into blocks for _segment_sum:
+    (sources, weights, local, blocks, size) with blocks a list of
+    (a, b, lo, hi, carried).
+
+    Block (a, b, lo, hi, carried) sums the edges a:b, at most EDGE_BLOCK of
+    them, into the output rows lo:hi, and local[e] = targets[e] - lo.  Cuts
+    fall between targets, so the blocks' rows tile 0:m, empty rows included.
+    A target with more edges than fit is cut into pieces of its own, and
+    each later piece is carried: it starts from the partial sum before it.
+    size is the largest block.
+    """
+    e = targets.size
+    bounds = np.flatnonzero(np.diff(targets)) + 1        # where the target changes
+    local = np.empty(e, dtype=np.intp)
+    blocks = []
+    a = lo = 0
+    while True:
+        b = min(a + EDGE_BLOCK, e)
+        if b < e:
+            i = np.searchsorted(bounds, b, side="right") - 1
+            if i >= 0 and bounds[i] > a:
+                b = int(bounds[i])                  # the last cut between targets
+        hi = m if b == e else int(targets[b - 1]) + 1
+        local[a:b] = targets[a:b] - lo
+        blocks.append((a, b, lo, hi, bool(a and targets[a - 1] == targets[a])))
+        if b == e:
+            return sources, weights, local, blocks, min(e, EDGE_BLOCK)
+        a, lo = b, hi - bool(targets[b] == targets[b - 1])
+
+
+def _segment_sum(edge_blocks: tuple, x: np.ndarray, m: int) -> np.ndarray:
+    """M x N sums out[t] = sum of weights[e] * x[sources[e]] over the edges e
+    into target t, from _edge_blocks.
+
+    Each block is gathered into one reused buffer and summed by one bincount
+    over its local keys.  A carried block's first row is the partial sum of
+    its first target, so every target adds its edges one at a time in edge
+    order, bit for bit as one bincount over the whole edge list would.
+    """
+    sources, weights, local, blocks, size = edge_blocks
+    n = x.shape[1]
+    out = np.empty((m, n))
+    vals = np.empty((size + 1, n))
+    keys = np.empty((size + 1, n), dtype=np.intp)
+    keys[0] = np.arange(n)
+    for a, b, lo, hi, carried in blocks:
+        end = b - a + 1
+        if carried:
+            vals[0] = out[lo]
+        x.take(sources[a:b], axis=0, out=vals[1:end], mode="clip")
+        vals[1:end] *= weights[a:b, None]
+        np.add(local[a:b, None] * n, keys[0], out=keys[1:end])
+        out[lo:hi] = np.bincount(keys[1 - carried:end].ravel(), vals[1 - carried:end].ravel(),
+                                 minlength=(hi - lo) * n).reshape(hi - lo, n)
+    return out
 
 
 def modified_adjacency(a: np.ndarray, normalize: bool = False) -> np.ndarray:
@@ -248,9 +316,10 @@ class GnnModel:
         """Number of LayerSpec blocks."""
         return len(self.layers)
 
-    @property
+    @cached_property
     def steps(self) -> tuple[Step, ...]:
-        """Per-weight propagation steps; GIN MLP blocks expand into two."""
+        """Per-weight propagation steps; GIN MLP blocks expand into two.
+        Built once per model: forward and training read them on every pass."""
         out = []
         for layer in self.layers:
             out.append(Step(layer.weight, True))
@@ -459,12 +528,15 @@ def graph_from_dict(data: dict) -> Graph:
         bad = np.flatnonzero(((edges < 0) | (edges >= m)).any(axis=1))
         if bad.size:
             raise ModelFormatError(f"edges[{bad[0]}]: node index out of range")
-        # Lambda = A + I straight as CSR, row-major: each listed pair of A
-        # once, plus the diagonal, where a listed [i, i] makes Lambda[i, i] 2
-        pairs = np.unique(edges[:, 0] * m + edges[:, 1])
-        keys = np.union1d(pairs, np.arange(m) * (m + 1))
-        rows, cols = np.divmod(keys, m)
-        values = 1.0 + ((rows == cols) & np.isin(keys, pairs))
+        # Lambda = A + I straight as CSR, row-major: one sort of the listed
+        # keys i * m + j with the diagonal's, then one pass over its runs.
+        # Each listed pair of A counts once, and a listed [i, i] runs longer
+        # than its diagonal key alone and makes Lambda[i, i] 2
+        keys = np.concatenate([edges[:, 0] * m + edges[:, 1], np.arange(m) * (m + 1)])
+        keys.sort()
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        rows, cols = np.divmod(keys[starts], m)
+        values = 1.0 + ((rows == cols) & (np.diff(starts, append=keys.size) > 1))
         csr = (np.searchsorted(rows, np.arange(m + 1)), cols, values)
         lam = None
     else:

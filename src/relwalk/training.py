@@ -127,8 +127,7 @@ def _graph_loss_grads(model: GnnModel, graph: Graph):
         dlogits = probs.copy()
         dlogits[label] -= 1.0
         d_head = np.outer(acts.pooled, dlogits)
-        dpooled = head @ dlogits
-        dh = np.tile(dpooled, (graph.num_nodes, 1))
+        dh = head @ dlogits     # the same for every node: broadcast over the rows
     else:
         labels = _labels_array(graph)
         probs = _softmax(acts.logits)
@@ -147,6 +146,8 @@ def _graph_loss_grads(model: GnnModel, graph: Graph):
         dpre = dh * mask
         z = acts.aggregated[s]
         d_steps[s] = z.T @ dpre
+        if s == 0:
+            break       # no parameter lies below the first step
         dz = dpre @ steps[s].weight.T
         # z = Lambda^T h, so dh = Lambda dz
         dh = graph.aggregate_adjoint(dz) if steps[s].uses_adjacency else dz

@@ -1,6 +1,7 @@
 """Approximate node-level top-K search: step objectives, degeneracy, splitting."""
 
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from relwalk import (
     walks_to_edge_scores,
 )
 from relwalk.ampave import candidate_scores, edge_objective
+from relwalk.graphs import EDGE_BLOCK
 from relwalk.oracle import ScoredWalk, dense_lambda
 from helpers import (dense_slices, headed_instance, random_instance, sink_adjacency,
                      stack_from_factors)
@@ -54,6 +56,23 @@ def test_edge_objective_matches_tensor_contraction():
             off = np.ones_like(via_tensor, dtype=bool)
             off[rows, cols] = False
             assert not via_tensor[off].any()
+
+
+@pytest.mark.parametrize("n", [1, 16])
+@pytest.mark.parametrize("edges", [0, 1, EDGE_BLOCK - 1, EDGE_BLOCK, EDGE_BLOCK + 1,
+                                   2 * EDGE_BLOCK, 5 * EDGE_BLOCK + 3])
+def test_blocked_edge_objective_equals_one_whole_edge_list_einsum(edges, n):
+    rng = np.random.default_rng(edges + n)
+    m = 3000
+    stack = SimpleNamespace(hidden=[rng.normal(size=(m, n + 1))],
+                            wups=[rng.normal(size=(n + 1, n))])
+    scaled = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-6, 7, (m, n))
+    rows = np.sort(rng.integers(0, m, edges))
+    cols = rng.integers(0, m, edges)
+    values = rng.random(edges) + 0.1
+    hw = stack.hidden[0] @ stack.wups[0]
+    whole = values * np.einsum("ej,ej->e", hw[rows], scaled[cols])
+    assert edge_objective(stack, 0, scaled, rows, cols, values).tobytes() == whole.tobytes()
 
 
 # -- single best walk -------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Synthetic benchmark generators: motif graphs and SI infection scenarios."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from relwalk import (
+    Graph,
     InfectionScenario,
     ModelFormatError,
     gen_ba2motif,
@@ -12,7 +15,7 @@ from relwalk import (
     motif_edges,
     oracle_estimate,
 )
-from relwalk.datasets import CYCLE_EDGES, HOUSE_EDGES, MOTIF_SIZE
+from relwalk.datasets import CYCLE_EDGES, HOUSE_EDGES, MOTIF_SIZE, _simulate_si
 
 
 # -- motif classification set ----------------------------------------------------
@@ -189,3 +192,50 @@ def test_oracle_rejects_bad_q():
     scenario = gen_infection(10, steps=1, lam=0.5, seed=0)
     with pytest.raises(ValueError):
         oracle_estimate(scenario, q=0)
+
+
+def dense_infection_prob(scenario, q, seed):
+    """oracle_estimate's infection probabilities from the dense Lambda - I."""
+    m = scenario.graph.num_nodes
+    a = scenario.graph.adjacency - np.eye(m)
+    out_neighbors = [np.flatnonzero(a[u]) for u in range(m)]
+    x = np.zeros(m)
+    for child in np.random.SeedSequence(seed).spawn(q):
+        infected, _ = _simulate_si(out_neighbors, scenario.carriers, scenario.lam,
+                                   scenario.steps, np.random.default_rng(child))
+        x += infected
+    return x / q
+
+
+def test_oracle_gives_equal_estimates_on_loaded_and_matrix_scenarios():
+    for seed in range(4):
+        scenario = gen_infection(40, steps=3, lam=0.4, seed=seed)
+        data = scenario.to_dict()
+        assert "edges" in data["graph"]
+        # a listed [i, i] makes Lambda[i, i] 2: i stays its own out-neighbour
+        data["graph"]["edges"].append([seed, seed])
+        loaded = InfectionScenario.from_dict(data)
+        matrix = InfectionScenario(Graph(loaded.graph.adjacency, loaded.graph.features),
+                                   loaded.carriers, loaded.lam, loaded.steps, loaded.labels,
+                                   loaded.chains)
+        for sc in (scenario, loaded, matrix):
+            expected = dense_infection_prob(sc, 30, seed)
+            assert oracle_estimate(sc, 30, seed).infection_prob.tobytes() == expected.tobytes()
+        a, b = oracle_estimate(loaded, 30, seed), oracle_estimate(matrix, 30, seed)
+        assert a.infection_prob.tobytes() == b.infection_prob.tobytes()
+        assert a.chain_prob == b.chain_prob
+
+
+def test_oracle_on_a_loaded_scenario_allocates_no_m_by_m_array():
+    m = 3000
+    loaded = InfectionScenario.from_dict(gen_infection(m, steps=3, lam=0.3, seed=0).to_dict())
+    edges = loaded.graph.csr[1].size
+    tracemalloc.start()
+    try:
+        oracle_estimate(loaded, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # O(M + E): the neighbour lists and one simulation (measured ~0.7 MiB);
+    # Lambda - I densified would be 72 MB
+    assert peak < 100 * edges < m * m, (peak, edges)

@@ -26,7 +26,9 @@ from relwalk import (
     save_graph,
     save_model,
 )
+from relwalk import graphs as graphs_module
 from relwalk.datasets import gen_ba2motif
+from relwalk.graphs import EDGE_BLOCK
 
 
 def single_node_model(w=1.0):
@@ -294,3 +296,87 @@ def test_products_follow_the_form_the_graph_was_built_from():
 def test_malformed_csr_refused(indptr, indices, data):
     with pytest.raises(ShapeError):
         Graph.from_csr(indptr, indices, data, np.ones((len(indptr) - 1, 1)))
+
+
+# -- blocked per-edge kernels ----------------------------------------------------------
+
+
+def whole_edge_list_sum(targets, sources, weights, x, m):
+    """One bincount over every edge at once: the order the blocked segment
+    sum must reproduce bit for bit."""
+    n = x.shape[1]
+    values = x[sources] * weights[:, None]
+    keys = (targets[:, None] * n + np.arange(n)).ravel()
+    return np.bincount(keys, weights=values.ravel(), minlength=m * n).reshape(m, n)
+
+
+def csr_graph(m, pairs, n, seed=0):
+    """from_csr graph on the given (row, col) pairs (repeats count once),
+    with positive weights and features spread over many magnitudes, so that
+    a change of summation order shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    keys = np.unique(np.asarray(pairs, dtype=np.intp).reshape(-1, 2) @ [m, 1])
+    rows, cols = np.divmod(keys, m)
+    indptr = np.searchsorted(rows, np.arange(m + 1))
+    data = rng.random(keys.size) * 10.0 ** rng.integers(-3, 4, keys.size) + 0.1
+    features = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-6, 7, (m, n))
+    return Graph.from_csr(indptr, cols, data, features)
+
+
+def assert_products_are_whole_edge_list_sums(graph):
+    rows, cols = graph.edge_index
+    data = graph.csr[2]
+    h = graph.features
+    m = graph.num_nodes
+    assert graph.aggregate(h).tobytes() == whole_edge_list_sum(cols, rows, data, h, m).tobytes()
+    assert (graph.aggregate_adjoint(h).tobytes()
+            == whole_edge_list_sum(rows, cols, data, h, m).tobytes())
+
+
+def kernel_cases():
+    rng = np.random.default_rng(1)
+    m = 3 * EDGE_BLOCK // 2
+    star = [(0, v) for v in range(m)] + [(v, 0) for v in range(m)]
+    # E = 2 * EDGE_BLOCK exactly: every node's loop plus a shifted ring
+    ring_m = EDGE_BLOCK
+    ring = [(v, v) for v in range(ring_m)] + [(v, (v + 1) % ring_m) for v in range(ring_m)]
+    sparse_pairs = rng.integers(0, m // 2, size=(m, 2)) * 2      # odd rows and columns empty
+    return {
+        "several blocks": (m, rng.integers(0, m, size=(5 * EDGE_BLOCK // 2, 2))),
+        "exact multiple of the block": (ring_m, ring),
+        "hub row and column beyond a block": (m, star + [(v, v) for v in range(m)]),
+        "empty rows and columns": (m, sparse_pairs),
+        "no edges": (5, []),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 16])
+@pytest.mark.parametrize("case", list(kernel_cases()))
+def test_blocked_segment_sums_equal_one_whole_edge_list_bincount(case, n):
+    m, pairs = kernel_cases()[case]
+    graph = csr_graph(m, pairs, n)
+    if case == "exact multiple of the block":
+        assert graph.csr[1].size == 2 * EDGE_BLOCK
+    if case == "hub row and column beyond a block":
+        assert np.count_nonzero(graph.csr[1] == 0) > EDGE_BLOCK
+        assert np.diff(graph.csr[0])[0] > EDGE_BLOCK
+    assert_products_are_whole_edge_list_sums(graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 80), st.integers(1, 4), st.integers(1, 7),
+       st.integers(0, 2 ** 16))
+def test_segment_sums_with_tiny_blocks_equal_one_whole_edge_list_bincount(m, e, n, block, seed):
+    # blocks of a few edges cut almost every node's edges, and node 0 is a
+    # hub in both directions, so sums carry across many block boundaries
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, m, size=(e, 2))
+    pairs[: e // 3, 0] = 0
+    pairs[e // 3: 2 * e // 3, 1] = 0
+    graph = csr_graph(m, pairs, n, seed)
+    saved = graphs_module.EDGE_BLOCK
+    graphs_module.EDGE_BLOCK = block
+    try:
+        assert_products_are_whole_edge_list_sums(graph)
+    finally:
+        graphs_module.EDGE_BLOCK = saved

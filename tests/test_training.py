@@ -53,6 +53,21 @@ def test_gin_gradients_match_finite_differences():
         np.testing.assert_allclose(a, n, rtol=1e-4, atol=1e-7)
 
 
+@pytest.mark.parametrize("task", ["graph", "node"])
+@pytest.mark.parametrize("steps", [1, 2, 4])
+def test_backward_pass_applies_the_adjoint_below_every_step_but_the_first(
+        task, steps, monkeypatch):
+    # the gradient of the first step's input reaches no parameter, so an
+    # L-step GCN applies Lambda only between its steps: L - 1 times a graph
+    calls = []
+    adjoint = Graph.aggregate_adjoint
+    monkeypatch.setattr(Graph, "aggregate_adjoint",
+                        lambda self, g: calls.append(g.shape) or adjoint(self, g))
+    graphs = tiny_dataset(0, n=3, task=task)
+    batch_loss_grads(init_model([3] + [4] * steps, 2, task=task, seed=0), graphs)
+    assert len(calls) == (steps - 1) * len(graphs)
+
+
 def test_dead_relu_unit_gets_zero_gradient():
     # first-layer unit 1 has a negative incoming column and positive inputs,
     # so it never activates and its weights receive no gradient
