@@ -51,7 +51,6 @@ from .graphs import (
     save_model,
 )
 from .metrics import (
-    BenchRow,
     ChainRecall,
     PRPoint,
     SimilarityHistogram,

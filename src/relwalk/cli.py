@@ -36,7 +36,6 @@ from .graphs import (
     save_model,
 )
 from .metrics import (
-    BenchRow,
     bench_rows_to_csv,
     column_similarity_histogram,
     edge_recall,
@@ -62,20 +61,28 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
 
-def _add_common(parser: argparse.ArgumentParser, budget: bool = True) -> None:
-    parser.add_argument("--gamma", default="linear:3",
-                        help="LRP-gamma schedule, 'const:X' or 'linear:X'")
-    if budget:
-        parser.add_argument("--budget", type=int, default=None,
-                            help="enumeration budget override (>= 1); also caps the "
-                                 "extractions of both searches")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="relwalk",
                                   description="Relevant walk search for GNN predictions")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
+
+    # flags shared by the explanation subcommands, each declared once
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True)
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", required=True)
+    graph.add_argument("--target", type=int, default=None,
+                       help="class index (graph task) or node index (node task); "
+                            "default: predicted class")
+    gamma = argparse.ArgumentParser(add_help=False)
+    gamma.add_argument("--gamma", default="linear:3",
+                       help="LRP-gamma schedule, 'const:X' or 'linear:X'")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+                        help="enumeration budget (>= 1); also caps the extractions "
+                             "of both searches")
+    explained = [model, graph, gamma, budget]
 
     gen = sub.add_parser("gen", help="generate synthetic datasets")
     gen_sub = gen.add_subparsers(dest="dataset", required=True)
@@ -83,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     ba = gen_sub.add_parser("ba2motif")
     ba.add_argument("--n", type=int, default=100)
     ba.add_argument("--base-size", type=int, default=20)
-    ba.add_argument("--features", choices=("ones", "degree"), default="ones")
+    ba.add_argument("--features", choices=("ones", "degree"), default="degree")
     ba.add_argument("--normalize", action="store_true")
     ba.add_argument("--out", required=True, help="output directory")
     ba.add_argument("--seed", type=int, default=0)
@@ -110,61 +117,39 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True, help="output model file")
     tr.add_argument("--seed", type=int, default=0)
 
-    ex = sub.add_parser("explain", help="search relevant walks for one prediction")
-    ex.add_argument("--model", required=True)
-    ex.add_argument("--graph", required=True)
+    ex = sub.add_parser("explain", parents=explained,
+                        help="search relevant walks for one prediction")
     ex.add_argument("--method", choices=("emp-neu", "amp-ave"), default="amp-ave")
     ex.add_argument("--topk", type=int, default=10)
-    ex.add_argument("--target", type=int, default=None,
-                    help="class index (graph task) or node index (node task); "
-                         "default: predicted class")
     ex.add_argument("--report-abs", action="store_true",
                     help="emit the full top-K-tilde absolute list (emp-neu only)")
     ex.add_argument("--out", default=None, help="output file (default stdout)")
-    _add_common(ex)
 
     ev = sub.add_parser("eval", help="evaluation metrics, CSV plot data")
     ev_sub = ev.add_subparsers(dest="metric", required=True)
 
-    pr = ev_sub.add_parser("pr")
-    pr.add_argument("--model", required=True)
-    pr.add_argument("--graph", required=True)
+    pr = ev_sub.add_parser("pr", parents=explained)
     pr.add_argument("--ks", default="1,5,10,20")
     pr.add_argument("--kstars", default="10")
-    pr.add_argument("--target", type=int, default=None)
-    _add_common(pr)
 
-    cs = ev_sub.add_parser("colsim")
-    cs.add_argument("--model", required=True)
-    cs.add_argument("--graph", required=True)
+    # colsim enumerates nothing, so it takes no --budget
+    cs = ev_sub.add_parser("colsim", parents=[model, graph, gamma])
     cs.add_argument("--bins", type=int, default=20)
-    cs.add_argument("--target", type=int, default=None)
-    _add_common(cs, budget=False)
 
-    ir = ev_sub.add_parser("infection-recall")
-    ir.add_argument("--model", required=True)
+    ir = ev_sub.add_parser("infection-recall", parents=[model, gamma, budget])
     ir.add_argument("--scenario", required=True)
     ir.add_argument("--topk", type=int, default=5)
     ir.add_argument("--max-targets", type=int, default=None)
-    _add_common(ir)
 
-    er = ev_sub.add_parser("edge-recall")
-    er.add_argument("--model", required=True)
-    er.add_argument("--graph", required=True)
+    er = ev_sub.add_parser("edge-recall", parents=explained)
     er.add_argument("--base-size", type=int, default=20)
     er.add_argument("--topk", type=int, default=20)
-    er.add_argument("--target", type=int, default=None)
-    _add_common(er)
 
-    posr = ev_sub.add_parser("positive-ratio")
-    posr.add_argument("--model", required=True)
-    posr.add_argument("--graph", required=True)
+    posr = ev_sub.add_parser("positive-ratio", parents=explained)
     posr.add_argument("--method", choices=("emp-neu", "amp-ave"), default="emp-neu")
     posr.add_argument("--topk", type=int, default=20)
-    posr.add_argument("--target", type=int, default=None)
-    _add_common(posr)
 
-    be = sub.add_parser("bench", help="timing grid, CSV output")
+    be = sub.add_parser("bench", parents=[gamma, budget], help="timing grid, CSV output")
     be.add_argument("--methods", default="amp-ave,exhaustive-node")
     be.add_argument("--m-values", default="25")
     be.add_argument("--l-values", default="3")
@@ -173,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--hidden", type=int, default=8)
     be.add_argument("--out", default=None)
     be.add_argument("--seed", type=int, default=0)
-    _add_common(be)
 
     return top
 
@@ -183,18 +167,29 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _enum_budget(args) -> int:
-    return args.budget if args.budget is not None else DEFAULT_ENUM_BUDGET
-
-
-def _build_stack(args, model, graph, target=None):
+def _stack_builder(args, model, graph):
+    """Run forward and parse --gamma once for the graph; the returned
+    build(target, target_class) assembles one target's propagation stack
+    from them, so every target of the graph shares the forward pass."""
     acts = forward(model, graph)
-    if target is None:
-        if model.readout.task == "node":
-            raise ParameterError("--target (node index) is required for node-task models")
-        target = predicted_target(model, acts)
     schedule = parse_gamma(args.gamma, model.num_steps)
-    return build_propagation(model, graph, acts, schedule, target)
+
+    def build(target=None, target_class=None):
+        if target is None:
+            if model.readout.task == "node":
+                raise ParameterError("--target (node index) is required for node-task models")
+            target = predicted_target(model, acts)
+        return build_propagation(model, graph, acts, schedule, target, target_class)
+
+    return build
+
+
+def _run_search(args, stack, method: str, k: int):
+    # the enumeration budget also caps extractions, so targets with fewer
+    # than k positive walks yield a partial result instead of sweeping the
+    # whole walk space
+    search = emp_neu_topk if method == "emp-neu" else amp_ave_topk
+    return search(stack, k, max_k_tilde=args.budget)
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -273,20 +268,10 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _run_search(args, stack, method: str, k: int):
-    # the enumeration budget also caps extractions, so targets with fewer
-    # than k positive walks yield a partial result instead of sweeping the
-    # whole walk space
-    search = emp_neu_topk if method == "emp-neu" else amp_ave_topk
-    return search(stack, k, max_k_tilde=_enum_budget(args))
-
-
 def _cmd_explain(args) -> int:
     if args.report_abs and args.method != "emp-neu":
         raise ParameterError("--report-abs needs --method emp-neu")
-    model = load_model(args.model)
-    graph = load_graph(args.graph)
-    stack = _build_stack(args, model, graph, args.target)
+    stack = _stack_builder(args, load_model(args.model), load_graph(args.graph))(args.target)
     result = _run_search(args, stack, args.method, args.topk)
     walks = result.absolute if args.report_abs else result.positive
     lines = [json.dumps(w.to_record()) for w in walks]
@@ -306,13 +291,12 @@ def _cmd_eval(args) -> int:
                                  f"got {args.ks!r} and {args.kstars!r}")
     model = load_model(args.model)
     graph = load_graph(args.graph)
-    stack = _build_stack(args, model, graph, args.target)
+    stack = _stack_builder(args, model, graph)(args.target)
 
     if args.metric == "pr":
-        enum_budget = _enum_budget(args)
-        oracle = exhaustive_topk_node(stack, max(max(ks), max(kstars)) + 64,
-                                      budget=enum_budget)
-        approx = amp_ave_topk(stack, max(ks), max_k_tilde=enum_budget).positive
+        # precision_recall reads only the oracle's first K* walks
+        oracle = exhaustive_topk_node(stack, max(kstars), budget=args.budget)
+        approx = _run_search(args, stack, "amp-ave", max(ks)).positive
         points = precision_recall(approx, oracle, ks, kstars)
         print("K,K_star,precision,recall")
         for p in points:
@@ -330,8 +314,7 @@ def _cmd_eval(args) -> int:
         return EXIT_OK
 
     if args.metric == "edge-recall":
-        enum_budget = _enum_budget(args)
-        walks = amp_ave_topk(stack, args.topk, max_k_tilde=enum_budget).positive
+        walks = _run_search(args, stack, "amp-ave", args.topk).positive
         if not walks:
             raise ParameterError("no positive walks found; cannot score edges")
         scores = walks_to_edge_scores(walks)
@@ -352,18 +335,14 @@ def _eval_infection_recall(args) -> int:
         raise ParameterError(f"--max-targets must be >= 1, got {args.max_targets}")
     model = load_model(args.model)
     scenario = InfectionScenario.load(args.scenario)
-    graph = scenario.graph
-    acts = forward(model, graph)
-    schedule = parse_gamma(args.gamma, model.num_steps)
+    build = _stack_builder(args, model, scenario.graph)
     targets = [t for t in sorted(scenario.chains) if len(scenario.chains[t]) > 1]
     if args.max_targets is not None:
         targets = targets[: args.max_targets]
-    enum_budget = _enum_budget(args)
-    walks_per_target = {}
-    for t in targets:
-        stack = build_propagation(model, graph, acts, schedule, t, target_class=1)
-        walks_per_target[t] = amp_ave_topk(stack, args.topk,
-                                           max_k_tilde=enum_budget).positive
+    walks_per_target = {
+        t: _run_search(args, build(t, target_class=1), "amp-ave", args.topk).positive
+        for t in targets
+    }
     recall = infection_chain_recall(
         walks_per_target, scenario.chains, args.topk, model.num_steps + 1
     )
@@ -377,53 +356,39 @@ def _eval_infection_recall(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    methods = args.methods.split(",")
-    rng_seed = args.seed
     rows = []
-    enum_budget = _enum_budget(args)
     for m in (int(x) for x in args.m_values.split(",")):
+        graph = random_graph(m, args.hidden, min(4.0 / max(m - 1, 1), 1.0),
+                             np.random.default_rng(args.seed))
+
+        def stack_of_depth(l):
+            model = init_model([args.hidden] * (l + 1), 2, seed=args.seed)
+            return _stack_builder(args, model, graph)(0)
+
         for l in (int(x) for x in args.l_values.split(",")):
-            graph = random_graph(m, args.hidden, min(4.0 / max(m - 1, 1), 1.0),
-                                 np.random.default_rng(rng_seed))
-            model = init_model([args.hidden] * (l + 1), 2, seed=rng_seed)
-            acts = forward(model, graph)
-            schedule = parse_gamma(args.gamma, model.num_steps)
-            stack = build_propagation(model, graph, acts, schedule, 0)
-            for method in methods:
-                estimated = False
-                if method == "amp-ave":
-                    fn = lambda: amp_ave_topk(stack, args.topk,
-                                              max_k_tilde=enum_budget)
-                elif method == "emp-neu":
-                    fn = lambda: emp_neu_topk(stack, args.topk,
-                                              max_k_tilde=enum_budget)
+            stack = stack_of_depth(l)
+            for method in args.methods.split(","):
+                sub_l = l
+                if method in ("amp-ave", "emp-neu"):
+                    fn = lambda: _run_search(args, stack, method, args.topk)
                 elif method == "exhaustive-node":
-                    total = m ** (l + 1)
-                    if total > enum_budget:
-                        # time a partial enumeration on a budget-sized
-                        # sub-problem and scale by the walk-count ratio
-                        sub_l = l
-                        while m ** (sub_l + 1) > enum_budget and sub_l > 1:
-                            sub_l -= 1
-                        sub_model = init_model([args.hidden] * (sub_l + 1), 2, seed=rng_seed)
-                        sub_acts = forward(sub_model, graph)
-                        sub_sched = parse_gamma(args.gamma, sub_model.num_steps)
-                        sub_stack = build_propagation(sub_model, graph, sub_acts,
-                                                      sub_sched, 0)
-                        scale = total / m ** (sub_l + 1)
-                        fn = lambda: exhaustive_topk_node(sub_stack, args.topk)
-                        estimated = True
-                    else:
-                        fn = lambda: exhaustive_topk_node(stack, args.topk)
+                    # beyond the budget, time the enumeration of a budget-sized
+                    # sub-problem and scale by the walk-count ratio
+                    while m ** (sub_l + 1) > args.budget and sub_l > 1:
+                        sub_l -= 1
+                    sub_stack = stack if sub_l == l else stack_of_depth(sub_l)
+                    fn = lambda: exhaustive_topk_node(sub_stack, args.topk, budget=args.budget)
                 elif method == "exhaustive-neuron":
-                    fn = lambda: exhaustive_topk_neuron(stack, args.topk)
+                    fn = lambda: exhaustive_topk_neuron(stack, args.topk, budget=args.budget)
                 else:
                     raise ParameterError(f"unknown bench method {method!r}")
                 median, var = time_callable(fn, args.repetitions)
-                if estimated:
-                    median *= scale
-                rows.append(BenchRow(method, m, l, args.topk, median,
-                                     args.repetitions, var, estimated))
+                rows.append({
+                    "method": method, "M": m, "L": l, "K": args.topk,
+                    "seconds": median * m ** (l - sub_l),
+                    "repetitions": args.repetitions, "variance": var,
+                    "estimated": "estimated from partial computation" if sub_l < l else "",
+                })
     csv_text = bench_rows_to_csv(rows)
     if args.out:
         Path(args.out).write_text(csv_text)
@@ -442,9 +407,8 @@ def main(argv: list[str] | None = None) -> int:
         "bench": _cmd_bench,
     }
     try:
-        budget = getattr(args, "budget", None)
-        if budget is not None and budget < 1:
-            raise ParameterError(f"--budget must be >= 1, got {budget}")
+        if getattr(args, "budget", 1) < 1:
+            raise ParameterError(f"--budget must be >= 1, got {args.budget}")
         return handlers[args.command](args)
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)

@@ -372,12 +372,9 @@ def forward(model: GnnModel, graph: Graph) -> Activations:
     h = graph.features
     hidden = [h]
     aggregated = []
-    for s, step in enumerate(model.steps):
+    for step in model.steps:
         z = graph.aggregate(h) if step.uses_adjacency else h
-        pre = z @ step.weight
-        if pre.shape[1] != step.weight.shape[1]:  # pragma: no cover - defensive
-            raise ShapeError(f"step {s} produced shape {pre.shape}")
-        h = np.maximum(pre, 0.0)
+        h = np.maximum(z @ step.weight, 0.0)
         aggregated.append(z)
         hidden.append(h)
 

@@ -172,30 +172,6 @@ def edge_recall(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BenchRow:
-    method: str
-    m: int
-    l: int
-    k: int
-    seconds: float                 # median over repetitions
-    repetitions: int
-    variance: float
-    estimated: bool = False        # extrapolated from partial computation
-
-    def as_record(self) -> dict:
-        return {
-            "method": self.method,
-            "M": self.m,
-            "L": self.l,
-            "K": self.k,
-            "seconds": self.seconds,
-            "repetitions": self.repetitions,
-            "variance": self.variance,
-            "estimated": "estimated from partial computation" if self.estimated else "",
-        }
-
-
 def time_callable(fn, repetitions: int = 5) -> tuple[float, float]:
     """Median and variance of wall-clock seconds over the given repetitions."""
     if repetitions < 1:
@@ -209,13 +185,13 @@ def time_callable(fn, repetitions: int = 5) -> tuple[float, float]:
     return float(np.median(arr)), float(arr.var())
 
 
-def bench_rows_to_csv(rows: list[BenchRow]) -> str:
+def bench_rows_to_csv(rows: list[dict]) -> str:
+    """CSV text of bench rows, one dict per row keyed by the column names."""
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf,
         fieldnames=["method", "M", "L", "K", "seconds", "repetitions", "variance", "estimated"],
     )
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row.as_record())
+    writer.writerows(rows)
     return buf.getvalue()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import relwalk
-from relwalk.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
+from relwalk import cli
+from relwalk.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from relwalk.graphs import load_graph, load_model
 
 
@@ -40,6 +42,13 @@ def test_gen_ba2motif_writes_manifest_and_graphs(ba_dir):
     assert len(manifest["files"]) == 6
     g = load_graph(ba_dir / manifest["files"][0])
     assert g.num_nodes == 25
+
+
+def test_gen_ba2motif_defaults_to_degree_features(tmp_path):
+    # all-ones features give a bias-free model nothing to learn from
+    assert main(["gen", "ba2motif", "--n", "2", "--out", str(tmp_path)]) == EXIT_OK
+    assert json.loads((tmp_path / "manifest.json").read_text())["features"] == "degree"
+    assert load_graph(tmp_path / "graph_0000.json").features.shape[1] > 1
 
 
 def test_gen_is_seed_deterministic(tmp_path):
@@ -403,6 +412,34 @@ def test_bench_estimates_oversized_exhaustive(capsys):
     assert "estimated from partial computation" in out
 
 
+def test_bench_exhaustive_neuron_honours_budget(capsys):
+    # 8**4 * 3**4 = 331,776 neuron walks against a budget of 100
+    code = main(["bench", "--methods", "exhaustive-neuron", "--m-values", "8",
+                 "--l-values", "3", "--hidden", "3", "--repetitions", "1",
+                 "--budget", "100"])
+    assert code == EXIT_BUDGET
+    assert capsys.readouterr().out == ""
+
+
+def test_bench_exhaustive_node_receives_budget(monkeypatch, capsys):
+    # 115**4 ~ 1.75e8 node walks fit a budget of 2e8 but not the default
+    # 1e8; a stand-in oracle records the budget instead of enumerating
+    budgets = []
+
+    def oracle(stack, k, budget):
+        budgets.append(budget)
+        return []
+
+    monkeypatch.setattr(cli, "exhaustive_topk_node", oracle)
+    code = main(["bench", "--methods", "exhaustive-node", "--m-values", "115",
+                 "--l-values", "3", "--hidden", "3", "--repetitions", "1",
+                 "--budget", "200000000"])
+    assert code == EXIT_OK
+    assert budgets == [200_000_000]
+    row = capsys.readouterr().out.strip().splitlines()[1]
+    assert row.startswith("exhaustive-node,115,3,1,") and row.endswith(",")
+
+
 # -- flags ------------------------------------------------------------------------
 
 
@@ -427,6 +464,20 @@ def test_subcommand_rejects_flag_it_does_not_read(command, flag, capsys):
         main([*command.split(), *COMMANDS[command], *flag.split()])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("relwalk ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 # -- console entry point --------------------------------------------------------------
