@@ -54,7 +54,7 @@ from .propagation import (
     build_propagation,
     parse_gamma,
 )
-from .training import TrainConfig, init_model, train
+from .training import TrainConfig, TrainingError, init_model, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -413,7 +413,8 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParameterError, ShapeError, ModelFormatError, ValueError, OSError) as exc:
+    except (ParameterError, ShapeError, ModelFormatError, TrainingError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -69,27 +69,29 @@ def build_message_table(stack: PropagationStack) -> MessageTable:
     mu[-1] = np.abs(stack.output_relevance).reshape(sizes[-1])
     for l in range(stack.num_steps - 1, -1, -1):
         n_l, n_next = dims[l], dims[l + 1]
-        nu = mu[l + 1].reshape(m, n_next) * np.abs(stack.inverse_denominators[l])
+        nu = np.abs(stack.inverse_denominators[l])
+        nu *= mu[l + 1].reshape(m, n_next)
         factors[l] = nu
         rows, cols = stack.edges[l]
         heads, starts, segment = edge_segments(rows)
         weights = np.abs(stack.edge_values[l])
-        inner = np.empty((m, n_l), dtype=np.intp)
-        outer = np.zeros((m, n_l), dtype=np.intp)
-        best = np.zeros((m, n_l))
-        # one n at a time, so no temporary holds more than M N or E values
+        best = np.zeros((m, n_l))           # becomes mu[l]
+        chosen = np.empty((m, n_l), dtype=np.intp)      # becomes step[l]
+        at_zero = np.empty(n_l, dtype=np.intp)      # where best is 0, m' = 0
+        # one n at a time, written straight into the table's own arrays, so
+        # no temporary holds more than M N_{l+1} or E values
         for n, w in enumerate(np.abs(stack.wups[l])):
             inner_scored = w[None, :] * nu                                # (M', N_l+1)
-            inner[:, n] = np.argmax(inner_scored, axis=1)
-            g = inner_scored[np.arange(m), inner[:, n]]                   # (M',)
+            inner = np.argmax(inner_scored, axis=1)                       # (M',)
+            g = inner_scored[np.arange(m), inner]
             best[heads, n], first = segment_first_max(g[cols] * weights, starts, segment)
-            outer[heads, n] = cols[first]
-        outer[best == 0] = 0
-        mu[l] = (np.abs(stack.hidden[l]) * best).reshape(sizes[l])
-        inner = inner[outer, np.arange(n_l)]
-        outer *= n_next
-        outer += inner
-        step[l] = outer.reshape(sizes[l])
+            outer = cols[first]
+            chosen[heads, n] = outer * n_next + inner[outer]
+            at_zero[n] = inner[0]
+        np.copyto(chosen, at_zero, where=best == 0)
+        best *= np.abs(stack.hidden[l])
+        mu[l] = best.reshape(sizes[l])
+        step[l] = chosen.reshape(sizes[l])
     return MessageTable(tuple(mu), tuple(step), tuple(factors), stack)
 
 

@@ -93,6 +93,11 @@ class Graph:
     def num_nodes(self) -> int:
         return self.features.shape[0]
 
+    @property
+    def built_from_matrix(self) -> bool:
+        """Whether the graph holds Lambda as a matrix and aggregates with BLAS."""
+        return self._matrix is not None
+
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, indices, data) of Lambda; read off the matrix once per
@@ -417,6 +422,13 @@ def _matrix(obj, path: str) -> np.ndarray:
     return arr
 
 
+def _weight(obj, path: str) -> np.ndarray:
+    arr = _matrix(obj, path)
+    if not np.all(np.isfinite(arr)):
+        raise ModelFormatError(f"{path}: non-finite weight")
+    return arr
+
+
 def model_to_dict(model: GnnModel) -> dict:
     return {
         "layers": [
@@ -446,19 +458,19 @@ def model_from_dict(data: dict) -> GnnModel:
         mode = entry.get("adjacency_mode", "lambda")
         if mode != "lambda":
             raise ModelFormatError(f"layers[{i}].adjacency_mode: unsupported {mode!r}")
-        w = _matrix(entry["w"], f"layers[{i}].w")
+        w = _weight(entry["w"], f"layers[{i}].w")
         w2 = entry.get("w2")
         layers.append(
             LayerSpec(
                 weight=w,
-                hidden_weight=None if w2 is None else _matrix(w2, f"layers[{i}].w2"),
+                hidden_weight=None if w2 is None else _weight(w2, f"layers[{i}].w2"),
             )
         )
     ro = _object(data.get("readout", {}), "readout")
     head = ro.get("head")
     readout = ReadoutSpec(
         task=ro.get("task", "graph"),
-        head=None if head is None else _matrix(head, "readout.head"),
+        head=None if head is None else _weight(head, "readout.head"),
     )
     try:
         return GnnModel(tuple(layers), readout)

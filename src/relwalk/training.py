@@ -3,7 +3,9 @@
 Softmax cross-entropy loss, Glorot-uniform initialization, learning rate
 decayed as base / (1 + epoch / epochs).  The ReLU subgradient at zero is
 taken as zero.  Gradients are fully analytic; `numeric_gradients` gives a
-finite-difference reference for testing.
+finite-difference reference for testing.  A `Batch` stacks the training
+graphs once, so each epoch is one forward and backward pass over the
+whole batch, with the same bits as a pass per graph.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, GnnModel, LayerSpec, ReadoutSpec, forward
+from .graphs import Activations, Graph, GnnModel, LayerSpec, ReadoutSpec, ShapeError
 
 
 class TrainingError(RuntimeError):
@@ -82,8 +84,16 @@ def init_model(
 
 
 def _weights(model: GnnModel) -> list[np.ndarray]:
-    """Flat parameter list: one entry per propagation step, then the head."""
+    """Parameter list: one entry per propagation step, then the head."""
     return [s.weight for s in model.steps] + [model.readout.head]
+
+
+def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """flat's last axis cut into views shaped like the arrays of like, in
+    order: (..., P) into (..., *like[k].shape)."""
+    offsets = np.cumsum([w.size for w in like])[:-1]
+    return [part.reshape(flat.shape[:-1] + w.shape)
+            for part, w in zip(np.split(flat, offsets, axis=-1), like)]
 
 
 def _rebuild(model: GnnModel, weights: list[np.ndarray]) -> GnnModel:
@@ -101,82 +111,180 @@ def _rebuild(model: GnnModel, weights: list[np.ndarray]) -> GnnModel:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    # the max class by class (a max is exact in any order): numpy reduces a
+    # short last axis row by row, which costs more than the rest of this
+    top = logits[..., 0]
+    for c in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., c])
+    e = np.exp(logits - top[..., None])
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _labels_array(graph: Graph) -> np.ndarray:
-    return np.asarray(graph.label).astype(int).reshape(-1)
+def _block_diagonal(graphs: list[Graph], features: np.ndarray) -> Graph:
+    """One CSR graph holding the graphs' Lambdas on its diagonal, in order."""
+    indptr, indices, data = [np.zeros(1, dtype=np.intp)], [], []
+    nodes = edges = 0
+    for g in graphs:
+        ptr, idx, values = g.csr
+        indptr.append(ptr[1:] + edges)
+        indices.append(idx + nodes)
+        data.append(values)
+        nodes += g.num_nodes
+        edges += idx.size
+    return Graph.from_csr(np.concatenate(indptr), np.concatenate(indices),
+                          np.concatenate(data), features)
 
 
-def _graph_loss_grads(model: GnnModel, graph: Graph):
-    """Loss and per-parameter gradients for one graph (or one node-task graph).
+class GraphGroup:
+    """The graphs of a batch that share a node count M and a Lambda form,
+    stacked once: node rows as (B, M, N) arrays.
 
-    Node-task graphs average the cross entropy over all nodes, using
-    graph.label as the per-node class vector.
+    Lambda is a (B, M, M) stack when the graphs are matrix-built, so
+    numpy's stacked matmul makes each graph's own BLAS call, and otherwise
+    one block-diagonal CSR graph, whose segment sum adds each node's edges
+    in the same order as the graph's own.  Each product keeps the per-graph
+    operation of a forward pass, so a pass gives every graph the same bits
+    as forward on it alone.
     """
-    acts = forward(model, graph)
-    steps = model.steps
-    head = model.readout.head
 
-    if model.readout.task == "graph":
-        probs = _softmax(acts.logits)
-        label = int(graph.label)
-        loss = -np.log(max(probs[label], 1e-300))
-        dlogits = probs.copy()
-        dlogits[label] -= 1.0
-        d_head = np.outer(acts.pooled, dlogits)
-        dh = head @ dlogits     # the same for every node: broadcast over the rows
-    else:
-        labels = _labels_array(graph)
-        probs = _softmax(acts.logits)
-        m = graph.num_nodes
-        picked = probs[np.arange(m), labels]
-        loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
-        dlogits = probs.copy()
-        dlogits[np.arange(m), labels] -= 1.0
-        dlogits /= m
-        d_head = acts.hidden[-1].T @ dlogits
-        dh = dlogits @ head.T
+    def __init__(self, model: GnnModel, graphs: list[Graph], positions: list[int]):
+        self.task = model.readout.task
+        self.mixes = [s.uses_adjacency for s in model.steps]
+        self.positions = np.asarray(positions)
+        self.features = np.stack([g.features for g in graphs])
+        b, m, n = self.features.shape
+        if graphs[0].built_from_matrix:
+            self.lam = np.stack([g.adjacency for g in graphs])
+        else:
+            self.lam = _block_diagonal(graphs, self.features.reshape(b * m, n))
+        # every model's first step mixes over Lambda, and its input is fixed
+        self.first = self.aggregate(self.features)
+        if self.task == "graph":
+            self.labels = np.array([int(g.label) for g in graphs])
+        else:
+            labels = [np.asarray(g.label).astype(int).reshape(-1) for g in graphs]
+            if any(lab.shape != (m,) for lab in labels):
+                raise ShapeError(f"a node-task graph needs one label per node ({m})")
+            self.labels = np.stack(labels)
+        if np.any((self.labels < 0) | (self.labels >= model.num_classes)):
+            raise ValueError(f"labels must lie in 0..{model.num_classes - 1}")
+        # where each label's logit sits in the flattened logits
+        self.label_index = np.arange(self.labels.size) * model.num_classes + self.labels.ravel()
 
-    d_steps = [None] * len(steps)
-    for s in range(len(steps) - 1, -1, -1):
-        mask = acts.hidden[s + 1] > 0
-        dpre = dh * mask
-        z = acts.aggregated[s]
-        d_steps[s] = z.T @ dpre
-        if s == 0:
-            break       # no parameter lies below the first step
-        dz = dpre @ steps[s].weight.T
-        # z = Lambda^T h, so dh = Lambda dz
-        dh = graph.aggregate_adjoint(dz) if steps[s].uses_adjacency else dz
-    return float(loss), d_steps + [d_head], acts
+    def aggregate(self, h: np.ndarray) -> np.ndarray:
+        """Lambda^T h for every graph."""
+        if isinstance(self.lam, Graph):
+            return self.lam.aggregate(h.reshape(-1, h.shape[2])).reshape(h.shape)
+        return np.matmul(self.lam.transpose(0, 2, 1), h)
+
+    def aggregate_adjoint(self, g: np.ndarray) -> np.ndarray:
+        """Lambda g for every graph, the adjoint of aggregate."""
+        if isinstance(self.lam, Graph):
+            return self.lam.aggregate_adjoint(g.reshape(-1, g.shape[2])).reshape(g.shape)
+        return np.matmul(self.lam, g)
+
+    def forward(self, weights: list[np.ndarray]) -> Activations:
+        """Stacked forward pass: logits[i] is forward(model, graph i).logits."""
+        h = self.features
+        hidden, aggregated = [h], []
+        for s, (w, mixes) in enumerate(zip(weights, self.mixes)):
+            z = self.first if s == 0 else self.aggregate(h) if mixes else h
+            h = np.maximum(np.matmul(z, w), 0.0)
+            aggregated.append(z)
+            hidden.append(h)
+        head = weights[-1]
+        if self.task == "graph":
+            pooled = h.sum(axis=1)
+            # one gemv per graph, as pooled @ head; a (B, N) gemm rounds differently
+            logits = np.matmul(pooled[:, None, :], head)[:, 0]
+            return Activations(tuple(hidden), tuple(aggregated), pooled, logits)
+        return Activations(tuple(hidden), tuple(aggregated), None, np.matmul(h, head))
+
+    def hits(self, logits: np.ndarray) -> int:
+        """Correct predictions: one per graph, or one per node."""
+        return int((logits.argmax(axis=-1) == self.labels).sum())
+
+    def loss_grads(self, weights: list[np.ndarray], losses: np.ndarray,
+                   per_graph: list[np.ndarray]) -> int:
+        """One forward and backward pass.  Writes each graph's loss into
+        losses and its gradients into per_graph at the graph's position in
+        the batch, and returns the number of correct predictions.
+
+        Node-task graphs average the cross entropy over their nodes.
+        """
+        acts = self.forward(weights)
+        pos = self.positions
+        head = weights[-1]
+        dlogits = _softmax(acts.logits)
+        flat = dlogits.reshape(-1)
+        picked = flat[self.label_index].reshape(self.labels.shape)
+        flat[self.label_index] -= 1.0
+        if self.task == "graph":
+            losses[pos] = -np.log(np.maximum(picked, 1e-300))
+            per_graph[-1][pos] = acts.pooled[:, :, None] * dlogits[:, None, :]
+            # one gemv per graph, as head @ dlogits; the same for every node
+            dh = np.matmul(head, dlogits[:, :, None]).reshape(pos.size, 1, -1)
+        else:
+            m = self.features.shape[1]
+            losses[pos] = -np.log(np.maximum(picked, 1e-300)).mean(axis=1)
+            dlogits /= m
+            per_graph[-1][pos] = np.matmul(acts.hidden[-1].transpose(0, 2, 1), dlogits)
+            dh = np.matmul(dlogits, head.T)
+
+        for s in range(len(weights) - 2, -1, -1):
+            dpre = dh * (acts.hidden[s + 1] > 0)
+            per_graph[s][pos] = np.matmul(acts.aggregated[s].transpose(0, 2, 1), dpre)
+            if s == 0:
+                break       # no parameter lies below the first step
+            dz = np.matmul(dpre, weights[s].T)
+            # z = Lambda^T h, so dh = Lambda dz
+            dh = self.aggregate_adjoint(dz) if self.mixes[s] else dz
+        return self.hits(acts.logits)
 
 
-def _correct(model: GnnModel, graph: Graph, logits: np.ndarray) -> tuple[int, int]:
-    """Correct predictions and their number: one per graph, or one per node."""
-    if model.readout.task == "graph":
-        return int(np.argmax(logits) == int(graph.label)), 1
-    return int((np.argmax(logits, axis=1) == _labels_array(graph)).sum()), graph.num_nodes
+class Batch:
+    """The graphs of a training set, grouped by node count and Lambda form
+    and stacked once, for any number of passes over changing weights."""
+
+    def __init__(self, model: GnnModel, graphs: list[Graph]):
+        for g in graphs:
+            if g.features.shape[1] != model.in_dim:
+                raise ShapeError(f"graph features dim {g.features.shape[1]} "
+                                 f"!= model input {model.in_dim}")
+        keys: dict[tuple[int, bool], list[int]] = {}
+        for i, g in enumerate(graphs):
+            keys.setdefault((g.num_nodes, g.built_from_matrix), []).append(i)
+        self.groups = [GraphGroup(model, [graphs[i] for i in idx], idx)
+                       for idx in keys.values()]
+        self.size = len(graphs)
+        self.predictions = (self.size if model.readout.task == "graph"
+                            else sum(g.num_nodes for g in graphs))
+        # each pass's per-graph losses and flat gradients, in list order
+        like = _weights(model)
+        self.losses = np.empty(self.size)
+        self.per_graph = np.empty((self.size, sum(w.size for w in like)))
+        self.per_graph_views = _views(self.per_graph, like)
+
+    def loss_grads(self, weights: list[np.ndarray], grad: np.ndarray) -> tuple[float, float]:
+        """Mean loss and accuracy of one pass; writes the mean gradient into
+        grad, all weights' flat one after another."""
+        hits = sum(group.loss_grads(weights, self.losses, self.per_graph_views)
+                   for group in self.groups)
+        # adds the graphs one at a time in list order, like grad += one graph's
+        np.add.reduce(self.per_graph, axis=0, out=grad)
+        grad /= self.size
+        total = 0.0
+        for loss in self.losses.tolist():
+            total += loss       # in list order: sum() compensates from Python 3.12
+        return total / self.size, hits / self.predictions
 
 
 def batch_loss_grads(model: GnnModel, graphs: list[Graph]):
     """Mean loss and gradients over a batch, plus the accuracy."""
-    total_loss = 0.0
-    grads = [np.zeros_like(w) for w in _weights(model)]
-    correct = 0
-    count = 0
-    for g in graphs:
-        loss, g_grads, acts = _graph_loss_grads(model, g)
-        total_loss += loss
-        for acc, d in zip(grads, g_grads):
-            acc += d
-        hits, total = _correct(model, g, acts.logits)
-        correct += hits
-        count += total
-    n = len(graphs)
-    return total_loss / n, [d / n for d in grads], correct / count
+    weights = _weights(model)
+    grad = np.empty(sum(w.size for w in weights))
+    loss, acc = Batch(model, graphs).loss_grads(weights, grad)
+    return loss, _views(grad, weights), acc
 
 
 def batch_loss(model: GnnModel, graphs: list[Graph]) -> float:
@@ -186,16 +294,18 @@ def batch_loss(model: GnnModel, graphs: list[Graph]) -> float:
 
 def numeric_gradients(model: GnnModel, graphs: list[Graph], h: float = 1e-6):
     """Central finite differences of the batch loss, parameter by parameter."""
+    batch = Batch(model, graphs)
     weights = [w.copy() for w in _weights(model)]
+    unused = np.empty(sum(w.size for w in weights))
     grads = []
-    for idx, w in enumerate(weights):
+    for w in weights:
         g = np.zeros_like(w)
         for pos in np.ndindex(*w.shape):
             orig = w[pos]
             w[pos] = orig + h
-            hi = batch_loss(_rebuild(model, weights), graphs)
+            hi, _ = batch.loss_grads(weights, unused)
             w[pos] = orig - h
-            lo = batch_loss(_rebuild(model, weights), graphs)
+            lo, _ = batch.loss_grads(weights, unused)
             w[pos] = orig
             g[pos] = (hi - lo) / (2 * h)
         grads.append(g)
@@ -203,23 +313,33 @@ def numeric_gradients(model: GnnModel, graphs: list[Graph], h: float = 1e-6):
 
 
 def train(model: GnnModel, graphs: list[Graph], config: TrainConfig) -> TrainResult:
-    """Full-batch gradient descent; raises TrainingError on divergence."""
-    weights = [w.copy() for w in _weights(model)]
+    """Full-batch gradient descent; raises TrainingError on divergence.
+
+    The weights live in one flat buffer, updated in place; one stacked
+    pass over the batch per epoch gives its loss and gradients.
+    """
+    batch = Batch(model, graphs)
+    start = _weights(model)
+    flat = np.concatenate([w.ravel() for w in start])
+    grad = np.empty_like(flat)
+    weights = _views(flat, start)
     result = TrainResult(model)
     for epoch in range(config.epochs):
-        current = _rebuild(model, weights)
-        loss, grads, acc = batch_loss_grads(current, graphs)
+        loss, acc = batch.loss_grads(weights, grad)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
-        lr = config.lr_at(epoch)
-        for w, g in zip(weights, grads):
-            w -= lr * g
+        flat -= config.lr_at(epoch) * grad
         result.losses.append(loss)
         result.accuracies.append(acc)
+    # a non-finite weight stays non-finite, so one check covers every epoch
+    if not np.all(np.isfinite(flat)):
+        raise TrainingError(f"non-finite weights after epoch {config.epochs - 1}")
     result.model = _rebuild(model, weights)
     return result
 
 
 def accuracy(model: GnnModel, graphs: list[Graph]) -> float:
-    counts = [_correct(model, g, forward(model, g).logits) for g in graphs]
-    return sum(hits for hits, _ in counts) / sum(total for _, total in counts)
+    batch = Batch(model, graphs)
+    weights = _weights(model)
+    hits = sum(group.hits(group.forward(weights).logits) for group in batch.groups)
+    return hits / batch.predictions

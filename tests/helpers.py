@@ -1,5 +1,6 @@
 """Shared test utilities: random instance builders, the hand-built and
-dense reference stacks, and tie-aware top-K list comparison.
+dense reference stacks, a per-graph reference trainer, and tie-aware
+top-K list comparison.
 
 Mathematically tied walks are common (symmetric motifs, activation and
 denominator cancellations).  The enumeration oracle and the message
@@ -130,6 +131,72 @@ def sink_adjacency():
     for a, b in [(0, 1), (1, 0), (1, 3), (3, 2)]:
         adjacency[a, b] = 1.0
     return adjacency
+
+
+def reference_loss_grads(model, graphs):
+    """Mean loss, gradients (one per step, then the head) and accuracy of
+    a batch, one graph at a time on forward and Graph.aggregate_adjoint:
+    the reference for the trainer's stacked pass, which must match it bit
+    for bit.  Losses and gradients are summed in list order."""
+    head = model.readout.head
+    total = 0.0
+    grads = [np.zeros_like(s.weight) for s in model.steps] + [np.zeros_like(head)]
+    correct = count = 0
+    for graph in graphs:
+        acts = forward(model, graph)
+        e = np.exp(acts.logits - acts.logits.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        dlogits = probs.copy()
+        if model.readout.task == "graph":
+            label = int(graph.label)
+            loss = -np.log(max(probs[label], 1e-300))
+            dlogits[label] -= 1.0
+            d_head = np.outer(acts.pooled, dlogits)
+            dh = head @ dlogits
+            correct += int(np.argmax(acts.logits) == label)
+            count += 1
+        else:
+            labels = np.asarray(graph.label).astype(int)
+            m = graph.num_nodes
+            loss = -np.log(np.maximum(probs[np.arange(m), labels], 1e-300)).mean()
+            dlogits[np.arange(m), labels] -= 1.0
+            dlogits /= m
+            d_head = acts.hidden[-1].T @ dlogits
+            dh = dlogits @ head.T
+            correct += int((np.argmax(acts.logits, axis=1) == labels).sum())
+            count += m
+        d_steps = [None] * model.num_steps
+        for s in range(model.num_steps - 1, -1, -1):
+            dpre = dh * (acts.hidden[s + 1] > 0)
+            d_steps[s] = acts.aggregated[s].T @ dpre
+            if s > 0:
+                dz = dpre @ model.steps[s].weight.T
+                dh = graph.aggregate_adjoint(dz) if model.steps[s].uses_adjacency else dz
+        total += float(loss)
+        for acc, d in zip(grads, d_steps + [d_head]):
+            acc += d
+    n = len(graphs)
+    return total / n, [d / n for d in grads], correct / count
+
+
+def reference_train(model, graphs, config):
+    """(weights, losses, accuracies) of train's gradient descent, with
+    reference_loss_grads for every epoch; weights one per step, then the
+    head."""
+    weights = [s.weight.copy() for s in model.steps] + [model.readout.head.copy()]
+    losses, accuracies = [], []
+    for epoch in range(config.epochs):
+        it = iter(weights)
+        layers = tuple(LayerSpec(next(it), None if layer.hidden_weight is None else next(it))
+                       for layer in model.layers)
+        current = GnnModel(layers, ReadoutSpec(model.readout.task, weights[-1]))
+        loss, grads, acc = reference_loss_grads(current, graphs)
+        lr = config.lr_at(epoch)
+        for w, g in zip(weights, grads):
+            w -= lr * g
+        losses.append(loss)
+        accuracies.append(acc)
+    return weights, losses, accuracies
 
 
 def tie_groups(walks, tol: float, key=lambda w: abs(w.relevance)):

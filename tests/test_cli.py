@@ -123,6 +123,18 @@ def test_train_empty_dataset_exit_2(tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_divergence_exit_2(tmp_path, capsys, epochs):
+    # at 1 epoch only the weights diverge, at 3 the loss does too
+    data, out = tmp_path / "ba", tmp_path / "m.json"
+    assert main(["gen", "ba2motif", "--n", "10", "--out", str(data)]) == EXIT_OK
+    code = main(["train", "--data", str(data), "--epochs", str(epochs), "--lr", "1e308",
+                 "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "error: non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- explain ------------------------------------------------------------------------
 
 
@@ -205,8 +217,10 @@ def test_explain_malformed_edge_list_exit_2(model_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("kind, text", [
     ("model", "5"), ("model", '{"layers": [5]}'),
-    ("model", '{"layers": [{"w": [[1.0]]}], "readout": 3}'), ("graph", "5")],
-    ids=["model-number", "layer-number", "readout-number", "graph-number"])
+    ("model", '{"layers": [{"w": [[1.0]]}], "readout": 3}'), ("graph", "5"),
+    ("model", '{"layers": [{"w": [[-Infinity]]}]}')],
+    ids=["model-number", "layer-number", "readout-number", "graph-number",
+         "non-finite-weight"])
 def test_explain_malformed_model_or_graph_file_exit_2(ba_dir, model_file, tmp_path, capsys,
                                                       kind, text):
     bad = tmp_path / "bad.json"

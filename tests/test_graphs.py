@@ -144,6 +144,18 @@ def test_model_from_dict_errors():
         model_from_dict(bad)
 
 
+@pytest.mark.parametrize("where, path", [("w", "layers[0].w"), ("w2", "layers[0].w2"),
+                                         ("head", "readout.head")])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_model_from_dict_refuses_non_finite_weights(where, path, value):
+    data = model_to_dict(GnnModel((LayerSpec(np.ones((2, 2)), hidden_weight=np.ones((2, 2))),),
+                                  ReadoutSpec(task="graph", head=np.ones((2, 2)))))
+    entry = data["readout"] if where == "head" else data["layers"][0]
+    entry[where][1][0] = value
+    with pytest.raises(ModelFormatError, match=path.replace("[", r"\[")):
+        model_from_dict(data)
+
+
 @pytest.mark.parametrize("data", [5, {"layers": [5]},
                                   {"layers": [{"w": [[1.0]]}], "readout": 3}])
 def test_model_file_whose_entries_are_not_objects_refused(data):

@@ -24,9 +24,10 @@ MEAN_DEGREE = 4
 WIDTH = 16
 K = 5
 # tracemalloc peak of load, forward, stack and both searches, which hold
-# O(E N + M N) arrays (about 60 MiB here, reached in EMP-neu's search; the
-# per-edge kernels gather in blocks); a dense Lambda alone would be 3.2 GB.
-PEAK_CEILING_MIB = 69
+# O(E N + M N) arrays (about 56.4 MiB here, reached in EMP-neu's table
+# build; the per-edge kernels gather in blocks); a dense Lambda alone would
+# be 3.2 GB.
+PEAK_CEILING_MIB = 64
 
 
 def write_edge_list_graph(path, seed=0):

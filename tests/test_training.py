@@ -14,7 +14,10 @@ from relwalk import (
     train,
 )
 from relwalk.datasets import gen_ba2motif, gen_infection
-from relwalk.graphs import Graph, forward, modified_adjacency
+from relwalk.graphs import Graph, forward, graph_from_dict, graph_to_dict, modified_adjacency
+from relwalk.training import Batch, GraphGroup
+
+from helpers import reference_train
 
 
 def tiny_dataset(seed, n=6, m=5, task="graph"):
@@ -28,6 +31,23 @@ def tiny_dataset(seed, n=6, m=5, task="graph"):
         label = i % 2 if task == "graph" else rng.integers(0, 2, size=m)
         graphs.append(Graph(modified_adjacency(a), feats, label))
     return graphs
+
+
+def edge_list(graphs):
+    """The graphs through their JSON edge-list form: built from CSR arrays."""
+    return [graph_from_dict(graph_to_dict(g)) for g in graphs]
+
+
+def batch_of(form, task):
+    """Six or more graphs: all matrix-built, all edge-list, or a mix of both
+    forms and of three node counts, interleaved."""
+    if form == "matrix":
+        return tiny_dataset(0, task=task)
+    if form == "edges":
+        return edge_list(tiny_dataset(1, task=task))
+    parts = [tiny_dataset(2, n=3, task=task), tiny_dataset(3, n=3, m=7, task=task),
+             edge_list(tiny_dataset(4, n=3, task=task)), tiny_dataset(5, n=2, m=1, task=task)]
+    return [g for group in zip(*parts) for g in group] + parts[0][2:]
 
 
 # -- gradients ---------------------------------------------------------------------
@@ -58,14 +78,60 @@ def test_gin_gradients_match_finite_differences():
 def test_backward_pass_applies_the_adjoint_below_every_step_but_the_first(
         task, steps, monkeypatch):
     # the gradient of the first step's input reaches no parameter, so an
-    # L-step GCN applies Lambda only between its steps: L - 1 times a graph
+    # L-step GCN applies Lambda only between its steps: L - 1 stacked
+    # products a pass, whatever the batch size
     calls = []
-    adjoint = Graph.aggregate_adjoint
-    monkeypatch.setattr(Graph, "aggregate_adjoint",
+    adjoint = GraphGroup.aggregate_adjoint
+    monkeypatch.setattr(GraphGroup, "aggregate_adjoint",
                         lambda self, g: calls.append(g.shape) or adjoint(self, g))
-    graphs = tiny_dataset(0, n=3, task=task)
-    batch_loss_grads(init_model([3] + [4] * steps, 2, task=task, seed=0), graphs)
-    assert len(calls) == (steps - 1) * len(graphs)
+    for n in (1, 5):
+        calls.clear()
+        graphs = tiny_dataset(0, n=n, task=task)
+        batch_loss_grads(init_model([3] + [4] * steps, 2, task=task, seed=0), graphs)
+        assert len(calls) == steps - 1
+        assert all(shape[0] == n for shape in calls)
+
+
+@pytest.mark.parametrize("form", ["matrix", "edges", "mixed"])
+@pytest.mark.parametrize("gin", [False, True])
+@pytest.mark.parametrize("task", ["graph", "node"])
+def test_training_equals_the_per_graph_reference_bit_for_bit(form, gin, task):
+    graphs = batch_of(form, task)
+    model = init_model([3, 4, 4], 2, task=task, seed=7, gin=gin)
+    config = TrainConfig(epochs=40, lr=0.1)
+    result = train(model, graphs, config)
+    weights, losses, accuracies = reference_train(model, graphs, config)
+    trained = [s.weight for s in result.model.steps] + [result.model.readout.head]
+    assert all(np.array_equal(a, b) for a, b in zip(trained, weights))
+    assert result.losses == losses
+    assert result.accuracies == accuracies
+    assert losses[-1] < losses[0]
+
+
+@pytest.mark.parametrize("gin", [False, True])
+@pytest.mark.parametrize("task", ["graph", "node"])
+def test_batch_logits_equal_forward_per_graph(task, gin):
+    graphs = batch_of("mixed", task)
+    model = init_model([3, 4, 4], 2, task=task, seed=1, gin=gin)
+    batch = Batch(model, graphs)
+    assert len(batch.groups) == 4
+    weights = [s.weight for s in model.steps] + [model.readout.head]
+    seen = []
+    for group in batch.groups:
+        logits = group.forward(weights).logits
+        for i, pos in enumerate(group.positions):
+            assert np.array_equal(logits[i], forward(model, graphs[pos]).logits)
+            seen.append(pos)
+    assert sorted(seen) == list(range(len(graphs)))
+
+
+@pytest.mark.parametrize("task", ["graph", "node"])
+@pytest.mark.parametrize("label", [-1, 2])
+def test_label_outside_the_classes_is_refused(task, label):
+    graphs = tiny_dataset(0, task=task)
+    graphs[0].label = label if task == "graph" else np.full(5, label)
+    with pytest.raises(ValueError, match="labels"):
+        batch_loss_grads(init_model([3, 4, 2], 2, task=task, seed=0), graphs)
 
 
 def test_dead_relu_unit_gets_zero_gradient():
@@ -150,6 +216,14 @@ def test_divergence_aborts_with_diagnostics():
     model = init_model([3, 4, 2], 2, seed=6)
     with pytest.raises(TrainingError, match="epoch"):
         train(model, graphs, TrainConfig(epochs=500, lr=1e200))
+
+
+def test_divergence_in_the_last_epoch_aborts():
+    # one step overflows the weights; no later loss is computed to see it
+    graphs = gen_ba2motif(10, seed=0, feature_mode="degree")
+    model = init_model([5, 8, 8, 8], 2, seed=0)
+    with pytest.raises(TrainingError, match="non-finite weights after epoch 0"):
+        train(model, graphs, TrainConfig(epochs=1, lr=1e308))
 
 
 def test_motif_classification_reaches_high_accuracy():
