@@ -14,20 +14,17 @@ import argparse
 import json
 import time
 
-import numpy as np
-
 from relwalk import (
     GammaSchedule,
-    Graph,
     TrainConfig,
     accuracy,
     amp_ave_topk,
     build_propagation,
+    degree_normalized,
     forward,
     gen_infection,
     infection_chain_recall,
     init_model,
-    modified_adjacency,
     train,
 )
 
@@ -65,12 +62,7 @@ def main() -> None:
     print(f"{len(scenario.carriers)} carriers infected {n_infected} nodes")
 
     # train on a degree-normalized copy; explanations run on the raw graph
-    train_graph = Graph(
-        modified_adjacency(scenario.graph.adjacency - np.eye(cfg["m"]),
-                           normalize=True),
-        scenario.graph.features,
-        scenario.labels.astype(int),
-    )
+    train_graph = degree_normalized(scenario.graph)
     model = init_model([2] + [cfg["hidden"]] * cfg["steps"], 2,
                        task="node", seed=cfg["seed"])
     result = train(model, [train_graph],

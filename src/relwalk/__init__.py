@@ -38,6 +38,7 @@ from .graphs import (
     ModelFormatError,
     ReadoutSpec,
     ShapeError,
+    degree_normalized,
     forward,
     graph_from_dict,
     graph_to_dict,

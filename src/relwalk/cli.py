@@ -28,6 +28,7 @@ from .graphs import (
     Graph,
     ModelFormatError,
     ShapeError,
+    degree_normalized,
     forward,
     load_graph,
     load_model,
@@ -251,12 +252,7 @@ def _cmd_train(args) -> int:
     if not graphs:
         raise ParameterError(f"dataset {args.data} holds no graphs")
     if args.normalize:
-        from .graphs import modified_adjacency
-        graphs = [
-            Graph(modified_adjacency(g.adjacency - np.eye(g.num_nodes), normalize=True),
-                  g.features, g.label)
-            for g in graphs
-        ]
+        graphs = [degree_normalized(g) for g in graphs]
     in_dim = graphs[0].features.shape[1]
     dims = [in_dim] + [args.hidden] * args.layers
     model = init_model(dims, 2, task=task, seed=args.seed, gin=args.arch == "gin")

@@ -5,8 +5,7 @@ Conventions used throughout the package:
 * ``Lambda`` is the modified adjacency matrix (self-loops included).
   ``Lambda[u, v] != 0`` means node ``u`` sends messages to node ``v``;
   for undirected graphs the matrix is symmetric and the distinction is
-  irrelevant.  A ``Graph`` holds it as CSR arrays, and as a dense matrix
-  only when it was built from one.
+  irrelevant.  A ``Graph`` holds it as CSR arrays only.
 * A GIN-style block with a two-layer MLP combine is expanded into two
   propagation steps: the first mixes over ``Lambda``, the second is an
   intra-node (identity adjacency) step.
@@ -31,35 +30,48 @@ class ModelFormatError(ValueError):
     """Malformed model or graph file."""
 
 
+# Node count up to which a graph's products are BLAS calls on a dense Lambda;
+# above it they are blocked segment sums over the edges.  Per product, the
+# dense form was faster at every M <= 256 measured (README, "Graph storage").
+DENSE_NODES = 256
+
+
+def dense_products(num_nodes: int) -> bool:
+    """Whether a Lambda on num_nodes nodes is multiplied densely (BLAS)."""
+    return num_nodes <= DENSE_NODES
+
+
 class Graph:
     """A graph instance to be explained: Lambda and the M x N0 node features.
 
-    Lambda, the modified adjacency (self-loops included), is always held
-    as row-major CSR arrays, csr = (indptr, indices, data): row m's
-    nonzeros sit at indptr[m]:indptr[m + 1], in column order.  A graph
-    built from a matrix, Graph(adjacency, features), also keeps that
-    matrix and aggregates with the dense (BLAS) product.  A graph built
-    from its CSR arrays, Graph.from_csr (the JSON edge-list form), never
-    holds an M x M array: it aggregates with a segment sum over its edges
-    in blocks (Lambda g in CSR order, Lambda^T h in column order), and
-    adjacency densifies on demand without caching, so the product a graph
-    uses follows only the form it was built from.
+    Lambda, the modified adjacency (self-loops included), is held in one
+    form only, row-major CSR arrays csr = (indptr, indices, data): row m's
+    nonzeros sit at indptr[m]:indptr[m + 1], in column order.
+    Graph(adjacency, features) reads them off a matrix and keeps no
+    matrix; Graph.from_csr (the JSON edge-list form) takes them as given.
+    The products follow the node count alone (dense_products): BLAS on a
+    dense Lambda, densified once and cached, or segment sums over the
+    edges in blocks, with no M x M array.
     """
 
     def __init__(self, adjacency, features, label: int | np.ndarray | None = None):
         adj = np.asarray(adjacency, dtype=float)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ShapeError(f"adjacency must be square, got {adj.shape}")
-        self._set_features(adj.shape[0], features, label)
-        if np.any(adj < 0):
-            raise ShapeError("adjacency entries must be nonnegative")
-        self._matrix = adj
+        rows, cols = np.nonzero(adj)
+        indptr = np.searchsorted(rows, np.arange(adj.shape[0] + 1))
+        self._store(indptr, cols, adj[rows, cols], features, label)
 
     @classmethod
     def from_csr(cls, indptr, indices, data, features,
                  label: int | np.ndarray | None = None) -> "Graph":
-        """Graph from Lambda's row-major CSR arrays: positive data, indices
-        ascending within each row; no M x M array is built."""
+        """Graph from Lambda's row-major CSR arrays; no M x M array is built."""
+        graph = cls.__new__(cls)
+        graph._store(indptr, indices, data, features, label)
+        return graph
+
+    def _store(self, indptr, indices, data, features, label) -> None:
+        """The one validation path of both constructors."""
         indptr = np.asarray(indptr, dtype=np.intp)
         indices = np.asarray(indices, dtype=np.intp)
         data = np.asarray(data, dtype=float)
@@ -72,20 +84,16 @@ class Graph:
         if (np.any((indices < 0) | (indices >= m))
                 or np.any((np.diff(indices) <= 0) & (np.diff(rows) == 0))):
             raise ShapeError("CSR indices must be in range and ascending within each row")
-        if not np.all(data > 0):
-            raise ShapeError("CSR data must be positive")
-        graph = cls.__new__(cls)
-        graph._set_features(m, features, label)
-        graph._matrix = None
-        # given here, so the cached properties never read a matrix
-        graph.csr = (indptr, indices, data)
-        graph.edge_index = (rows, indices)
-        return graph
-
-    def _set_features(self, m: int, features, label) -> None:
+        # NaN fails the first test, +inf the second
+        if not (np.all(data > 0) and np.all(data < np.inf)):
+            raise ShapeError("Lambda's nonzero entries must be positive and finite")
         feats = np.asarray(features, dtype=float)
         if feats.ndim != 2 or feats.shape[0] != m:
             raise ShapeError(f"features rows ({feats.shape}) must match adjacency dim {m}")
+        if not np.all(np.isfinite(feats)):
+            raise ShapeError("features must be finite")
+        self.csr = (indptr, indices, data)
+        self.edge_index = (rows, indices)      # each edge's row spelled out
         self.features = feats
         self.label = label
 
@@ -94,37 +102,18 @@ class Graph:
         return self.features.shape[0]
 
     @property
-    def built_from_matrix(self) -> bool:
-        """Whether the graph holds Lambda as a matrix and aggregates with BLAS."""
-        return self._matrix is not None
-
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, data) of Lambda; read off the matrix once per
-        graph built from one."""
-        rows, cols = np.nonzero(self._matrix)
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=self.num_nodes), out=indptr[1:])
-        return indptr, cols, self._matrix[rows, cols]
-
-    @cached_property
-    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row-major (rows, cols) of Lambda's nonzeros, self-loops included:
-        the CSR arrays with each edge's row spelled out, shared by every
-        stack built on this graph."""
-        indptr, indices, _ = self.csr
-        return np.repeat(np.arange(self.num_nodes), np.diff(indptr)), indices
-
-    @property
     def adjacency(self) -> np.ndarray:
-        """Lambda as an M x M matrix: the one the graph was built from, or a
-        fresh densification of the CSR arrays (for oracles and tests)."""
-        if self._matrix is not None:
-            return self._matrix
+        """Lambda as a fresh M x M matrix densified from the CSR arrays (for
+        oracles, tests and the dense file form)."""
         rows, cols = self.edge_index
         lam = np.zeros((self.num_nodes, self.num_nodes))
         lam[rows, cols] = self.csr[2]
         return lam
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        """Lambda densified once, for the BLAS products of a small graph."""
+        return self.adjacency
 
     @cached_property
     def _column_blocks(self) -> tuple:
@@ -143,14 +132,14 @@ class Graph:
 
     def aggregate(self, h: np.ndarray) -> np.ndarray:
         """Lambda^T h: node v receives sum_u Lambda[u, v] h[u]."""
-        if self._matrix is not None:
-            return self._matrix.T @ h
+        if dense_products(self.num_nodes):
+            return self._dense.T @ h
         return _segment_sum(self._column_blocks, h, self.num_nodes)
 
     def aggregate_adjoint(self, g: np.ndarray) -> np.ndarray:
         """Lambda g, the adjoint of aggregate (the backward pass of training)."""
-        if self._matrix is not None:
-            return self._matrix @ g
+        if dense_products(self.num_nodes):
+            return self._dense @ g
         return _segment_sum(self._row_blocks, g, self.num_nodes)
 
 
@@ -164,32 +153,29 @@ def _edge_blocks(targets: np.ndarray, sources: np.ndarray, weights: np.ndarray,
                  m: int) -> tuple:
     """The edges, sorted by target, cut into blocks for _segment_sum:
     (sources, weights, local, blocks, size) with blocks a list of
-    (a, b, lo, hi, carried).
+    (a, b, lo, hi).
 
-    Block (a, b, lo, hi, carried) sums the edges a:b, at most EDGE_BLOCK of
-    them, into the output rows lo:hi, and local[e] = targets[e] - lo.  Cuts
-    fall between targets, so the blocks' rows tile 0:m, empty rows included.
-    A target with more edges than fit is cut into pieces of its own, and
-    each later piece is carried: it starts from the partial sum before it.
-    size is the largest block.
+    Block (a, b, lo, hi) sums the edges a:b into the output rows lo:hi,
+    and local[e] = targets[e] - lo.  Cuts fall only between targets, so the
+    blocks' rows tile 0:m, empty rows included, and each target's edges
+    lie in one block: at most EDGE_BLOCK edges, or a target's own when it
+    has more.  size is the largest block.
     """
     e = targets.size
-    bounds = np.flatnonzero(np.diff(targets)) + 1        # where the target changes
+    cuts = np.append(np.flatnonzero(np.diff(targets)) + 1, e)   # where a target's edges end
     local = np.empty(e, dtype=np.intp)
     blocks = []
-    a = lo = 0
+    a = lo = k = 0          # cuts[k] is the first cut after a
     while True:
-        b = min(a + EDGE_BLOCK, e)
-        if b < e:
-            i = np.searchsorted(bounds, b, side="right") - 1
-            if i >= 0 and bounds[i] > a:
-                b = int(bounds[i])                  # the last cut between targets
+        # the last cut within EDGE_BLOCK edges, or the first if that is beyond
+        k = max(k, int(np.searchsorted(cuts, a + EDGE_BLOCK, side="right")) - 1)
+        b = int(cuts[k])
         hi = m if b == e else int(targets[b - 1]) + 1
         local[a:b] = targets[a:b] - lo
-        blocks.append((a, b, lo, hi, bool(a and targets[a - 1] == targets[a])))
+        blocks.append((a, b, lo, hi))
         if b == e:
-            return sources, weights, local, blocks, min(e, EDGE_BLOCK)
-        a, lo = b, hi - bool(targets[b] == targets[b - 1])
+            return sources, weights, local, blocks, max(end - start for start, end, _, _ in blocks)
+        a, lo, k = b, hi, k + 1
 
 
 def _segment_sum(edge_blocks: tuple, x: np.ndarray, m: int) -> np.ndarray:
@@ -197,26 +183,37 @@ def _segment_sum(edge_blocks: tuple, x: np.ndarray, m: int) -> np.ndarray:
     into target t, from _edge_blocks.
 
     Each block is gathered into one reused buffer and summed by one bincount
-    over its local keys.  A carried block's first row is the partial sum of
-    its first target, so every target adds its edges one at a time in edge
-    order, bit for bit as one bincount over the whole edge list would.
+    over its local keys, so every target adds its edges one at a time in
+    edge order from zero, bit for bit as one bincount over the whole edge
+    list would.
     """
     sources, weights, local, blocks, size = edge_blocks
     n = x.shape[1]
     out = np.empty((m, n))
-    vals = np.empty((size + 1, n))
-    keys = np.empty((size + 1, n), dtype=np.intp)
-    keys[0] = np.arange(n)
-    for a, b, lo, hi, carried in blocks:
-        end = b - a + 1
-        if carried:
-            vals[0] = out[lo]
-        x.take(sources[a:b], axis=0, out=vals[1:end], mode="clip")
-        vals[1:end] *= weights[a:b, None]
-        np.add(local[a:b, None] * n, keys[0], out=keys[1:end])
-        out[lo:hi] = np.bincount(keys[1 - carried:end].ravel(), vals[1 - carried:end].ravel(),
+    vals = np.empty((size, n))
+    keys = np.empty((size, n), dtype=np.intp)
+    columns = np.arange(n)
+    for a, b, lo, hi in blocks:
+        v, k = vals[:b - a], keys[:b - a]
+        x.take(sources[a:b], axis=0, out=v, mode="clip")
+        v *= weights[a:b, None]
+        np.add(local[a:b, None] * n, columns, out=k)
+        out[lo:hi] = np.bincount(k.ravel(), v.ravel(),
                                  minlength=(hi - lo) * n).reshape(hi - lo, n)
     return out
+
+
+def degree_normalized(graph: Graph) -> Graph:
+    """The graph with Lambda replaced by D^-1/2 Lambda D^-1/2, D the row sums
+    of Lambda, computed on the CSR arrays: O(E) work, no M x M array."""
+    rows, cols = graph.edge_index
+    indptr, _, data = graph.csr
+    deg = np.bincount(rows, weights=data, minlength=graph.num_nodes)
+    dinv = np.zeros(graph.num_nodes)
+    nonempty = deg > 0
+    dinv[nonempty] = deg[nonempty] ** -0.5
+    return Graph.from_csr(indptr, cols, dinv[rows] * data * dinv[cols], graph.features,
+                          graph.label)
 
 
 def modified_adjacency(a: np.ndarray, normalize: bool = False) -> np.ndarray:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Activations, Graph, GnnModel, LayerSpec, ReadoutSpec, ShapeError
+from .graphs import (Activations, Graph, GnnModel, LayerSpec, ReadoutSpec, ShapeError,
+                     dense_products)
 
 
 class TrainingError(RuntimeError):
@@ -136,11 +137,12 @@ def _block_diagonal(graphs: list[Graph], features: np.ndarray) -> Graph:
 
 
 class GraphGroup:
-    """The graphs of a batch that share a node count M and a Lambda form,
-    stacked once: node rows as (B, M, N) arrays.
+    """The graphs of a batch that share a node count M, stacked once: node
+    rows as (B, M, N) arrays.
 
-    Lambda is a (B, M, M) stack when the graphs are matrix-built, so
-    numpy's stacked matmul makes each graph's own BLAS call, and otherwise
+    Lambda follows the node count as a graph's products do
+    (dense_products): a (B, M, M) stack scattered from each graph's CSR
+    arrays, so numpy's stacked matmul makes each graph's own BLAS call, or
     one block-diagonal CSR graph, whose segment sum adds each node's edges
     in the same order as the graph's own.  Each product keeps the per-graph
     operation of a forward pass, so a pass gives every graph the same bits
@@ -153,8 +155,10 @@ class GraphGroup:
         self.positions = np.asarray(positions)
         self.features = np.stack([g.features for g in graphs])
         b, m, n = self.features.shape
-        if graphs[0].built_from_matrix:
-            self.lam = np.stack([g.adjacency for g in graphs])
+        if dense_products(m):
+            self.lam = np.zeros((b, m, m))
+            for lam, g in zip(self.lam, graphs):
+                lam[g.edge_index] = g.csr[2]
         else:
             self.lam = _block_diagonal(graphs, self.features.reshape(b * m, n))
         # every model's first step mixes over Lambda, and its input is fixed
@@ -243,17 +247,17 @@ class GraphGroup:
 
 
 class Batch:
-    """The graphs of a training set, grouped by node count and Lambda form
-    and stacked once, for any number of passes over changing weights."""
+    """The graphs of a training set, grouped by node count and stacked
+    once, for any number of passes over changing weights."""
 
     def __init__(self, model: GnnModel, graphs: list[Graph]):
         for g in graphs:
             if g.features.shape[1] != model.in_dim:
                 raise ShapeError(f"graph features dim {g.features.shape[1]} "
                                  f"!= model input {model.in_dim}")
-        keys: dict[tuple[int, bool], list[int]] = {}
+        keys: dict[int, list[int]] = {}
         for i, g in enumerate(graphs):
-            keys.setdefault((g.num_nodes, g.built_from_matrix), []).append(i)
+            keys.setdefault(g.num_nodes, []).append(i)
         self.groups = [GraphGroup(model, [graphs[i] for i in idx], idx)
                        for idx in keys.values()]
         self.size = len(graphs)
@@ -324,13 +328,15 @@ def train(model: GnnModel, graphs: list[Graph], config: TrainConfig) -> TrainRes
     grad = np.empty_like(flat)
     weights = _views(flat, start)
     result = TrainResult(model)
-    for epoch in range(config.epochs):
-        loss, acc = batch.loss_grads(weights, grad)
-        if not np.isfinite(loss):
-            raise TrainingError(f"non-finite loss at epoch {epoch}")
-        flat -= config.lr_at(epoch) * grad
-        result.losses.append(loss)
-        result.accuracies.append(acc)
+    # an overflow ends in a non-finite loss or weight, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            loss, acc = batch.loss_grads(weights, grad)
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite loss at epoch {epoch}")
+            flat -= config.lr_at(epoch) * grad
+            result.losses.append(loss)
+            result.accuracies.append(acc)
     # a non-finite weight stays non-finite, so one check covers every epoch
     if not np.all(np.isfinite(flat)):
         raise TrainingError(f"non-finite weights after epoch {config.epochs - 1}")

@@ -1,16 +1,14 @@
 """Session fixtures: trained desk-scale models shared across test modules."""
 
-import numpy as np
 import pytest
 
 from relwalk import (
-    Graph,
     TrainConfig,
     accuracy,
+    degree_normalized,
     gen_ba2motif,
     gen_infection,
     init_model,
-    modified_adjacency,
     train,
 )
 
@@ -51,12 +49,7 @@ def desk_models():
 def infection_setup():
     """SI scenario (M=200, 3 steps, lambda=0.6) plus a trained node classifier."""
     scenario = gen_infection(200, steps=3, lam=0.6, carrier_frac=0.02, seed=1)
-    m = scenario.graph.num_nodes
-    train_graph = Graph(
-        modified_adjacency(scenario.graph.adjacency - np.eye(m), normalize=True),
-        scenario.graph.features,
-        scenario.labels.astype(int),
-    )
+    train_graph = degree_normalized(scenario.graph)
     model = train(
         init_model([2, 16, 16, 16], 2, task="node", seed=1),
         [train_graph],

@@ -232,6 +232,22 @@ def test_explain_malformed_model_or_graph_file_exit_2(ba_dir, model_file, tmp_pa
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("features", "NaN"), ("features", "Infinity"),
+                                          ("dense", "NaN"), ("dense", "Infinity")])
+def test_explain_non_finite_graph_input_exit_2(ba_dir, model_file, tmp_path, capsys,
+                                               field, value):
+    # a NaN or infinite feature or Lambda entry in an otherwise valid file
+    data = json.loads((ba_dir / "graph_0000.json").read_text())
+    data["dense"] = load_graph(ba_dir / "graph_0000.json").adjacency.tolist()
+    data.pop("edges", None)
+    data[field][0][0] = "VALUE"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data).replace('"VALUE"', value))
+    code = main(["explain", "--model", str(model_file), "--graph", str(bad)])
+    assert code == EXIT_VALIDATION
+    assert "finite" in capsys.readouterr().err
+
+
 def test_explain_gamma_flag_changes_output(ba_dir, model_file, capsys):
     outputs = []
     for gamma in ("const:0.2", "const:5"):

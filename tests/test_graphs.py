@@ -1,6 +1,7 @@
 """Model/graph containers, forward pass, and serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,27 +9,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relwalk import (
+    GammaSchedule,
     GnnModel,
     Graph,
     LayerSpec,
     ModelFormatError,
     ReadoutSpec,
     ShapeError,
+    TrainConfig,
+    amp_ave_topk,
+    build_propagation,
+    degree_normalized,
+    emp_neu_topk,
     forward,
     graph_from_dict,
     graph_to_dict,
+    init_model,
     load_graph,
     load_model,
     model_from_dict,
     model_to_dict,
     modified_adjacency,
+    predicted_target,
     random_graph,
     save_graph,
     save_model,
+    train,
 )
 from relwalk import graphs as graphs_module
-from relwalk.datasets import gen_ba2motif
+from relwalk.datasets import gen_ba2motif, gen_infection
 from relwalk.graphs import EDGE_BLOCK
+from relwalk.graphs import _segment_sum as segment_sum
 
 
 def single_node_model(w=1.0):
@@ -216,6 +227,26 @@ def test_graph_validation_errors():
         graph_from_dict({"num_nodes": 2, "features": [[1], [1]]})
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_refused(value):
+    features = np.ones((2, 1))
+    features[1, 0] = value
+    with pytest.raises(ShapeError, match="finite"):
+        Graph(np.eye(2), features)
+    with pytest.raises(ShapeError, match="finite"):
+        graph_from_dict({"num_nodes": 2, "features": features.tolist(), "edges": []})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_lambda_refused(value):
+    lam = np.eye(2)
+    lam[0, 1] = value
+    with pytest.raises(ShapeError, match="finite"):
+        Graph(lam, np.ones((2, 1)))
+    with pytest.raises(ShapeError, match="finite"):
+        graph_from_dict({"num_nodes": 2, "features": [[1.0], [1.0]], "dense": lam.tolist()})
+
+
 @pytest.mark.parametrize("edges", [[[0]], [[0.7, 1]], [[0, 2]], [[0, 1], [-1, 0]],
                                    [[0, 1], [1]], "01", [[0, True]]])
 def test_malformed_edge_list_refused(edges):
@@ -279,21 +310,102 @@ def test_edge_list_gives_exactly_the_dense_constructions_lambda(case):
     assert graph_to_dict(graph_from_dict(graph_to_dict(graph))) == graph_to_dict(graph)
 
 
-def test_products_follow_the_form_the_graph_was_built_from():
+def test_products_follow_the_node_count(monkeypatch):
+    # 30 nodes: dense products at DENSE_NODES 30, segment sums at 29,
+    # whichever constructor built the graph
     rng = np.random.default_rng(0)
-    dense = random_graph(30, 4, 0.2, rng)
-    sparse = graph_from_dict(graph_to_dict(dense))
+    lam = random_graph(30, 4, 0.2, rng).adjacency
     h = rng.normal(size=(30, 5))
-    # a graph built from a matrix keeps its BLAS products, bit for bit
-    assert dense.aggregate(h).tobytes() == (dense.adjacency.T @ h).tobytes()
-    assert dense.aggregate_adjoint(h).tobytes() == (dense.adjacency @ h).tobytes()
-    # a graph built from an edge list sums over its edges: equal to rounding
-    np.testing.assert_allclose(sparse.aggregate(h), dense.adjacency.T @ h, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(sparse.aggregate_adjoint(h), dense.adjacency @ h,
-                               rtol=1e-12, atol=0)
-    # its dense Lambda is a fresh array on every call, never kept
-    assert np.array_equal(sparse.adjacency, dense.adjacency)
-    assert sparse.adjacency is not sparse.adjacency
+    for dense_nodes in (30, 29):
+        monkeypatch.setattr(graphs_module, "DENSE_NODES", dense_nodes)
+        matrix_built = Graph(lam, np.ones((30, 4)))
+        for graph in (matrix_built, graph_from_dict(graph_to_dict(matrix_built))):
+            if dense_nodes == 30:
+                # BLAS on Lambda densified from the CSR arrays, kept for the next product
+                assert graph.aggregate(h).tobytes() == (lam.T @ h).tobytes()
+                assert graph.aggregate_adjoint(h).tobytes() == (lam @ h).tobytes()
+                assert "_dense" in vars(graph)
+            else:
+                assert (graph.aggregate(h).tobytes()
+                        == segment_sum(graph._column_blocks, h, 30).tobytes())
+                assert (graph.aggregate_adjoint(h).tobytes()
+                        == segment_sum(graph._row_blocks, h, 30).tobytes())
+                np.testing.assert_allclose(graph.aggregate(h), lam.T @ h, rtol=1e-12, atol=0)
+                assert "_dense" not in vars(graph)
+            # the adjacency property densifies afresh on every call
+            assert np.array_equal(graph.adjacency, lam)
+            assert graph.adjacency is not graph.adjacency
+
+
+@pytest.mark.parametrize("dense_nodes", [256, 20], ids=["dense-products", "segment-sums"])
+def test_matrix_and_csr_construction_give_the_same_bits(dense_nodes, monkeypatch):
+    # a weighted Lambda on 30 nodes, so that a change of summation order shows
+    monkeypatch.setattr(graphs_module, "DENSE_NODES", dense_nodes)
+    m = 30
+    rng = np.random.default_rng(3)
+    a = (rng.random((m, m)) < 0.15).astype(float)
+    lam = modified_adjacency(np.maximum(a, a.T) - np.diag(np.diag(a)))
+    lam *= rng.uniform(0.5, 1.5, lam.shape)
+    features = rng.random((m, 4)) + 0.1
+    from_matrix = Graph(lam, features, 1)
+    rows, cols = np.nonzero(lam)
+    indptr = np.searchsorted(rows, np.arange(m + 1))
+    from_csr = Graph.from_csr(indptr, cols, lam[rows, cols], features, 1)
+    h = rng.normal(size=(m, 6))
+    assert from_matrix.aggregate(h).tobytes() == from_csr.aggregate(h).tobytes()
+    assert from_matrix.aggregate_adjoint(h).tobytes() == from_csr.aggregate_adjoint(h).tobytes()
+
+    model = init_model([4, 8, 8, 8], 2, seed=0)
+    results = []
+    for graph in (from_matrix, from_csr):
+        acts = forward(model, graph)
+        stack = build_propagation(model, graph, acts,
+                                  GammaSchedule.linear_decay(3.0, model.num_steps),
+                                  predicted_target(model, acts))
+        amp = amp_ave_topk(stack, 5, max_k_tilde=500)
+        emp = emp_neu_topk(stack, 5, max_k_tilde=500)
+        trained = train(model, [graph], TrainConfig(epochs=20, lr=0.05)).model
+        results.append((
+            [x.tobytes() for x in acts.hidden + acts.aggregated + (acts.logits,)],
+            [x.tobytes() for x in stack.inverse_denominators + [stack.output_relevance]],
+            [(w.nodes, w.neurons, w.relevance.hex()) for w in amp.positive + emp.positive],
+            [s.weight.tobytes() for s in trained.steps] + [trained.readout.head.tobytes()],
+        ))
+    assert len(results[0][2]) == 10
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_degree_normalization_equals_the_dense_recipe(seed):
+    # the dense expression perfbench trains its infection models on
+    scenario = gen_infection(200, steps=3, lam=0.6, carrier_frac=0.02, seed=seed)
+    m = scenario.graph.num_nodes
+    expected = modified_adjacency(scenario.graph.adjacency - np.eye(m), normalize=True)
+    for graph in (scenario.graph, graph_from_dict(graph_to_dict(scenario.graph))):
+        normalized = degree_normalized(graph)
+        assert normalized.adjacency.tobytes() == expected.tobytes()
+        assert normalized.features is graph.features
+        assert np.array_equal(normalized.label, scenario.labels)
+
+
+def test_degree_normalization_of_a_large_edge_list_graph_allocates_no_dense_lambda():
+    m = 20_000
+    rng = np.random.default_rng(0)
+    pairs = rng.integers(0, m, size=(2 * m, 2))
+    graph = graph_from_dict({"num_nodes": m, "features": np.ones((m, 1)).tolist(),
+                             "edges": np.concatenate([pairs, pairs[:, ::-1]]).tolist()})
+    tracemalloc.start()
+    try:
+        normalized = degree_normalized(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # O(E) arrays of about 100,000 edges; Lambda as a matrix would be 3.2 GB
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20
+    rows, cols = graph.edge_index
+    deg = np.bincount(rows, weights=graph.csr[2], minlength=m)
+    np.testing.assert_allclose(normalized.csr[2], graph.csr[2] / np.sqrt(deg[rows] * deg[cols]),
+                               rtol=1e-14)
 
 
 @pytest.mark.parametrize("indptr, indices, data", [
@@ -304,6 +416,8 @@ def test_products_follow_the_form_the_graph_was_built_from():
     ([0, 1, 1], [2], [1.0]),             # column out of range
     ([0, 1, 1], [0], [0.0]),             # a stored zero
     ([0, 1, 1], [0], [-1.0]),            # a negative entry
+    ([0, 1, 1], [0], [np.inf]),          # an infinite entry
+    ([0, 1, 1], [0], [np.nan]),          # a NaN entry
 ])
 def test_malformed_csr_refused(indptr, indices, data):
     with pytest.raises(ShapeError):
@@ -336,13 +450,19 @@ def csr_graph(m, pairs, n, seed=0):
 
 
 def assert_products_are_whole_edge_list_sums(graph):
+    # the kernel on the graph's edge blocks, and the graph's products when
+    # its node count puts them on the kernel
     rows, cols = graph.edge_index
     data = graph.csr[2]
     h = graph.features
     m = graph.num_nodes
-    assert graph.aggregate(h).tobytes() == whole_edge_list_sum(cols, rows, data, h, m).tobytes()
-    assert (graph.aggregate_adjoint(h).tobytes()
-            == whole_edge_list_sum(rows, cols, data, h, m).tobytes())
+    for blocks, targets, sources, product in (
+            (graph._column_blocks, cols, rows, graph.aggregate),
+            (graph._row_blocks, rows, cols, graph.aggregate_adjoint)):
+        whole = whole_edge_list_sum(targets, sources, data, h, m).tobytes()
+        assert segment_sum(blocks, h, m).tobytes() == whole
+        if not graphs_module.dense_products(m):
+            assert product(h).tobytes() == whole
 
 
 def kernel_cases():
@@ -379,8 +499,8 @@ def test_blocked_segment_sums_equal_one_whole_edge_list_bincount(case, n):
 @given(st.integers(1, 12), st.integers(0, 80), st.integers(1, 4), st.integers(1, 7),
        st.integers(0, 2 ** 16))
 def test_segment_sums_with_tiny_blocks_equal_one_whole_edge_list_bincount(m, e, n, block, seed):
-    # blocks of a few edges cut almost every node's edges, and node 0 is a
-    # hub in both directions, so sums carry across many block boundaries
+    # blocks of a few edges hold one or a few nodes' edges, and node 0 is a
+    # hub in both directions, so its edges fill a block of their own
     rng = np.random.default_rng(seed)
     pairs = rng.integers(0, m, size=(e, 2))
     pairs[: e // 3, 0] = 0

@@ -14,7 +14,9 @@ from relwalk import (
     train,
 )
 from relwalk.datasets import gen_ba2motif, gen_infection
-from relwalk.graphs import Graph, forward, graph_from_dict, graph_to_dict, modified_adjacency
+from relwalk import graphs as graphs_module
+from relwalk.graphs import (Graph, degree_normalized, forward, graph_from_dict, graph_to_dict,
+                            modified_adjacency)
 from relwalk.training import Batch, GraphGroup
 
 from helpers import reference_train
@@ -40,7 +42,8 @@ def edge_list(graphs):
 
 def batch_of(form, task):
     """Six or more graphs: all matrix-built, all edge-list, or a mix of both
-    forms and of three node counts, interleaved."""
+    forms and of three node counts, interleaved (three groups: both forms
+    of one node count share one)."""
     if form == "matrix":
         return tiny_dataset(0, task=task)
     if form == "edges":
@@ -108,13 +111,32 @@ def test_training_equals_the_per_graph_reference_bit_for_bit(form, gin, task):
     assert losses[-1] < losses[0]
 
 
+@pytest.mark.parametrize("task", ["graph", "node"])
+def test_training_on_block_diagonal_groups_equals_the_reference(task, monkeypatch):
+    # above DENSE_NODES a group's Lambda is one block-diagonal CSR graph,
+    # and each graph's own products are segment sums; the 1-node graphs
+    # stay dense
+    monkeypatch.setattr(graphs_module, "DENSE_NODES", 4)
+    graphs = batch_of("mixed", task)
+    model = init_model([3, 4, 4], 2, task=task, seed=7)
+    batch = Batch(model, graphs)
+    assert sorted(isinstance(group.lam, Graph) for group in batch.groups) == [False, True, True]
+    config = TrainConfig(epochs=40, lr=0.1)
+    result = train(model, graphs, config)
+    weights, losses, accuracies = reference_train(model, graphs, config)
+    trained = [s.weight for s in result.model.steps] + [result.model.readout.head]
+    assert all(np.array_equal(a, b) for a, b in zip(trained, weights))
+    assert result.losses == losses
+    assert result.accuracies == accuracies
+
+
 @pytest.mark.parametrize("gin", [False, True])
 @pytest.mark.parametrize("task", ["graph", "node"])
 def test_batch_logits_equal_forward_per_graph(task, gin):
     graphs = batch_of("mixed", task)
     model = init_model([3, 4, 4], 2, task=task, seed=1, gin=gin)
     batch = Batch(model, graphs)
-    assert len(batch.groups) == 4
+    assert len(batch.groups) == 3
     weights = [s.weight for s in model.steps] + [model.readout.head]
     seen = []
     for group in batch.groups:
@@ -236,12 +258,7 @@ def test_motif_classification_reaches_high_accuracy():
 
 def test_node_task_accuracy_on_infection_scenario():
     scenario = gen_infection(60, steps=3, lam=0.6, carrier_frac=0.05, seed=0)
-    g = Graph(
-        modified_adjacency(
-            scenario.graph.adjacency - np.eye(60), normalize=True),
-        scenario.graph.features,
-        scenario.labels.astype(int),
-    )
+    g = degree_normalized(scenario.graph)
     model = init_model([2, 8, 8, 8], 2, task="node", seed=0)
     result = train(model, [g], TrainConfig(epochs=800, lr=0.2))
     assert accuracy(result.model, [g]) >= 0.75
