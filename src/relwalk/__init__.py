@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .ampave import (
     NodeMessageTable,
-    amp_ave_basic,
     amp_ave_topk,
     build_node_message_table,
     walks_to_edge_scores,
@@ -27,7 +26,6 @@ from .empneu import (
     MessageTable,
     TopKResult,
     build_message_table,
-    emp_neu_basic,
     emp_neu_topk,
 )
 from .graphs import (
@@ -87,7 +85,6 @@ from .training import (
     TrainResult,
     TrainingError,
     accuracy,
-    batch_loss,
     batch_loss_grads,
     init_model,
     numeric_gradients,

@@ -24,12 +24,12 @@ stack's only representation, and is maximized along the stack's edge
 list with EMP-neu's reduction (propagation.segment_first_max), so a
 step costs O(E N + M N^2) time and no dense transition tensor or M x M
 objective is ever built.  A subset after a prefix scores only the
-successors of the prefix's last node.
+successors of the prefix's last node, read from the stack's CSR rows
+(PropagationStack.out_edges) as EMP-neu reads them.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import partial
 
@@ -38,7 +38,7 @@ import numpy as np
 from .graphs import EDGE_BLOCK
 from .oracle import ScoredWalk
 from .propagation import PropagationStack, edge_segments, segment_first_max
-from .splitting import SplitResult, pick, split_topk
+from .splitting import SplitResult, split_topk
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,7 @@ class NodeMessageTable:
     support (False only where no such continuation exists; mu[l][m] is
     then 0).  complete[-1] is that support itself: the nodes whose row of
     R^(L) is nonzero, so the last node of every completion carries
-    relevance.  Every array is (M,) or (M, N_l).  successors[l] holds the
-    edges of step l whose completion from m' is complete, as CSR: (row
-    pointers as a Python array, cols, Lambda values); a node's
-    continuations at layer l + 1 are its row.
+    relevance.  Every array is (M,) or (M, N_l).
     """
 
     # perfbench's traced ampave.objective_bytes sums `table.objective`; no
@@ -76,7 +73,6 @@ class NodeMessageTable:
     step: tuple[np.ndarray, ...]
     scaled: tuple[np.ndarray, ...]
     complete: tuple[np.ndarray, ...]
-    successors: tuple[tuple[array, np.ndarray, np.ndarray], ...]
 
 
 def edge_objective(stack: PropagationStack, l: int, scaled: np.ndarray,
@@ -109,7 +105,6 @@ def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:
     step = [None] * stack.num_steps
     scaled = [None] * stack.num_steps
     complete = [None] * (stack.num_steps + 1)
-    successors = [None] * stack.num_steps
     mu[-1] = stack.output_relevance
     complete[-1] = np.any(stack.output_relevance != 0, axis=1)
     for l in range(stack.num_steps - 1, -1, -1):
@@ -117,9 +112,6 @@ def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:
         rows, cols = stack.edges[l]
         keep = complete[l + 1][cols]
         rows, cols, values = rows[keep], cols[keep], stack.edge_values[l][keep]
-        successors[l] = (array("q", np.searchsorted(rows, np.arange(m + 1)).astype(np.int64)
-                                    .tobytes()),
-                         cols, values)
         heads, starts, segment = edge_segments(rows)
         _, first = segment_first_max(edge_objective(stack, l, scaled[l], rows, cols, values),
                                      starts, segment)
@@ -131,19 +123,7 @@ def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:
         lam_sel[heads] = values[first]
         wq = scaled[l] @ stack.wups[l].T            # (M, N_l)
         mu[l] = lam_sel[:, None] * stack.hidden[l] * wq[step[l]]
-    return NodeMessageTable(tuple(mu), tuple(step), tuple(scaled), tuple(complete),
-                            tuple(successors))
-
-
-def amp_ave_basic(stack: PropagationStack) -> ScoredWalk | None:
-    """Approximately most relevant node-level walk, with its relevance.
-
-    This is the representative of the whole walk space, so it equals the
-    first extraction of amp_ave_topk.
-    """
-    table = build_node_message_table(stack)
-    best = pick(*candidate_scores(stack, table, ()), table.step, (), frozenset())
-    return None if best is None else ScoredWalk(best[1], best[0])
+    return NodeMessageTable(tuple(mu), tuple(step), tuple(scaled), tuple(complete))
 
 
 def candidate_scores(stack: PropagationStack, table: NodeMessageTable, prefix: tuple[int, ...]
@@ -154,12 +134,13 @@ def candidate_scores(stack: PropagationStack, table: NodeMessageTable, prefix: t
 
     After a prefix the candidates are the successors of its last node
     (Lambda != 0) whose completion follows edges and ends on R^(L)'s
-    support (table.successors), so a subset costs O(out-degree N) beyond
-    its fold; at the root they are all nodes, and those whose completion
-    does not score -inf.  So every representative is such a walk.
-    Scoring all free-position candidates (rather than only the single
-    surrogate-argmax one) keeps the approximate search from burying
-    high-relevance walks behind weak representatives.
+    support (stack.out_edges, kept where table.complete), so a subset
+    costs O(out-degree N) beyond its fold; at the root they are all
+    nodes, and those whose completion does not score -inf.  So every
+    representative is such a walk.  Scoring all free-position candidates
+    (rather than only the single surrogate-argmax one) keeps the
+    approximate search from burying high-relevance walks behind weak
+    representatives.
     """
     i = len(prefix)
     if i == 0:
@@ -171,8 +152,9 @@ def candidate_scores(stack: PropagationStack, table: NodeMessageTable, prefix: t
         row = row @ stack.slice(l, prefix[l], prefix[l + 1])
     p = prefix[-1]
     contrib = (row * stack.hidden[i - 1][p]) @ stack.wups[i - 1]  # (N_i,)
-    ptr, cols, lam = table.successors[i - 1]
-    cols, lam = cols[ptr[p]:ptr[p + 1]], lam[ptr[p]:ptr[p + 1]]
+    cols, lam = stack.out_edges(i - 1, p)
+    keep = table.complete[i][cols]
+    cols, lam = cols[keep], lam[keep]
     return cols, lam * (table.scaled[i - 1][cols] @ contrib), 1.0
 
 

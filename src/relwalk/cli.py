@@ -256,8 +256,7 @@ def _cmd_train(args) -> int:
     in_dim = graphs[0].features.shape[1]
     dims = [in_dim] + [args.hidden] * args.layers
     model = init_model(dims, 2, task=task, seed=args.seed, gin=args.arch == "gin")
-    config = TrainConfig(epochs=args.epochs, lr=args.lr,
-                         lr_schedule=args.lr_schedule, seed=args.seed)
+    config = TrainConfig(epochs=args.epochs, lr=args.lr, lr_schedule=args.lr_schedule)
     result = train(model, graphs, config)
     save_model(result.model, args.out)
     print(f"final loss {result.final_loss:.4f}, accuracy {result.final_accuracy:.3f}")

@@ -241,6 +241,10 @@ def gen_infection(
         raise ValueError("m must be >= 2")
     if not (0.0 <= lam <= 1.0):
         raise ValueError("lambda must be in [0, 1]")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not mean_out_degree >= 0:
+        raise ValueError(f"mean_out_degree must be >= 0, got {mean_out_degree}")
     if carriers is None and not (0.0 < carrier_frac < 1.0):
         raise ValueError("carrier_frac must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -266,9 +270,6 @@ class OracleEstimate:
     infection_prob: np.ndarray            # x(m) / Q per node
     chain_prob: dict[tuple[int, ...], float]
     q: int
-
-    def possible_chains(self, target: int) -> list[tuple[int, ...]]:
-        return [c for c in self.chain_prob if c[-1] == target]
 
 
 def oracle_estimate(scenario: InfectionScenario, q: int, seed: int = 1) -> OracleEstimate:

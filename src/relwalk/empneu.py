@@ -23,7 +23,7 @@ import numpy as np
 
 from .oracle import ScoredWalk, neuron_walk_relevance
 from .propagation import PropagationStack, edge_segments, segment_first_max
-from .splitting import SplitResult, pick, split_topk
+from .splitting import SplitResult, split_topk
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class MessageTable:
     mu: tuple[np.ndarray, ...]
     step: tuple[np.ndarray, ...]
     factors: tuple[np.ndarray, ...]
-    stack: PropagationStack
 
 
 def build_message_table(stack: PropagationStack) -> MessageTable:
@@ -92,11 +91,10 @@ def build_message_table(stack: PropagationStack) -> MessageTable:
         best *= np.abs(stack.hidden[l])
         mu[l] = best.reshape(sizes[l])
         step[l] = chosen.reshape(sizes[l])
-    return MessageTable(tuple(mu), tuple(step), tuple(factors), stack)
+    return MessageTable(tuple(mu), tuple(step), tuple(factors))
 
 
-def _prefix_factor(table: MessageTable, prefix: tuple[int, ...]) -> float:
-    stack = table.stack
+def _prefix_factor(stack: PropagationStack, prefix: tuple[int, ...]) -> float:
     dims = stack.dims
     value = 1.0
     for l in range(len(prefix) - 1):
@@ -106,10 +104,10 @@ def _prefix_factor(table: MessageTable, prefix: tuple[int, ...]) -> float:
     return value
 
 
-def _scored_row(table: MessageTable, l: int, pair: int) -> tuple[np.ndarray, np.ndarray]:
+def _scored_row(stack: PropagationStack, table: MessageTable, l: int, pair: int
+                ) -> tuple[np.ndarray, np.ndarray]:
     """|T^(l)[m, n, m', :]| * mu[l + 1] for pair = (m, n) and the successors
     m' of m: the flat (m', n') pairs, ascending, and their values."""
-    stack = table.stack
     dims = stack.dims
     n_next = dims[l + 1]
     m, n = divmod(pair, dims[l])
@@ -120,7 +118,7 @@ def _scored_row(table: MessageTable, l: int, pair: int) -> tuple[np.ndarray, np.
     return (cols[:, None] * n_next + np.arange(n_next)).reshape(-1), row.reshape(-1)
 
 
-def candidate_scores(table: MessageTable, prefix: tuple[int, ...]
+def candidate_scores(stack: PropagationStack, table: MessageTable, prefix: tuple[int, ...]
                      ) -> tuple[np.ndarray | None, np.ndarray, float]:
     """Best absolute continuation value of every candidate pair at layer
     len(prefix) after the flat-pair prefix, and the prefix's absolute
@@ -135,10 +133,10 @@ def candidate_scores(table: MessageTable, prefix: tuple[int, ...]
     with none counts as empty.
     """
     if prefix:
-        values, row = _scored_row(table, len(prefix) - 1, prefix[-1])
+        values, row = _scored_row(stack, table, len(prefix) - 1, prefix[-1])
     else:
         values, row = None, table.mu[0]
-    return values, np.where(row == 0, -np.inf, row), _prefix_factor(table, prefix)
+    return values, np.where(row == 0, -np.inf, row), _prefix_factor(stack, prefix)
 
 
 def _pairs_to_walk(stack: PropagationStack, pairs: tuple[int, ...]) -> ScoredWalk:
@@ -150,14 +148,6 @@ def _pairs_to_walk(stack: PropagationStack, pairs: tuple[int, ...]) -> ScoredWal
         neurons.append(nl)
     rel = neuron_walk_relevance(stack, nodes, neurons)
     return ScoredWalk(tuple(nodes), rel, tuple(neurons))
-
-
-def emp_neu_basic(stack: PropagationStack) -> ScoredWalk | None:
-    """The neuron-level walk with the highest absolute relevance, or None
-    if every walk has relevance 0; the first extraction of emp_neu_topk."""
-    table = build_message_table(stack)
-    best = pick(*candidate_scores(table, ()), table.step, (), frozenset())
-    return None if best is None else _pairs_to_walk(stack, best[1])
 
 
 @dataclass
@@ -180,6 +170,6 @@ def emp_neu_topk(
     has none and returns no walk.
     """
     table = build_message_table(stack)
-    return split_topk(partial(candidate_scores, table), table.step,
+    return split_topk(partial(candidate_scores, stack, table), table.step,
                       lambda pairs, _: _pairs_to_walk(stack, pairs),
                       k, max_k_tilde, result_type=TopKResult)

@@ -313,11 +313,6 @@ class GnnModel:
             )
         object.__setattr__(self, "layers", layers)
 
-    @property
-    def depth(self) -> int:
-        """Number of LayerSpec blocks."""
-        return len(self.layers)
-
     @cached_property
     def steps(self) -> tuple[Step, ...]:
         """Per-weight propagation steps; GIN MLP blocks expand into two.

@@ -83,11 +83,19 @@ def parse_gamma(spec: str, depth: int) -> GammaSchedule:
 
 
 def modified_weight(w: np.ndarray, gamma: float) -> np.ndarray:
-    """LRP-gamma weight: W + gamma * relu(W), entry-wise."""
+    """LRP-gamma weight: W + gamma * relu(W), entry-wise.
+
+    A result that is not finite everywhere (a NaN or infinite gamma, or an
+    overflow) is refused: its relevances would not be numbers.
+    """
     if gamma < 0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
     w = np.asarray(w, dtype=float)
-    return w + gamma * np.maximum(w, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wup = w + gamma * np.maximum(w, 0.0)
+    if not np.isfinite(wup).all():
+        raise ParameterError(f"gamma {gamma} makes the modified weights non-finite")
+    return wup
 
 
 @dataclass(eq=False)
@@ -187,7 +195,9 @@ def edge_segments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     one edge, in ascending order, the position of each one's first edge,
     and each edge's index into heads.  An empty edge list gives empty
     arrays."""
-    new_row = np.diff(rows, prepend=-1) != 0
+    new_row = np.empty(rows.size, dtype=bool)
+    new_row[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
     starts = np.flatnonzero(new_row)
     return rows[starts], starts, np.cumsum(new_row) - 1
 

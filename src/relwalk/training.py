@@ -27,6 +27,8 @@ class TrainConfig:
     epochs: int = 500
     lr: float = 0.05
     lr_schedule: str = "decay"    # "decay": lr/(1 + epoch/epochs); "constant"
+    # train never reads it: full-batch descent from a given model draws
+    # nothing at random.  It stays while perfbench's workloads pass seed=.
     seed: int = 0
 
     def __post_init__(self):
@@ -75,6 +77,9 @@ def init_model(
     gin=True gives every block a second node-local MLP weight of the same
     output dimension.
     """
+    if min(dims, default=0) < 1 or num_classes < 1:
+        raise ValueError(f"every dimension must be >= 1, got dims {dims} and "
+                         f"{num_classes} classes")
     rng = np.random.default_rng(seed)
     layers = []
     for a, b in zip(dims, dims[1:]):
@@ -289,11 +294,6 @@ def batch_loss_grads(model: GnnModel, graphs: list[Graph]):
     grad = np.empty(sum(w.size for w in weights))
     loss, acc = Batch(model, graphs).loss_grads(weights, grad)
     return loss, _views(grad, weights), acc
-
-
-def batch_loss(model: GnnModel, graphs: list[Graph]) -> float:
-    loss, _, _ = batch_loss_grads(model, graphs)
-    return loss
 
 
 def numeric_gradients(model: GnnModel, graphs: list[Graph], h: float = 1e-6):

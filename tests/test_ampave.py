@@ -15,7 +15,6 @@ from relwalk import (
     LayerSpec,
     ReadoutSpec,
     Splitter,
-    amp_ave_basic,
     amp_ave_topk,
     build_node_message_table,
     build_propagation,
@@ -83,7 +82,7 @@ def test_basic_single_node_graph():
     model = GnnModel((LayerSpec(np.array([[1.0]])),), ReadoutSpec(task="graph"))
     acts = forward(model, graph)
     stack = build_propagation(model, graph, acts, GammaSchedule.constant(0.0, 1), 0)
-    walk = amp_ave_basic(stack)
+    [walk] = amp_ave_topk(stack, 1, max_k_tilde=1).extracted
     assert walk.nodes == (0, 0)
     assert walk.relevance == pytest.approx(0.4)
 
@@ -94,7 +93,7 @@ def test_basic_exact_in_degenerate_neuron_space():
         _, _, _, stack = random_instance(m=5, dims=(1, 1, 1, 1), seed=seed,
                                          positive_weights=True)
         assert np.all(stack.output_relevance >= 0)
-        found = amp_ave_basic(stack)
+        [found] = amp_ave_topk(stack, 1, max_k_tilde=1).extracted
         expected = exhaustive_topk_node(stack, 1)[0]
         assert found.relevance == pytest.approx(expected.relevance, abs=1e-12)
 
@@ -104,13 +103,13 @@ def test_basic_dead_network_returns_none():
     model = GnnModel((LayerSpec(np.array([[-1.0]])),), ReadoutSpec(task="graph"))
     acts = forward(model, graph)
     stack = build_propagation(model, graph, acts, GammaSchedule.constant(0.0, 1), 0)
-    assert amp_ave_basic(stack) is None
+    assert amp_ave_topk(stack, 1, max_k_tilde=1).extracted == []
 
 
 def test_basic_reported_relevance_is_exact():
     for seed in range(10):
         _, _, _, stack = random_instance(seed=seed)
-        walk = amp_ave_basic(stack)
+        [walk] = amp_ave_topk(stack, 1, max_k_tilde=1).extracted
         assert walk.relevance == pytest.approx(
             node_walk_relevance(stack, walk.nodes), abs=1e-12)
 
@@ -123,7 +122,7 @@ def test_basic_near_top_on_positive_instances():
         _, _, _, stack = random_instance(
             m=8, seed=seed, schedule=GammaSchedule.linear_decay(3.0, 3),
             positive_weights=True)
-        walk = amp_ave_basic(stack)
+        [walk] = amp_ave_topk(stack, 1, max_k_tilde=1).extracted
         third = exhaustive_topk_node(stack, 3)[-1].relevance
         hits += walk.relevance >= third - 1e-10
     assert hits >= 9
@@ -135,11 +134,11 @@ def test_basic_near_top_on_positive_instances():
 def test_topk_k1_equals_basic_when_positive():
     for seed in range(10):
         _, _, _, stack = random_instance(seed=seed)
-        basic = amp_ave_basic(stack)
-        if basic.relevance <= 0:
+        [first] = amp_ave_topk(stack, 1, max_k_tilde=1).extracted
+        if first.relevance <= 0:
             continue
         result = amp_ave_topk(stack, 1)
-        assert result.positive[0] == basic
+        assert result.positive[0] == first
 
 
 def test_topk_degenerate_exactness():
@@ -417,8 +416,8 @@ def test_completions_avoid_dead_ends():
     for seed in range(5):
         stack = headed_instance(sink_adjacency(), seed, dims=(2, 2, 2, 2))
         walks = support_walks(stack)
-        basic = amp_ave_basic(stack)
-        assert basic is None or follows_edges(stack, basic.nodes)
+        for first in amp_ave_topk(stack, 1, max_k_tilde=1).extracted:
+            assert follows_edges(stack, first.nodes)
         result = amp_ave_topk(stack, len(walks) + 1)
         assert sorted(w.nodes for w in result.extracted) == walks
 

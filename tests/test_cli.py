@@ -85,6 +85,15 @@ def test_gen_infection_single_node_exit_2(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("flags", [["--steps", "-1"], ["--mean-out-degree", "-1"],
+                                   ["--mean-out-degree", "nan"]])
+def test_gen_infection_negative_steps_or_degree_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "s.json"
+    assert main(["gen", "infection", "--m", "10", *flags, "--out", str(out)]) == EXIT_VALIDATION
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_ba2motif_no_graphs_exit_2(tmp_path):
     code = main(["gen", "ba2motif", "--n", "0", "--out", str(tmp_path / "ba")])
     assert code == EXIT_VALIDATION
@@ -132,6 +141,17 @@ def test_train_divergence_exit_2(tmp_path, capsys, epochs):
                  "--out", str(out)])
     assert code == EXIT_VALIDATION
     assert "error: non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_width_below_one_exit_2(ba_dir, tmp_path, capsys, command):
+    out = tmp_path / "m.json"
+    argv = {"train": ["train", "--data", str(ba_dir), "--epochs", "1", "--out", str(out)],
+            "bench": ["bench", "--methods", "amp-ave", "--m-values", "8", "--l-values", "2",
+                      "--repetitions", "1"]}[command]
+    assert main(argv + ["--hidden", "0"]) == EXIT_VALIDATION
+    assert "dimension must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -257,6 +277,16 @@ def test_explain_gamma_flag_changes_output(ba_dir, model_file, capsys):
         assert code == EXIT_OK
         outputs.append(capsys.readouterr().out)
     assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("method", ["amp-ave", "emp-neu"])
+@pytest.mark.parametrize("gamma", ["const:nan", "const:inf", "linear:nan"])
+def test_explain_non_finite_gamma_exit_2(ba_dir, model_file, capsys, method, gamma):
+    code = main(["explain", "--model", str(model_file),
+                 "--graph", str(ba_dir / "graph_0000.json"),
+                 "--method", method, "--gamma", gamma])
+    assert code == EXIT_VALIDATION
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_explain_bad_gamma_exit_2(ba_dir, model_file):

@@ -162,7 +162,7 @@ def test_oracle_deterministic_scenario_all_reachable_certain():
                              adjacency=path_adjacency(4), carriers=[0])
     est = oracle_estimate(scenario, q=50)
     np.testing.assert_array_equal(est.infection_prob, np.ones(4))
-    assert est.possible_chains(3) == [(0, 1, 2, 3)]
+    assert [c for c in est.chain_prob if c[-1] == 3] == [(0, 1, 2, 3)]
     assert est.chain_prob[(0, 1, 2, 3)] == 1.0
 
 
@@ -186,6 +186,14 @@ def test_oracle_estimates_converge_with_q():
         errors.append(np.abs(est.infection_prob - reference).mean())
     assert errors[2] < errors[0]
     assert errors[2] < 2 * errors[1]  # roughly 1/sqrt(Q) shrinkage
+
+
+@pytest.mark.parametrize("kwargs", [dict(steps=-1), dict(mean_out_degree=-1.0),
+                                    dict(mean_out_degree=float("nan"))])
+def test_gen_infection_refuses_negative_steps_and_degree(kwargs):
+    # either would write a scenario with no spread, or a graph with no edges
+    with pytest.raises(ValueError):
+        gen_infection(**{"m": 20, "steps": 2, "lam": 0.5, **kwargs})
 
 
 def test_oracle_rejects_bad_q():

@@ -15,7 +15,6 @@ from relwalk import (
     build_message_table,
     build_propagation,
     dense_tensor,
-    emp_neu_basic,
     emp_neu_topk,
     exhaustive_topk_neuron,
     forward,
@@ -32,9 +31,9 @@ def flat_pair(stack, l, m, n):
     return m * stack.dims[l] + n
 
 
-def subset_best(table, prefix, excluded):
+def subset_best(stack, table, prefix, excluded):
     """(|relevance|, walk) of the representative of a subset, or None."""
-    return pick(*candidate_scores(table, prefix), table.step, prefix, excluded)
+    return pick(*candidate_scores(stack, table, prefix), table.step, prefix, excluded)
 
 
 # -- single best walk ----------------------------------------------------------
@@ -45,7 +44,7 @@ def test_basic_single_candidate():
     model = GnnModel((LayerSpec(np.array([[1.0]])),), ReadoutSpec(task="graph"))
     acts = forward(model, graph)
     stack = build_propagation(model, graph, acts, GammaSchedule.constant(0.0, 1), 0)
-    walk = emp_neu_basic(stack)
+    [walk] = emp_neu_topk(stack, 1, max_k_tilde=1).extracted
     assert walk.nodes == (0, 0) and walk.neurons == (0, 0)
     assert walk.relevance == pytest.approx(0.4)
 
@@ -53,7 +52,7 @@ def test_basic_single_candidate():
 def test_basic_equals_oracle_top1():
     for seed in range(10):
         _, _, _, stack = random_instance(seed=seed)
-        found = emp_neu_basic(stack)
+        [found] = emp_neu_topk(stack, 1, max_k_tilde=1).extracted
         expected = exhaustive_topk_neuron(stack, 1)[0]
         assert abs(found.relevance) == pytest.approx(
             abs(expected.relevance), abs=1e-10)
@@ -62,9 +61,9 @@ def test_basic_equals_oracle_top1():
 
 def test_basic_negated_output_gives_same_walk_negated_value():
     _, _, _, stack = random_instance(seed=4)
-    before = emp_neu_basic(stack)
+    [before] = emp_neu_topk(stack, 1, max_k_tilde=1).extracted
     stack.output_relevance *= -1.0
-    after = emp_neu_basic(stack)
+    [after] = emp_neu_topk(stack, 1, max_k_tilde=1).extracted
     assert after.nodes == before.nodes and after.neurons == before.neurons
     assert after.relevance == pytest.approx(-before.relevance, abs=1e-12)
 
@@ -77,7 +76,7 @@ def dead_stack():
 
 
 def test_basic_dead_network_returns_none():
-    assert emp_neu_basic(dead_stack()) is None
+    assert emp_neu_topk(dead_stack(), 1, max_k_tilde=1).extracted == []
 
 
 def test_topk_dead_network_returns_no_walk():
@@ -196,9 +195,9 @@ def test_message_table_holds_no_dense_tensor():
 def test_constrained_max_excluding_top_start_matches_filtered_oracle():
     _, _, _, stack = random_instance(seed=7)
     table = build_message_table(stack)
-    best = emp_neu_basic(stack)
+    [best] = emp_neu_topk(stack, 1, max_k_tilde=1).extracted
     top_pair = flat_pair(stack, 0, best.nodes[0], best.neurons[0])
-    best_abs, _ = subset_best(table, (), frozenset({top_pair}))
+    best_abs, _ = subset_best(stack, table, (), frozenset({top_pair}))
     total = stack.num_nodes ** 4 * int(np.prod(stack.dims))
     filtered = [
         w for w in exhaustive_topk_neuron(stack, total)
@@ -212,7 +211,7 @@ def test_constrained_max_annihilated_prefix():
     _, _, _, stack = random_instance(m=3, dims=(2, 2, 2), seed=0, edge_prob=0.0)
     table = build_message_table(stack)
     best = subset_best(
-        table, (flat_pair(stack, 0, 0, 0), flat_pair(stack, 1, 1, 0)), frozenset())
+        stack, table, (flat_pair(stack, 0, 0, 0), flat_pair(stack, 1, 1, 0)), frozenset())
     assert best is None or best[0] == 0.0
 
 
@@ -220,7 +219,7 @@ def test_constrained_max_all_excluded_is_empty():
     _, _, _, stack = random_instance(seed=1)
     table = build_message_table(stack)
     every_pair = frozenset(range(stack.num_nodes * stack.dims[0]))
-    assert subset_best(table, (), every_pair) is None
+    assert subset_best(stack, table, (), every_pair) is None
 
 
 def test_constrained_max_table_reuse_is_stable():
@@ -228,7 +227,7 @@ def test_constrained_max_table_reuse_is_stable():
     table = build_message_table(stack)
     results = []
     for _ in range(2):
-        results.append(subset_best(table, (), frozenset({0})))
+        results.append(subset_best(stack, table, (), frozenset({0})))
     assert results[0] == results[1]
 
 
@@ -240,10 +239,11 @@ def test_topk_k1_equals_basic_when_positive():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         _, _, _, stack = random_instance(seed=seed)
-        if emp_neu_basic(stack).relevance <= 0:
+        [first] = emp_neu_topk(stack, 1, max_k_tilde=1).extracted
+        if first.relevance <= 0:
             continue
         result = emp_neu_topk(stack, 1)
-        assert result.positive[0] == emp_neu_basic(stack)
+        assert result.positive[0] == first
 
 
 def test_topk_matches_oracle_walk_for_walk():
@@ -368,7 +368,7 @@ def test_splitting_partitions_unexplored_space():
         ]
         relevant = {w for w in space if pairs_relevance(stack, w) != 0}
         partial_spaces += 0 < len(relevant) < len(space)
-        splitter = Splitter(partial(candidate_scores, table), table.step)
+        splitter = Splitter(partial(candidate_scores, stack, table), table.step)
         extracted = []
         steps = stack.num_steps
         while splitter.heap:

@@ -115,7 +115,7 @@ def test_gin_layer_expands_to_two_steps():
          LayerSpec(np.ones((20, 2)), hidden_weight=np.ones((2, 2)))),
         ReadoutSpec(task="graph"),
     )
-    assert model.depth == 3
+    assert len(model.layers) == 3
     assert model.num_steps == 6
     assert [s.uses_adjacency for s in model.steps] == [True, False] * 3
 
@@ -136,7 +136,7 @@ def test_model_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    assert loaded.depth == 3
+    assert len(loaded.layers) == 3
     for a, b in zip(model.layers, loaded.layers):
         assert np.array_equal(a.weight, b.weight)
     assert np.array_equal(model.readout.head, loaded.readout.head)

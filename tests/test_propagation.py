@@ -52,6 +52,27 @@ def test_modified_weight_rejects_negative_gamma():
         modified_weight(np.array([[1.0]]), -0.1)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, 1e308])
+def test_modified_weight_refuses_non_finite_result(gamma):
+    # NaN and inf give a NaN even on the negative entries (inf * 0); 1e308
+    # overflows 2.0 + 1e308 * 2.0 to inf
+    with pytest.raises(ParameterError, match="non-finite"):
+        modified_weight(np.array([[2.0, -1.0]]), gamma)
+
+
+@pytest.mark.parametrize("schedule", [GammaSchedule.constant(np.nan, 3),
+                                      GammaSchedule.constant(np.inf, 3),
+                                      GammaSchedule.linear_decay(np.nan, 3),
+                                      GammaSchedule.constant(1e308, 3)])
+def test_non_finite_modified_weights_refused_before_any_search(schedule):
+    # a NaN never equals a segment's max, so segment_first_max would run past
+    # the end of the edge list: the stack is refused before any search
+    graph = Graph(np.array([[1.0]]), np.array([[1.0]]))
+    model = GnnModel((LayerSpec(np.array([[2.0]])),) * 3, ReadoutSpec(task="graph"))
+    with pytest.raises(ParameterError, match="non-finite"):
+        build_propagation(model, graph, forward(model, graph), schedule, 0)
+
+
 @given(st.floats(0, 10), st.floats(0, 10))
 def test_gamma_monotonicity_of_positive_mass(g1, g2):
     w = np.array([[1.0, -2.0], [3.0, -0.5]])

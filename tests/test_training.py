@@ -7,7 +7,6 @@ from relwalk import (
     TrainConfig,
     TrainingError,
     accuracy,
-    batch_loss,
     batch_loss_grads,
     init_model,
     numeric_gradients,
@@ -156,6 +155,13 @@ def test_label_outside_the_classes_is_refused(task, label):
         batch_loss_grads(init_model([3, 4, 2], 2, task=task, seed=0), graphs)
 
 
+@pytest.mark.parametrize("dims, classes", [([3, 0, 0], 2), ([3, 4, 0], 2), ([0, 4], 2),
+                                           ([3, 4], 0)])
+def test_init_model_refuses_dimensions_below_one(dims, classes):
+    with pytest.raises(ValueError, match="dimension"):
+        init_model(dims, classes)
+
+
 def test_dead_relu_unit_gets_zero_gradient():
     # first-layer unit 1 has a negative incoming column and positive inputs,
     # so it never activates and its weights receive no gradient
@@ -230,7 +236,7 @@ def test_training_reduces_loss():
     graphs = tiny_dataset(5)
     model = init_model([3, 4, 2], 2, seed=5)
     result = train(model, graphs, TrainConfig(epochs=300, lr=0.05))
-    assert batch_loss(result.model, graphs) < batch_loss(model, graphs)
+    assert batch_loss_grads(result.model, graphs)[0] < batch_loss_grads(model, graphs)[0]
 
 
 def test_divergence_aborts_with_diagnostics():
