@@ -11,15 +11,14 @@ Run:  python demos/explain_motif.py
 import numpy as np
 
 from relwalk import (
+    Explainer,
     GammaSchedule,
     TrainConfig,
     accuracy,
     amp_ave_topk,
-    build_propagation,
     column_similarity_histogram,
     emp_neu_topk,
     exhaustive_topk_node,
-    forward,
     gen_ba2motif,
     init_model,
     precision_recall,
@@ -41,13 +40,11 @@ def main() -> None:
           f"test acc {accuracy(model, test_set):.3f}")
 
     graph = test_set[1]
-    acts = forward(model, graph)
-    target = predicted_target(model, acts)
+    session = Explainer(model, graph, GammaSchedule.linear_decay(3.0, model.num_steps))
+    target = predicted_target(model, session.acts)
     print(f"\nexplaining test graph #1: label {graph.label}, "
           f"predicted class {target}")
-
-    schedule = GammaSchedule.linear_decay(3.0, model.num_steps)
-    stack = build_propagation(model, graph, acts, schedule, target)
+    stack = session.stack(target)
 
     print("\n== exact neuron-level search (top 5 by |relevance|) ==")
     emp = emp_neu_topk(stack, 5)

@@ -15,13 +15,12 @@ import json
 import time
 
 from relwalk import (
+    Explainer,
     GammaSchedule,
     TrainConfig,
     accuracy,
     amp_ave_topk,
-    build_propagation,
     degree_normalized,
-    forward,
     gen_infection,
     infection_chain_recall,
     init_model,
@@ -70,8 +69,8 @@ def main() -> None:
     model = result.model
     print(f"node accuracy {accuracy(model, [train_graph]):.3f}")
 
-    schedule = GammaSchedule.linear_decay(3.0, model.num_steps)
-    acts = forward(model, scenario.graph)
+    session = Explainer(model, scenario.graph,
+                        GammaSchedule.linear_decay(3.0, model.num_steps))
     targets = [t for t in sorted(scenario.chains)
                if len(scenario.chains[t]) > 1]
     if cfg["max_targets"]:
@@ -82,8 +81,7 @@ def main() -> None:
     t0 = time.time()
     walks_per_target = {}
     for t in targets:
-        stack = build_propagation(model, scenario.graph, acts, schedule, t,
-                                  target_class=1)
+        stack = session.stack(t, target_class=1)
         walks_per_target[t] = amp_ave_topk(
             stack, cfg["topk"], max_k_tilde=cfg["search_budget"]).positive
     print(f"search took {time.time() - t0:.1f}s")

@@ -71,6 +71,7 @@ from .oracle import (
 )
 from .propagation import (
     BudgetError,
+    Explainer,
     GammaSchedule,
     ParameterError,
     PropagationStack,

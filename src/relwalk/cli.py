@@ -29,10 +29,8 @@ from .graphs import (
     ModelFormatError,
     ShapeError,
     degree_normalized,
-    forward,
     load_graph,
     load_model,
-    predicted_target,
     save_graph,
     save_model,
 )
@@ -51,8 +49,8 @@ from .oracle import (
 )
 from .propagation import (
     BudgetError,
+    Explainer,
     ParameterError,
-    build_propagation,
     parse_gamma,
 )
 from .training import TrainConfig, TrainingError, init_model, train
@@ -168,23 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _stack_builder(args, model, graph):
-    """Run forward and parse --gamma once for the graph; the returned
-    build(target, target_class) assembles one target's propagation stack
-    from them, so every target of the graph shares the forward pass."""
-    acts = forward(model, graph)
-    schedule = parse_gamma(args.gamma, model.num_steps)
-
-    def build(target=None, target_class=None):
-        if target is None:
-            if model.readout.task == "node":
-                raise ParameterError("--target (node index) is required for node-task models")
-            target = predicted_target(model, acts)
-        return build_propagation(model, graph, acts, schedule, target, target_class)
-
-    return build
-
-
 def _run_search(args, stack, method: str, k: int):
     # the enumeration budget also caps extractions, so targets with fewer
     # than k positive walks yield a partial result instead of sweeping the
@@ -266,7 +247,9 @@ def _cmd_train(args) -> int:
 def _cmd_explain(args) -> int:
     if args.report_abs and args.method != "emp-neu":
         raise ParameterError("--report-abs needs --method emp-neu")
-    stack = _stack_builder(args, load_model(args.model), load_graph(args.graph))(args.target)
+    model = load_model(args.model)
+    stack = Explainer(model, load_graph(args.graph),
+                      parse_gamma(args.gamma, model.num_steps)).stack(args.target)
     result = _run_search(args, stack, args.method, args.topk)
     walks = result.absolute if args.report_abs else result.positive
     lines = [json.dumps(w.to_record()) for w in walks]
@@ -286,7 +269,7 @@ def _cmd_eval(args) -> int:
                                  f"got {args.ks!r} and {args.kstars!r}")
     model = load_model(args.model)
     graph = load_graph(args.graph)
-    stack = _stack_builder(args, model, graph)(args.target)
+    stack = Explainer(model, graph, parse_gamma(args.gamma, model.num_steps)).stack(args.target)
 
     if args.metric == "pr":
         # precision_recall reads only the oracle's first K* walks
@@ -330,12 +313,12 @@ def _eval_infection_recall(args) -> int:
         raise ParameterError(f"--max-targets must be >= 1, got {args.max_targets}")
     model = load_model(args.model)
     scenario = InfectionScenario.load(args.scenario)
-    build = _stack_builder(args, model, scenario.graph)
+    session = Explainer(model, scenario.graph, parse_gamma(args.gamma, model.num_steps))
     targets = [t for t in sorted(scenario.chains) if len(scenario.chains[t]) > 1]
     if args.max_targets is not None:
         targets = targets[: args.max_targets]
     walks_per_target = {
-        t: _run_search(args, build(t, target_class=1), "amp-ave", args.topk).positive
+        t: _run_search(args, session.stack(t, target_class=1), "amp-ave", args.topk).positive
         for t in targets
     }
     recall = infection_chain_recall(
@@ -358,7 +341,7 @@ def _cmd_bench(args) -> int:
 
         def stack_of_depth(l):
             model = init_model([args.hidden] * (l + 1), 2, seed=args.seed)
-            return _stack_builder(args, model, graph)(0)
+            return Explainer(model, graph, parse_gamma(args.gamma, model.num_steps)).stack(0)
 
         for l in (int(x) for x in args.l_values.split(",")):
             stack = stack_of_depth(l)

@@ -384,13 +384,11 @@ def forward(model: GnnModel, graph: Graph) -> Activations:
     return Activations(tuple(hidden), tuple(aggregated), None, logits)
 
 
-def predicted_target(model: GnnModel, acts: Activations, node: int | None = None) -> int:
-    """Predicted class for the graph task, or for one node in the node task."""
-    if model.readout.task == "graph":
-        return int(np.argmax(acts.logits))
-    if node is None:
+def predicted_target(model: GnnModel, acts: Activations) -> int:
+    """Predicted class of a graph-task model; a node task has one per node."""
+    if model.readout.task != "graph":
         raise ValueError("node index required for node-classification models")
-    return int(np.argmax(acts.logits[node]))
+    return int(np.argmax(acts.logits))
 
 
 # ---------------------------------------------------------------------------

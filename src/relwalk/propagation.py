@@ -12,16 +12,18 @@ are zeroed so the column sum stays exactly in {0, 1}.
 The stack is always kept factorized as {Lam, H, Wup} plus one guarded
 inverse denominator per step, with entries and (m, m') slices on demand.
 Lam is kept only at its nonzeros, as the graph's CSR arrays, so no stack
-holds an M x M array.  build_propagation takes Lam^T H from forward and
-the edge lists from the graph, so a target costs O(L M N^2) time beyond
-its output relevance.  The dense 4-index tensor, O(M^2 N^2) per step, is
-never built here; the brute-force oracle builds its own
-(oracle.dense_tensor) as the independent reference.  Both searches maximize over a node's edges with
-segment_first_max on the stack's per-step edge lists.
+holds an M x M array.  An Explainer session takes Lam^T H from forward
+and the edge lists from the graph, and builds the O(L M N^2) rest once
+per graph, so a target costs only its output relevance.  The dense
+4-index tensor, O(M^2 N^2) per step, is never built here; the
+brute-force oracle builds its own (oracle.dense_tensor) as the
+independent reference.  Both searches maximize over a node's edges
+with segment_first_max on the stack's per-step edge lists.
 """
 
 from __future__ import annotations
 
+import copy
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Activations, GnnModel, Graph, ShapeError
+from .graphs import Activations, GnnModel, Graph, ShapeError, forward, predicted_target
 
 EPS_STAB = 1e-9
 
@@ -108,7 +110,7 @@ class PropagationStack:
     list, edge_values[l] the values there, and row m's edges sit at
     row_pointers[l][m]:row_pointers[l][m + 1], in column order.
     inverse_denominators[l] is the guarded 1 / den^(l), 0 on the zeroed
-    columns (|den| < EPS_STAB).  In a stack from build_propagation, the
+    columns (|den| < EPS_STAB).  In a stack from an Explainer, the
     steps over the adjacency share the graph's CSR arrays, and the
     node-local steps share one diagonal with unit values.
     """
@@ -218,46 +220,65 @@ def segment_first_max(column: np.ndarray, starts: np.ndarray, segment: np.ndarra
                                      starts)
 
 
-def build_propagation(
-    model: GnnModel,
-    graph: Graph,
-    acts: Activations,
-    schedule: GammaSchedule,
-    target: int,
-    target_class: int | None = None,
-) -> PropagationStack:
-    """Assemble the propagation stack for one explanation target.
+class Explainer:
+    """One explanation session: a model on a graph under one gamma schedule.
 
-    target is a class index (graph task) or a node index (node task).
-    The denominators are acts.aggregated[l] @ Wup^(l), as forward already
-    holds Lam^T H.
+    Runs forward (unless acts is given) and builds what no target changes
+    once: the gamma-modified weights, the guarded inverse denominators
+    acts.aggregated[l] @ Wup^(l) (forward holds Lam^T H) and the row
+    copies.  stack(target) adds only the target's output relevance.
     """
-    steps = model.steps
-    if len(acts.hidden) != len(steps) + 1:
-        raise ShapeError("activations do not match the model depth")
-    if acts.hidden[0].shape != graph.features.shape:
-        raise ShapeError("activations were computed on a different graph")
-    if len(schedule) != len(steps):
-        raise ParameterError(
-            f"gamma schedule length {len(schedule)} != propagation depth {len(steps)}"
+
+    def __init__(self, model: GnnModel, graph: Graph, schedule: GammaSchedule,
+                 acts: Activations | None = None):
+        steps = model.steps
+        acts = forward(model, graph) if acts is None else acts
+        if len(acts.hidden) != len(steps) + 1:
+            raise ShapeError("activations do not match the model depth")
+        if acts.hidden[0].shape != graph.features.shape:
+            raise ShapeError("activations were computed on a different graph")
+        if len(schedule) != len(steps):
+            raise ParameterError(
+                f"gamma schedule length {len(schedule)} != propagation depth {len(steps)}")
+        self.model, self.acts = model, acts
+        m = graph.num_nodes
+        indptr, _, values = graph.csr
+        # node-local steps mix over Lam = I: the diagonal, unit values
+        diagonal, unit, diagonal_ptr = (np.arange(m),) * 2, np.ones(m), np.arange(m + 1)
+        wups = [modified_weight(s.weight, g) for s, g in zip(steps, schedule.values)]
+        dens = [z @ w for z, w in zip(acts.aggregated, wups)]     # (Lam^T H) Wup
+        adjacency = [s.uses_adjacency for s in steps]
+        self._shared = PropagationStack(
+            edges=[graph.edge_index if a else diagonal for a in adjacency],
+            edge_values=[values if a else unit for a in adjacency],
+            row_pointers=[indptr if a else diagonal_ptr for a in adjacency],
+            hidden=list(acts.hidden[:-1]),
+            wups=wups,
+            inverse_denominators=[np.divide(1.0, d, out=np.zeros_like(d),
+                                            where=np.abs(d) >= EPS_STAB) for d in dens],
+            output_relevance=None,
         )
-    m = graph.num_nodes
-    indptr, _, values = graph.csr
-    # node-local steps mix over Lam = I: the diagonal, unit values
-    diagonal, unit, diagonal_ptr = (np.arange(m),) * 2, np.ones(m), np.arange(m + 1)
-    wups = [modified_weight(s.weight, g) for s, g in zip(steps, schedule.values)]
-    dens = [z @ w for z, w in zip(acts.aggregated, wups)]     # (Lam^T H) Wup
-    adjacency = [s.uses_adjacency for s in steps]
-    return PropagationStack(
-        edges=[graph.edge_index if a else diagonal for a in adjacency],
-        edge_values=[values if a else unit for a in adjacency],
-        row_pointers=[indptr if a else diagonal_ptr for a in adjacency],
-        hidden=list(acts.hidden[:-1]),
-        wups=wups,
-        inverse_denominators=[
-            np.divide(1.0, d, out=np.zeros_like(d), where=np.abs(d) >= EPS_STAB) for d in dens],
-        output_relevance=init_output_relevance(model, acts, target, target_class=target_class),
-    )
+        self._shared._python_rows  # built here, so every target's copy shares them
+
+    def stack(self, target: int | None = None, target_class: int | None = None
+              ) -> PropagationStack:
+        """A shallow copy of the session's stack with one target's output
+        relevance.  target is a class index (graph task; default the
+        predicted class) or a node index (node task; required)."""
+        if target is None:
+            if self.model.readout.task == "node":
+                raise ParameterError("a target (node index) is required for node-task models")
+            target = predicted_target(self.model, self.acts)
+        stack = copy.copy(self._shared)
+        stack.output_relevance = init_output_relevance(self.model, self.acts, target,
+                                                       target_class=target_class)
+        return stack
+
+
+def build_propagation(model: GnnModel, graph: Graph, acts: Activations, schedule: GammaSchedule,
+                      target: int, target_class: int | None = None) -> PropagationStack:
+    """One target's stack, from a session of its own: targets of one graph share an Explainer."""
+    return Explainer(model, graph, schedule, acts).stack(target, target_class)
 
 
 def init_output_relevance(
@@ -268,11 +289,12 @@ def init_output_relevance(
     Graph task: the target class channel of H^(L) (LRP-0 through the
     linear head when present).  Node task: only the target node's row is
     nonzero; target_class picks the explained class (default: the
-    predicted class at the target node).
+    predicted class at the target node), so it needs a head there, and a
+    graph task, whose target is the class, refuses it.
     """
-    h_last = acts.hidden[-1]
-    head = model.readout.head
-    m, n_last = h_last.shape
+    h_last, head = acts.hidden[-1], model.readout.head
+    if target_class is not None and (model.readout.task == "graph" or head is None):
+        raise ParameterError("target_class needs a node-task model with a linear head")
     if model.readout.task == "graph":
         if not 0 <= target < model.num_classes:
             raise ParameterError(f"target class {target} out of range")
@@ -282,7 +304,7 @@ def init_output_relevance(
             return rel
         return h_last * head[:, target][None, :]
     # node task: target is a node index
-    if not 0 <= target < m:
+    if not 0 <= target < len(h_last):
         raise ParameterError(f"target node {target} out of range")
     rel = np.zeros_like(h_last)
     if head is None:

@@ -236,10 +236,18 @@ def test_top1_search_100x_faster_than_enumeration():
     acts = forward(model, graph)
     stack = build_propagation(model, graph, acts,
                               GammaSchedule.linear_decay(GAMMA_DECAY, l), 0)
-    t_fast, _ = time_callable(lambda: amp_ave_topk(stack, 1, max_k_tilde=1), repetitions=5)
-    t_slow, _ = time_callable(lambda: exhaustive_topk_node(stack, 1),
-                              repetitions=5)
-    assert t_slow / t_fast >= 100.0, (t_fast, t_slow)
+    # a top-1 call takes ~0.25 ms, so one scheduler preemption could decide
+    # a sample of one call: each sample times a batch of top-1 calls about
+    # as long as one enumeration (~50 ms), right before that enumeration,
+    # so both sides of a sample see the same machine load
+    batch = 200
+    ratios = []
+    for _ in range(5):
+        t_batch, _ = time_callable(
+            lambda: [amp_ave_topk(stack, 1, max_k_tilde=1) for _ in range(batch)], repetitions=1)
+        t_slow, _ = time_callable(lambda: exhaustive_topk_node(stack, 1), repetitions=1)
+        ratios.append(t_slow / (t_batch / batch))
+    assert float(np.median(ratios)) >= 100.0, ratios
 
 
 # -- 10. trainer gradients ---------------------------------------------------------------

@@ -12,7 +12,8 @@ import pytest
 import relwalk
 from relwalk import cli
 from relwalk.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, build_parser, main
-from relwalk.graphs import load_graph, load_model
+from relwalk.graphs import load_graph, load_model, save_model
+from relwalk.training import init_model
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +395,20 @@ def test_eval_infection_recall_json(infection_files, capsys):
     report = json.loads(capsys.readouterr().out)
     assert 0.0 <= report["recall_padded"] <= 1.0
     assert report["targets"] <= 5
+
+
+def test_eval_infection_recall_refuses_a_graph_task_model(tmp_path, capsys):
+    # a graph-task model would read each target node index as a class index
+    scenario, model = tmp_path / "scenario.json", tmp_path / "model.json"
+    assert main(["gen", "infection", "--m", "30", "--steps", "2",
+                 "--out", str(scenario), "--seed", "1"]) == EXIT_OK
+    save_model(init_model([2, 4, 4], 2), model)
+    capsys.readouterr()
+    code = main(["eval", "infection-recall", "--model", str(model),
+                 "--scenario", str(scenario), "--max-targets", "1"])
+    assert code == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and "target_class" in err
 
 
 @pytest.mark.parametrize("max_targets", ["0", "-1"])

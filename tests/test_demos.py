@@ -1,11 +1,13 @@
-"""The demos README points to run to completion with their defaults."""
+"""The demos README points to, and its library quick start, run to
+completion with their defaults."""
 
 import importlib.util
 import re
 import sys
 from pathlib import Path
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 
 def run_demo(name, monkeypatch, capsys):
@@ -34,3 +36,12 @@ def test_infection_walks_demo(monkeypatch, capsys):
     assert all(0.0 <= float(recall[i]) <= 1.0 for i in (1, 2))
     assert re.search(r"^example: node \d+, true chain \[", out, re.M)
     assert len(re.findall(r"^  walk \([\d, ]+\)  R = ", out, re.M)) == 3
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    walks = capsys.readouterr().out.splitlines()
+    assert 1 <= len(walks) <= 5
+    assert all(re.fullmatch(r"\([\d, ]+\) \S+", w) for w in walks)

@@ -4,6 +4,7 @@ The stack is factorized only; oracle.dense_tensor is the dense reference
 its entries and slices are checked against.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relwalk import (
+    Explainer,
     GammaSchedule,
     GnnModel,
     Graph,
@@ -26,6 +28,7 @@ from relwalk import (
     init_output_relevance,
     modified_weight,
     parse_gamma,
+    predicted_target,
     random_graph,
 )
 from relwalk.oracle import dense_lambda
@@ -71,6 +74,8 @@ def test_non_finite_modified_weights_refused_before_any_search(schedule):
     model = GnnModel((LayerSpec(np.array([[2.0]])),) * 3, ReadoutSpec(task="graph"))
     with pytest.raises(ParameterError, match="non-finite"):
         build_propagation(model, graph, forward(model, graph), schedule, 0)
+    with pytest.raises(ParameterError, match="non-finite"):
+        Explainer(model, graph, schedule)      # before any target is named
 
 
 @given(st.floats(0, 10), st.floats(0, 10))
@@ -166,12 +171,11 @@ def test_edge_lists_are_row_major_nonzeros_shared_by_steps():
             for seed in range(5):
                 graph = random_graph(6, 3, 0.4, np.random.default_rng(seed))
                 model = init_model([3, 3, 3], 2, task=task, seed=seed, gin=gin)
-                acts = forward(model, graph)
-                # two targets: two classes, or two nodes
+                session = Explainer(model, graph,
+                                    GammaSchedule.linear_decay(3.0, model.num_steps))
+                # two targets of one session: two classes, or two nodes
                 for target in (0, 1):
-                    stack = build_propagation(model, graph, acts,
-                                              GammaSchedule.linear_decay(3.0, model.num_steps),
-                                              target)
+                    stack = session.stack(target)
                     ref = stack_from_factors(
                         [dense_lambda(stack, l) for l in range(stack.num_steps)],
                         stack.hidden, stack.wups, stack.output_relevance)
@@ -193,6 +197,29 @@ def test_edge_lists_are_row_major_nonzeros_shared_by_steps():
                                 diagonal = stack.edges[l]
                             assert stack.edges[l] is diagonal
                     assert gin == (diagonal is not None)
+
+
+@pytest.mark.parametrize("task", ["graph", "node"])
+def test_targets_of_one_session_share_all_but_their_output_relevance(task):
+    graph = random_graph(8, 3, 0.4, np.random.default_rng(1))
+    model = init_model([3, 3, 3, 3], 2, task=task, seed=1, gin=True)   # seed 0 is dead
+    session = Explainer(model, graph, GammaSchedule.linear_decay(3.0, model.num_steps))
+    a, b = session.stack(0), session.stack(1)
+    for field in dataclasses.fields(a):
+        shared = getattr(a, field.name) is getattr(b, field.name)
+        assert shared == (field.name != "output_relevance"), field.name
+    assert a._python_rows is b._python_rows
+    assert not np.array_equal(a.output_relevance, b.output_relevance)
+
+
+def test_node_task_session_needs_a_target():
+    graph = random_graph(5, 3, 0.5, np.random.default_rng(0))
+    model = init_model([3, 3, 3], 2, task="node", seed=0)
+    session = Explainer(model, graph, GammaSchedule.constant(1.0, model.num_steps))
+    with pytest.raises(ParameterError, match="node index"):
+        session.stack()
+    with pytest.raises(ValueError):
+        predicted_target(model, session.acts)
 
 
 @pytest.mark.parametrize("width", [None, 3])
@@ -271,6 +298,14 @@ def test_output_relevance_sums_to_logit_without_head():
     target = int(np.argmax(acts.logits))
     rel = init_output_relevance(model, acts, target)
     assert rel.sum() == pytest.approx(acts.logits[target], abs=1e-12)
+
+
+@pytest.mark.parametrize("task", ["graph", "node"])
+def test_output_relevance_refuses_a_class_it_cannot_pick(task):
+    # a graph task's target is its class; a headless node task has no class
+    model, _, acts, _ = random_instance(seed=4, task=task)
+    with pytest.raises(ParameterError, match="target_class"):
+        init_output_relevance(model, acts, 0, target_class=1)
 
 
 def test_output_relevance_target_out_of_range():
