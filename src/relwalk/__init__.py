@@ -86,8 +86,6 @@ from .training import (
     TrainResult,
     TrainingError,
     accuracy,
-    batch_loss_grads,
     init_model,
-    numeric_gradients,
     train,
 )

@@ -28,6 +28,7 @@ from .graphs import (
     Graph,
     ModelFormatError,
     ShapeError,
+    _read_json,
     degree_normalized,
     load_graph,
     load_model,
@@ -219,7 +220,7 @@ def _cmd_gen(args) -> int:
 def _load_dataset(path: str) -> tuple[list[Graph], str]:
     p = Path(path)
     if p.is_dir():
-        manifest = json.loads((p / "manifest.json").read_text())
+        manifest = _read_json(p / "manifest.json")
         files = manifest.get("files") if isinstance(manifest, dict) else None
         if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
             raise ModelFormatError(f"{p / 'manifest.json'}: 'files' must be a list of file names")

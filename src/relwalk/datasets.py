@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, ModelFormatError, graph_from_dict, graph_to_dict, modified_adjacency
+from .graphs import (Graph, ModelFormatError, _read_json, graph_from_dict, graph_to_dict,
+                     modified_adjacency)
 
 HOUSE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]  # square + roof
 CYCLE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
@@ -172,8 +173,7 @@ class InfectionScenario:
 
     @classmethod
     def load(cls, path) -> "InfectionScenario":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_json(path))
 
 
 def _node_list(value, m: int) -> bool:

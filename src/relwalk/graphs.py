@@ -20,6 +20,7 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+import orjson
 
 
 class ShapeError(ValueError):
@@ -396,6 +397,26 @@ def predicted_target(model: GnnModel, acts: Activations) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _read_json(path):
+    """The JSON value in the file at path: the package's one JSON reader.
+
+    orjson parses the file; only a file it refuses is parsed again by the
+    stdlib, which decides it.  So Python's JSON dialect (NaN, Infinity,
+    1e400, a UTF-8 BOM) reads as json.loads reads it, and a malformed
+    file fails with the stdlib's message.  Writes stay on the stdlib.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
+
+
 def _object(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{path}: expected a JSON object")
@@ -474,12 +495,7 @@ def save_model(model: GnnModel, path) -> None:
 
 
 def load_model(path) -> GnnModel:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: {exc}") from exc
-    return model_from_dict(data)
+    return model_from_dict(_read_json(path))
 
 
 def graph_to_dict(graph: Graph) -> dict:
@@ -498,6 +514,28 @@ def graph_to_dict(graph: Graph) -> dict:
     return out
 
 
+def _edge_pairs(pairs) -> np.ndarray:
+    """An edge list's [i, j] pairs as an (E, 2) index array, converted in one
+    flat pass: the pairs' items are flattened, their types checked, and the
+    flat list read by np.fromiter, with no nested-list discovery."""
+    not_pairs = ModelFormatError("edges: expected a list of [i, j] integer pairs")
+    try:
+        lengths = set(map(len, pairs))
+    except TypeError as exc:     # not a list, or an entry without items
+        raise not_pairs from exc
+    if len(lengths) > 1:
+        raise ModelFormatError("edges: not a list of [i, j] pairs")
+    flat = list(chain.from_iterable(pairs))
+    # bool is refused by type, not read as 0 or 1; a float is refused too,
+    # which is how orjson reads an integer beyond 64 bits
+    if lengths - {2} or set(map(type, flat)) - {int}:
+        raise not_pairs
+    try:
+        return np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(-1, 2)
+    except OverflowError as exc:     # the stdlib's integer beyond 64 bits
+        raise not_pairs from exc
+
+
 def graph_from_dict(data: dict) -> Graph:
     data = _object(data, "graph")
     if "num_nodes" not in data:
@@ -514,16 +552,7 @@ def graph_from_dict(data: dict) -> Graph:
         if lam.shape != (m, m):
             raise ModelFormatError(f"dense: shape {lam.shape} != ({m}, {m})")
     elif "edges" in data:
-        try:
-            edges = np.asarray(data["edges"])
-        except ValueError as exc:  # ragged entries
-            raise ModelFormatError("edges: not a list of [i, j] pairs") from exc
-        if edges.shape == (0,):
-            edges = edges.astype(np.intp).reshape(0, 2)
-        if (edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu"
-                # np.asarray reads a JSON boolean among integers as 0 or 1
-                or bool in set(map(type, chain.from_iterable(data["edges"])))):
-            raise ModelFormatError("edges: expected a list of [i, j] integer pairs")
+        edges = _edge_pairs(data["edges"])
         bad = np.flatnonzero(((edges < 0) | (edges >= m)).any(axis=1))
         if bad.size:
             raise ModelFormatError(f"edges[{bad[0]}]: node index out of range")
@@ -557,9 +586,4 @@ def save_graph(graph: Graph, path) -> None:
 
 
 def load_graph(path) -> Graph:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: {exc}") from exc
-    return graph_from_dict(data)
+    return graph_from_dict(_read_json(path))

@@ -128,6 +128,11 @@ class PropagationStack:
     # dense tensors.
     materialized = None
 
+    def __post_init__(self):
+        # the row copies' holder: filled on first use, and shared by every
+        # shallow copy of this stack (the targets of one Explainer)
+        self._row_copies: list[tuple[array, array, array]] = []
+
     # -- shape info ---------------------------------------------------------
 
     @property
@@ -151,21 +156,22 @@ class PropagationStack:
         lo, hi = ptr[m], ptr[m + 1]
         return self.edges[l][1][lo:hi], self.edge_values[l][lo:hi]
 
-    @cached_property
+    @property
     def _python_rows(self) -> list[tuple[array, array, array]]:
         """(row pointers, cols, values) of each step as Python arrays, whose
         items read as Python scalars, for scalar reads by bisection; built
-        once per distinct edge list."""
-        built = {}
-        out = []
-        for ptr, (_, cols), values in zip(self.row_pointers, self.edges, self.edge_values):
-            key = (id(ptr), id(cols), id(values))
-            if key not in built:
-                built[key] = (array("q", ptr.astype(np.int64).tobytes()),
-                              array("q", cols.astype(np.int64).tobytes()),
-                              array("d", values.astype(float).tobytes()))
-            out.append(built[key])
-        return out
+        on first use, once per distinct edge list."""
+        rows = self._row_copies
+        if not rows:
+            built = {}
+            for ptr, (_, cols), values in zip(self.row_pointers, self.edges, self.edge_values):
+                key = (id(ptr), id(cols), id(values))
+                if key not in built:
+                    built[key] = (array("q", ptr.astype(np.int64).tobytes()),
+                                  array("q", cols.astype(np.int64).tobytes()),
+                                  array("d", values.astype(float).tobytes()))
+                rows.append(built[key])
+        return rows
 
     def lam(self, l: int, m: int, mp: int) -> float:
         """Lam^(l)[m, m'], 0 off the edges: a bisection in row m."""
@@ -224,9 +230,10 @@ class Explainer:
     """One explanation session: a model on a graph under one gamma schedule.
 
     Runs forward (unless acts is given) and builds what no target changes
-    once: the gamma-modified weights, the guarded inverse denominators
-    acts.aggregated[l] @ Wup^(l) (forward holds Lam^T H) and the row
-    copies.  stack(target) adds only the target's output relevance.
+    once: the gamma-modified weights and the guarded inverse denominators
+    acts.aggregated[l] @ Wup^(l) (forward holds Lam^T H); the row copies
+    follow on first use, shared by every target.  stack(target) adds only
+    the target's output relevance.
     """
 
     def __init__(self, model: GnnModel, graph: Graph, schedule: GammaSchedule,
@@ -258,7 +265,6 @@ class Explainer:
                                             where=np.abs(d) >= EPS_STAB) for d in dens],
             output_relevance=None,
         )
-        self._shared._python_rows  # built here, so every target's copy shares them
 
     def stack(self, target: int | None = None, target_class: int | None = None
               ) -> PropagationStack:
@@ -288,9 +294,10 @@ def init_output_relevance(
 
     Graph task: the target class channel of H^(L) (LRP-0 through the
     linear head when present).  Node task: only the target node's row is
-    nonzero; target_class picks the explained class (default: the
-    predicted class at the target node), so it needs a head there, and a
-    graph task, whose target is the class, refuses it.
+    nonzero, and it explains the predicted class at the target node: its
+    channel of H^(L) without a head, as a graph task.  With a head,
+    target_class picks another class; a graph task, whose target is the
+    class, refuses it.
     """
     h_last, head = acts.hidden[-1], model.readout.head
     if target_class is not None and (model.readout.task == "graph" or head is None):
@@ -306,12 +313,12 @@ def init_output_relevance(
     # node task: target is a node index
     if not 0 <= target < len(h_last):
         raise ParameterError(f"target node {target} out of range")
+    cls = int(np.argmax(acts.logits[target])) if target_class is None else int(target_class)
+    if not 0 <= cls < model.num_classes:
+        raise ParameterError(f"target class {cls} out of range")
     rel = np.zeros_like(h_last)
     if head is None:
-        rel[target, :] = h_last[target, :]
+        rel[target, cls] = h_last[target, cls]
     else:
-        cls = int(np.argmax(acts.logits[target])) if target_class is None else int(target_class)
-        if not 0 <= cls < head.shape[1]:
-            raise ParameterError(f"target class {cls} out of range")
         rel[target, :] = h_last[target, :] * head[:, cls]
     return rel

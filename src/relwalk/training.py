@@ -2,10 +2,9 @@
 
 Softmax cross-entropy loss, Glorot-uniform initialization, learning rate
 decayed as base / (1 + epoch / epochs).  The ReLU subgradient at zero is
-taken as zero.  Gradients are fully analytic; `numeric_gradients` gives a
-finite-difference reference for testing.  A `Batch` stacks the training
-graphs once, so each epoch is one forward and backward pass over the
-whole batch, with the same bits as a pass per graph.
+taken as zero.  Gradients are fully analytic.  A `Batch` stacks the
+training graphs once, so each epoch is one forward and backward pass over
+the whole batch, with the same bits as a pass per graph.
 """
 
 from __future__ import annotations
@@ -286,34 +285,6 @@ class Batch:
         for loss in self.losses.tolist():
             total += loss       # in list order: sum() compensates from Python 3.12
         return total / self.size, hits / self.predictions
-
-
-def batch_loss_grads(model: GnnModel, graphs: list[Graph]):
-    """Mean loss and gradients over a batch, plus the accuracy."""
-    weights = _weights(model)
-    grad = np.empty(sum(w.size for w in weights))
-    loss, acc = Batch(model, graphs).loss_grads(weights, grad)
-    return loss, _views(grad, weights), acc
-
-
-def numeric_gradients(model: GnnModel, graphs: list[Graph], h: float = 1e-6):
-    """Central finite differences of the batch loss, parameter by parameter."""
-    batch = Batch(model, graphs)
-    weights = [w.copy() for w in _weights(model)]
-    unused = np.empty(sum(w.size for w in weights))
-    grads = []
-    for w in weights:
-        g = np.zeros_like(w)
-        for pos in np.ndindex(*w.shape):
-            orig = w[pos]
-            w[pos] = orig + h
-            hi, _ = batch.loss_grads(weights, unused)
-            w[pos] = orig - h
-            lo, _ = batch.loss_grads(weights, unused)
-            w[pos] = orig
-            g[pos] = (hi - lo) / (2 * h)
-        grads.append(g)
-    return grads
 
 
 def train(model: GnnModel, graphs: list[Graph], config: TrainConfig) -> TrainResult:

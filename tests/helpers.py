@@ -1,5 +1,6 @@
 """Shared test utilities: random instance builders, the hand-built and
-dense reference stacks, a per-graph reference trainer, and tie-aware
+dense reference stacks, a per-graph reference trainer, the trainer's
+batch gradients with their finite-difference reference, and tie-aware
 top-K list comparison.
 
 Mathematically tied walks are common (symmetric motifs, activation and
@@ -33,6 +34,7 @@ from relwalk import (
     random_graph,
 )
 from relwalk.propagation import EPS_STAB
+from relwalk.training import Batch, _views, _weights
 
 
 def random_instance(
@@ -197,6 +199,35 @@ def reference_train(model, graphs, config):
         losses.append(loss)
         accuracies.append(acc)
     return weights, losses, accuracies
+
+
+def batch_loss_grads(model, graphs):
+    """Mean loss, gradients (one per step, then the head) and accuracy of
+    one stacked pass of the trainer's Batch."""
+    weights = _weights(model)
+    grad = np.empty(sum(w.size for w in weights))
+    loss, acc = Batch(model, graphs).loss_grads(weights, grad)
+    return loss, _views(grad, weights), acc
+
+
+def numeric_gradients(model, graphs, h: float = 1e-6):
+    """Central finite differences of the batch loss, parameter by parameter."""
+    batch = Batch(model, graphs)
+    weights = [w.copy() for w in _weights(model)]
+    unused = np.empty(sum(w.size for w in weights))
+    grads = []
+    for w in weights:
+        g = np.zeros_like(w)
+        for pos in np.ndindex(*w.shape):
+            orig = w[pos]
+            w[pos] = orig + h
+            hi, _ = batch.loss_grads(weights, unused)
+            w[pos] = orig - h
+            lo, _ = batch.loss_grads(weights, unused)
+            w[pos] = orig
+            g[pos] = (hi - lo) / (2 * h)
+        grads.append(g)
+    return grads
 
 
 def tie_groups(walks, tol: float, key=lambda w: abs(w.relevance)):

@@ -26,15 +26,14 @@ from relwalk import (
     forward,
     infection_chain_recall,
     init_model,
-    numeric_gradients,
     predicted_target,
     time_callable,
 )
 from relwalk.empneu import candidate_scores
 from relwalk.graphs import Graph, modified_adjacency
-from relwalk.training import batch_loss_grads
 
-from helpers import assert_topk_equivalent, dense_slices, random_instance
+from helpers import (assert_topk_equivalent, batch_loss_grads, dense_slices, numeric_gradients,
+                     random_instance)
 
 GAMMA_DECAY = 3.0        # per-layer schedule from 3 down to 0
 PRECISION_K = 10

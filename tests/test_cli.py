@@ -7,12 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relwalk
 from relwalk import cli
 from relwalk.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, build_parser, main
-from relwalk.graphs import load_graph, load_model, save_model
+from relwalk.datasets import InfectionScenario
+from relwalk.graphs import _read_json, graph_from_dict, load_graph, load_model, save_model
 from relwalk.training import init_model
 
 
@@ -70,6 +72,36 @@ def test_gen_infection_writes_scenario(tmp_path):
     assert code == EXIT_OK
     data = json.loads(out.read_text())
     assert data["lambda"] == 0.6
+
+
+def graph_bits(graph):
+    """A graph's CSR arrays, features and label as bytes, to compare bit for bit."""
+    label = np.asarray(graph.label)
+    return [a.tobytes() for a in graph.csr + (graph.features, label)] + [label.dtype.str]
+
+
+@pytest.mark.parametrize("args", [["ba2motif", "--n", "4"],
+                                  ["ba2motif", "--n", "4", "--normalize"],
+                                  ["infection", "--m", "40", "--steps", "2"]],
+                         ids=["ba2motif", "ba2motif-normalize", "infection"])
+def test_generated_files_read_the_same_through_both_parsers(tmp_path, args):
+    # every file gen writes: through the package's reader (orjson) and
+    # through the stdlib parser alone
+    out = tmp_path / ("scenario.json" if args[0] == "infection" else "data")
+    assert main(["gen", *args, "--out", str(out), "--seed", "2"]) == EXIT_OK
+    if args[0] == "infection":
+        ours = InfectionScenario.load(out)
+        stdlib = InfectionScenario.from_dict(json.loads(out.read_text()))
+        assert graph_bits(ours.graph) == graph_bits(stdlib.graph)
+        assert ours.labels.tobytes() == stdlib.labels.tobytes()
+        assert (ours.carriers, ours.chains) == (stdlib.carriers, stdlib.chains)
+        return
+    manifest = out / "manifest.json"
+    assert _read_json(manifest) == json.loads(manifest.read_text())
+    for name in json.loads(manifest.read_text())["files"]:
+        path = out / name
+        assert graph_bits(load_graph(path)) == graph_bits(
+            graph_from_dict(json.loads(path.read_text())))
 
 
 def test_gen_invalid_parameters_exit_2(tmp_path):
@@ -265,6 +297,16 @@ def test_explain_non_finite_graph_input_exit_2(ba_dir, model_file, tmp_path, cap
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data).replace('"VALUE"', value))
     code = main(["explain", "--model", str(model_file), "--graph", str(bad)])
+    assert code == EXIT_VALIDATION
+    assert "finite" in capsys.readouterr().err
+
+
+def test_explain_feature_beyond_float_range_exit_2(model_file, tmp_path, capsys):
+    # 1e400 is no double: orjson refuses the file and the stdlib reads inf
+    text = json.dumps({"num_nodes": 2, "features": [[0.0] * 5] * 2, "edges": [[0, 1]]})
+    graph = tmp_path / "graph.json"
+    graph.write_text(text.replace("0.0", "1e400", 1))
+    code = main(["explain", "--model", str(model_file), "--graph", str(graph)])
     assert code == EXIT_VALIDATION
     assert "finite" in capsys.readouterr().err
 

@@ -38,7 +38,7 @@ from relwalk import (
 )
 from relwalk import graphs as graphs_module
 from relwalk.datasets import gen_ba2motif, gen_infection
-from relwalk.graphs import EDGE_BLOCK
+from relwalk.graphs import EDGE_BLOCK, _read_json
 from relwalk.graphs import _segment_sum as segment_sum
 
 
@@ -254,6 +254,63 @@ def test_malformed_edge_list_refused(edges):
     # a non-list or a boolean index never loads as some other graph
     with pytest.raises(ModelFormatError):
         graph_from_dict({"num_nodes": 2, "features": [[1], [1]], "edges": edges})
+
+
+# -- JSON reader ---------------------------------------------------------------------
+
+# finite floats, drawing often the values a parser most easily misreads:
+# subnormals, the normal boundary, signed zeros, the extremes and
+# 17-significant-digit values
+hard_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 0.0, -0.0,
+     1e308, -1e308, 1.7976931348623157e308, 0.1 + 0.2, 1 / 3, 2 ** 53 + 2.0])
+float_matrices = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(hard_floats, min_size=n, max_size=n), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_matrices)
+def test_reader_reads_written_floats_bit_for_bit_as_the_stdlib(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "floats.json"
+    path.write_text(json.dumps(rows))
+    ours, stdlib = _read_json(path), json.loads(path.read_text())
+    assert (np.array(ours).tobytes() == np.array(stdlib).tobytes()
+            == np.array(rows).tobytes())
+
+
+def test_reader_loads_a_file_with_a_utf8_bom(tmp_path):
+    graph = gen_ba2motif(1, seed=0)[0]
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(graph_to_dict(graph)).encode())
+    assert graph_to_dict(load_graph(path)) == graph_to_dict(graph)
+
+
+def test_reader_refuses_a_malformed_file_with_the_stdlibs_message(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"num_nodes": 2,')
+    with pytest.raises(json.JSONDecodeError) as stdlib:
+        json.loads(path.read_text())
+    with pytest.raises(ModelFormatError) as ours:
+        load_graph(path)
+    assert str(ours.value) == f"{path}: {stdlib.value}"
+
+
+@pytest.mark.parametrize("index", [2 ** 64, -2 ** 63 - 1])
+def test_edge_index_beyond_64_bits_refused_by_both_parsers(tmp_path, index):
+    # orjson reads it as a float, the stdlib as a Python int
+    data = {"num_nodes": 2, "features": [[1.0], [1.0]], "edges": [[0, 1], [0, index]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelFormatError, match=r"integer pairs"):
+        load_graph(path)
+    with pytest.raises(ModelFormatError, match=r"integer pairs"):
+        graph_from_dict(data)
+
+
+def test_empty_edge_list_loads(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"num_nodes": 3, "features": [[1.0]] * 3, "edges": []}))
+    assert np.array_equal(load_graph(path).adjacency, np.eye(3))
 
 
 def test_edge_list_loads_to_same_adjacency_as_loop():

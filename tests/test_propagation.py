@@ -212,6 +212,21 @@ def test_targets_of_one_session_share_all_but_their_output_relevance(task):
     assert not np.array_equal(a.output_relevance, b.output_relevance)
 
 
+def test_row_copies_are_built_on_first_use_and_shared_by_the_session():
+    graph = random_graph(8, 3, 0.4, np.random.default_rng(1))
+    model = init_model([3, 3, 3, 3], 2, task="node", seed=1, gin=True)
+    session = Explainer(model, graph, GammaSchedule.linear_decay(3.0, model.num_steps))
+    a, b = session.stack(0), session.stack(1)
+    # constructing the session and its stacks built no row copy
+    assert a._row_copies == [] and a._row_copies is b._row_copies
+    cols, values = b.out_edges(0, 2)
+    assert len(a._row_copies) == model.num_steps
+    assert a._python_rows is b._python_rows
+    ptr = graph.csr[0]
+    np.testing.assert_array_equal(cols, graph.csr[1][ptr[2]:ptr[3]])
+    np.testing.assert_array_equal(values, graph.csr[2][ptr[2]:ptr[3]])
+
+
 def test_node_task_session_needs_a_target():
     graph = random_graph(5, 3, 0.5, np.random.default_rng(0))
     model = init_model([3, 3, 3], 2, task="node", seed=0)
@@ -300,9 +315,20 @@ def test_output_relevance_sums_to_logit_without_head():
     assert rel.sum() == pytest.approx(acts.logits[target], abs=1e-12)
 
 
+def test_headless_node_task_explains_the_predicted_class_channel():
+    # logits at node 0 are [0, 167.76, 87.52]: one class, not their sum 255.27
+    model, graph, acts, stack = random_instance(seed=0, task="node")
+    assert model.readout.head is None
+    top = int(np.argmax(acts.logits[0]))
+    assert np.array_equal(np.argwhere(stack.output_relevance), [[0, top]])
+    assert stack.output_relevance.sum() == acts.logits[0, top]
+    assert stack.output_relevance.sum() == pytest.approx(167.757, abs=1e-3)
+
+
 @pytest.mark.parametrize("task", ["graph", "node"])
 def test_output_relevance_refuses_a_class_it_cannot_pick(task):
-    # a graph task's target is its class; a headless node task has no class
+    # a graph task's target is its class; a headless node task explains
+    # only its predicted channel
     model, _, acts, _ = random_instance(seed=4, task=task)
     with pytest.raises(ParameterError, match="target_class"):
         init_output_relevance(model, acts, 0, target_class=1)

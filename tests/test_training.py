@@ -7,9 +7,7 @@ from relwalk import (
     TrainConfig,
     TrainingError,
     accuracy,
-    batch_loss_grads,
     init_model,
-    numeric_gradients,
     train,
 )
 from relwalk.datasets import gen_ba2motif, gen_infection
@@ -18,7 +16,7 @@ from relwalk.graphs import (Graph, degree_normalized, forward, graph_from_dict, 
                             modified_adjacency)
 from relwalk.training import Batch, GraphGroup
 
-from helpers import reference_train
+from helpers import batch_loss_grads, numeric_gradients, reference_train
 
 
 def tiny_dataset(seed, n=6, m=5, task="graph"):
