@@ -15,11 +15,9 @@ from .ampave import (
 )
 from .datasets import (
     InfectionScenario,
-    OracleEstimate,
     gen_ba2motif,
     gen_infection,
     motif_edges,
-    oracle_estimate,
     random_graph,
 )
 from .empneu import (

@@ -35,10 +35,15 @@ from functools import partial
 
 import numpy as np
 
-from .graphs import EDGE_BLOCK
 from .oracle import ScoredWalk
 from .propagation import PropagationStack, edge_segments, segment_first_max
 from .splitting import SplitResult, split_topk
+
+
+# Edges per block of the step objective: a block's (EDGE_BLOCK, N) float64
+# buffer is 256 KiB at N = 16, so it stays in cache and no E x N array is
+# ever gathered.
+EDGE_BLOCK = 2048
 
 
 @dataclass(frozen=True)

@@ -261,41 +261,3 @@ def gen_infection(
     feats[carriers, 1] = 1.0
     graph = Graph(modified_adjacency(a), feats, np.asarray(infected))
     return InfectionScenario(graph, list(carriers), lam, steps, infected, chains)
-
-
-@dataclass
-class OracleEstimate:
-    """Monte-Carlo infection and chain probabilities from Q re-simulations."""
-
-    infection_prob: np.ndarray            # x(m) / Q per node
-    chain_prob: dict[tuple[int, ...], float]
-    q: int
-
-
-def oracle_estimate(scenario: InfectionScenario, q: int, seed: int = 1) -> OracleEstimate:
-    """Re-simulate q times on the scenario's fixed graph and carriers.
-
-    Each replicate derives its own seed deterministically from `seed`.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    # the nonzeros of Lambda - I, read off the CSR arrays: a unit self-loop
-    # (added by the Lambda modification) drops out, a listed [i, i] stays
-    graph = scenario.graph
-    rows, cols = graph.edge_index
-    keep = graph.csr[2] != (rows == cols)
-    rows, cols = rows[keep], cols[keep]
-    out_neighbors = np.split(cols, np.searchsorted(rows, np.arange(1, graph.num_nodes)))
-    x = np.zeros(graph.num_nodes)
-    y: dict[tuple[int, ...], int] = {}
-    root = np.random.SeedSequence(seed)
-    for child in root.spawn(q):
-        rng = np.random.default_rng(child)
-        infected, chains = _simulate_si(
-            out_neighbors, scenario.carriers, scenario.lam, scenario.steps, rng
-        )
-        x += infected
-        for chain in chains.values():
-            key = tuple(chain)
-            y[key] = y.get(key, 0) + 1
-    return OracleEstimate(x / q, {c: cnt / q for c, cnt in y.items()}, q)

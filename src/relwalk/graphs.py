@@ -32,7 +32,7 @@ class ModelFormatError(ValueError):
 
 
 # Node count up to which a graph's products are BLAS calls on a dense Lambda;
-# above it they are blocked segment sums over the edges.  Per product, the
+# above it they are segment sums over the CSR edge list.  Per product, the
 # dense form was faster at every M <= 256 measured (README, "Graph storage").
 DENSE_NODES = 256
 
@@ -51,8 +51,8 @@ class Graph:
     Graph(adjacency, features) reads them off a matrix and keeps no
     matrix; Graph.from_csr (the JSON edge-list form) takes them as given.
     The products follow the node count alone (dense_products): BLAS on a
-    dense Lambda, densified once and cached, or segment sums over the
-    edges in blocks, with no M x M array.
+    dense Lambda, densified once and cached, or a segment sum per feature
+    column over the CSR edge list, with no M x M array.
     """
 
     def __init__(self, adjacency, features, label: int | np.ndarray | None = None):
@@ -116,91 +116,36 @@ class Graph:
         """Lambda densified once, for the BLAS products of a small graph."""
         return self.adjacency
 
-    @cached_property
-    def _column_blocks(self) -> tuple:
-        """Lambda^T's edge blocks for aggregate: the edges in column-major
-        order, by one stable argsort of the CSR columns, so each column keeps
-        its rows ascending."""
-        rows, cols = self.edge_index
-        order = np.argsort(cols, kind="stable")
-        return _edge_blocks(cols[order], rows[order], self.csr[2][order], self.num_nodes)
-
-    @cached_property
-    def _row_blocks(self) -> tuple:
-        """Lambda's edge blocks for aggregate_adjoint, in CSR order."""
-        rows, cols = self.edge_index
-        return _edge_blocks(rows, cols, self.csr[2], self.num_nodes)
-
     def aggregate(self, h: np.ndarray) -> np.ndarray:
         """Lambda^T h: node v receives sum_u Lambda[u, v] h[u]."""
         if dense_products(self.num_nodes):
             return self._dense.T @ h
-        return _segment_sum(self._column_blocks, h, self.num_nodes)
+        rows, cols = self.edge_index
+        return _segment_sum(cols, rows, self.csr[2], h, self.num_nodes)
 
     def aggregate_adjoint(self, g: np.ndarray) -> np.ndarray:
         """Lambda g, the adjoint of aggregate (the backward pass of training)."""
         if dense_products(self.num_nodes):
             return self._dense @ g
-        return _segment_sum(self._row_blocks, g, self.num_nodes)
+        rows, cols = self.edge_index
+        return _segment_sum(rows, cols, self.csr[2], g, self.num_nodes)
 
 
-# Edges per block of the per-edge kernels (here and in AMP-ave's step
-# objective): a block's (EDGE_BLOCK, N) float64 buffer is 256 KiB at N = 16,
-# so it stays in cache and no E x N array is ever gathered.
-EDGE_BLOCK = 2048
-
-
-def _edge_blocks(targets: np.ndarray, sources: np.ndarray, weights: np.ndarray,
-                 m: int) -> tuple:
-    """The edges, sorted by target, cut into blocks for _segment_sum:
-    (sources, weights, local, blocks, size) with blocks a list of
-    (a, b, lo, hi).
-
-    Block (a, b, lo, hi) sums the edges a:b into the output rows lo:hi,
-    and local[e] = targets[e] - lo.  Cuts fall only between targets, so the
-    blocks' rows tile 0:m, empty rows included, and each target's edges
-    lie in one block: at most EDGE_BLOCK edges, or a target's own when it
-    has more.  size is the largest block.
-    """
-    e = targets.size
-    cuts = np.append(np.flatnonzero(np.diff(targets)) + 1, e)   # where a target's edges end
-    local = np.empty(e, dtype=np.intp)
-    blocks = []
-    a = lo = k = 0          # cuts[k] is the first cut after a
-    while True:
-        # the last cut within EDGE_BLOCK edges, or the first if that is beyond
-        k = max(k, int(np.searchsorted(cuts, a + EDGE_BLOCK, side="right")) - 1)
-        b = int(cuts[k])
-        hi = m if b == e else int(targets[b - 1]) + 1
-        local[a:b] = targets[a:b] - lo
-        blocks.append((a, b, lo, hi))
-        if b == e:
-            return sources, weights, local, blocks, max(end - start for start, end, _, _ in blocks)
-        a, lo, k = b, hi, k + 1
-
-
-def _segment_sum(edge_blocks: tuple, x: np.ndarray, m: int) -> np.ndarray:
+def _segment_sum(targets: np.ndarray, sources: np.ndarray, weights: np.ndarray,
+                 x: np.ndarray, m: int) -> np.ndarray:
     """M x N sums out[t] = sum of weights[e] * x[sources[e]] over the edges e
-    into target t, from _edge_blocks.
+    into target t, one bincount per feature column.
 
-    Each block is gathered into one reused buffer and summed by one bincount
-    over its local keys, so every target adds its edges one at a time in
-    edge order from zero, bit for bit as one bincount over the whole edge
-    list would.
+    bincount adds each target's edges one at a time, from zero, in list
+    order.  In CSR order a row's edges come by ascending column and a
+    column's by ascending row, so both products sum in one fixed order,
+    and only E floats per column are gathered: no E x N array is built.
     """
-    sources, weights, local, blocks, size = edge_blocks
-    n = x.shape[1]
-    out = np.empty((m, n))
-    vals = np.empty((size, n))
-    keys = np.empty((size, n), dtype=np.intp)
-    columns = np.arange(n)
-    for a, b, lo, hi in blocks:
-        v, k = vals[:b - a], keys[:b - a]
-        x.take(sources[a:b], axis=0, out=v, mode="clip")
-        v *= weights[a:b, None]
-        np.add(local[a:b, None] * n, columns, out=k)
-        out[lo:hi] = np.bincount(k.ravel(), v.ravel(),
-                                 minlength=(hi - lo) * n).reshape(hi - lo, n)
+    out = np.empty((m, x.shape[1]))
+    for j in range(x.shape[1]):
+        values = x[:, j].take(sources)
+        values *= weights
+        out[:, j] = np.bincount(targets, weights=values, minlength=m)
     return out
 
 
@@ -546,6 +491,13 @@ def graph_from_dict(data: dict) -> Graph:
         raise ModelFormatError("num_nodes: not an integer") from exc
     if m < 0:
         raise ModelFormatError("num_nodes: must be >= 0")
+    # the features are in memory already; Lambda's arrays, sized by
+    # num_nodes, are built only once the two agree
+    if "features" not in data:
+        raise ModelFormatError("features: missing")
+    feats = _matrix(data["features"], "features")
+    if feats.shape[0] != m:
+        raise ModelFormatError(f"features: {feats.shape[0]} rows != num_nodes {m}")
     if "dense" in data:
         # dense form stores the modified adjacency Lambda verbatim
         lam = _matrix(data["dense"], "dense")
@@ -569,9 +521,6 @@ def graph_from_dict(data: dict) -> Graph:
         lam = None
     else:
         raise ModelFormatError("graph needs either 'edges' or 'dense'")
-    if "features" not in data:
-        raise ModelFormatError("features: missing")
-    feats = _matrix(data["features"], "features")
     label = data.get("label")
     if isinstance(label, list):
         label = np.asarray(label)

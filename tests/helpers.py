@@ -1,7 +1,7 @@
 """Shared test utilities: random instance builders, the hand-built and
 dense reference stacks, a per-graph reference trainer, the trainer's
-batch gradients with their finite-difference reference, and tie-aware
-top-K list comparison.
+batch gradients with their finite-difference reference, the infection
+scenario's Monte-Carlo oracle, and tie-aware top-K list comparison.
 
 Mathematically tied walks are common (symmetric motifs, activation and
 denominator cancellations).  The enumeration oracle and the message
@@ -16,6 +16,7 @@ group cut at the list boundary is checked by inclusion).
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from relwalk import (
     GammaSchedule,
     Graph,
     GnnModel,
+    InfectionScenario,
     LayerSpec,
     PropagationStack,
     ReadoutSpec,
@@ -33,6 +35,7 @@ from relwalk import (
     predicted_target,
     random_graph,
 )
+from relwalk.datasets import _simulate_si
 from relwalk.propagation import EPS_STAB
 from relwalk.training import Batch, _views, _weights
 
@@ -228,6 +231,44 @@ def numeric_gradients(model, graphs, h: float = 1e-6):
             g[pos] = (hi - lo) / (2 * h)
         grads.append(g)
     return grads
+
+
+@dataclass
+class OracleEstimate:
+    """Monte-Carlo infection and chain probabilities from Q re-simulations."""
+
+    infection_prob: np.ndarray            # x(m) / Q per node
+    chain_prob: dict[tuple[int, ...], float]
+    q: int
+
+
+def oracle_estimate(scenario: InfectionScenario, q: int, seed: int = 1) -> OracleEstimate:
+    """Re-simulate q times on the scenario's fixed graph and carriers.
+
+    Each replicate derives its own seed deterministically from `seed`.
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    # the nonzeros of Lambda - I, read off the CSR arrays: a unit self-loop
+    # (added by the Lambda modification) drops out, a listed [i, i] stays
+    graph = scenario.graph
+    rows, cols = graph.edge_index
+    keep = graph.csr[2] != (rows == cols)
+    rows, cols = rows[keep], cols[keep]
+    out_neighbors = np.split(cols, np.searchsorted(rows, np.arange(1, graph.num_nodes)))
+    x = np.zeros(graph.num_nodes)
+    y: dict[tuple[int, ...], int] = {}
+    root = np.random.SeedSequence(seed)
+    for child in root.spawn(q):
+        rng = np.random.default_rng(child)
+        infected, chains = _simulate_si(
+            out_neighbors, scenario.carriers, scenario.lam, scenario.steps, rng
+        )
+        x += infected
+        for chain in chains.values():
+            key = tuple(chain)
+            y[key] = y.get(key, 0) + 1
+    return OracleEstimate(x / q, {c: cnt / q for c, cnt in y.items()}, q)
 
 
 def tie_groups(walks, tol: float, key=lambda w: abs(w.relevance)):

@@ -25,8 +25,7 @@ from relwalk import (
     node_walk_relevance,
     walks_to_edge_scores,
 )
-from relwalk.ampave import candidate_scores, edge_objective
-from relwalk.graphs import EDGE_BLOCK
+from relwalk.ampave import EDGE_BLOCK, candidate_scores, edge_objective
 from relwalk.oracle import ScoredWalk, dense_lambda
 from helpers import (dense_slices, headed_instance, random_instance, sink_adjacency,
                      stack_from_factors)

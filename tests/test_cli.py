@@ -268,6 +268,15 @@ def test_explain_malformed_edge_list_exit_2(model_file, tmp_path, capsys):
     assert "edges" in capsys.readouterr().err
 
 
+def test_explain_num_nodes_beyond_the_features_exit_2(model_file, tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"num_nodes": 2 ** 62, "features": [[1.0] * 5],
+                                 "edges": []}))
+    code = main(["explain", "--model", str(model_file), "--graph", str(graph)])
+    assert code == EXIT_VALIDATION
+    assert "num_nodes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind, text", [
     ("model", "5"), ("model", '{"layers": [5]}'),
     ("model", '{"layers": [{"w": [[1.0]]}], "readout": 3}'), ("graph", "5"),

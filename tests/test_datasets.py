@@ -13,9 +13,9 @@ from relwalk import (
     gen_infection,
     graph_to_dict,
     motif_edges,
-    oracle_estimate,
 )
 from relwalk.datasets import CYCLE_EDGES, HOUSE_EDGES, MOTIF_SIZE, _simulate_si
+from helpers import oracle_estimate
 
 
 # -- motif classification set ----------------------------------------------------

@@ -37,8 +37,9 @@ from relwalk import (
     train,
 )
 from relwalk import graphs as graphs_module
+from relwalk.ampave import EDGE_BLOCK
 from relwalk.datasets import gen_ba2motif, gen_infection
-from relwalk.graphs import EDGE_BLOCK, _read_json
+from relwalk.graphs import _read_json
 from relwalk.graphs import _segment_sum as segment_sum
 
 
@@ -227,6 +228,15 @@ def test_graph_validation_errors():
         graph_from_dict({"num_nodes": 2, "features": [[1], [1]]})
 
 
+@pytest.mark.parametrize("form", [{"edges": []}, {"dense": [[1.0]]}])
+@pytest.mark.parametrize("num_nodes", [2 ** 62, 2, 0])
+def test_num_nodes_that_disagrees_with_the_features_refused(num_nodes, form):
+    # refused before Lambda's arrays are sized by num_nodes: 2 ** 62 nodes
+    # would otherwise fail as an array too big to allocate
+    with pytest.raises(ModelFormatError, match="num_nodes"):
+        graph_from_dict({"num_nodes": num_nodes, "features": [[1.0]], **form})
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_features_refused(value):
     features = np.ones((2, 1))
@@ -383,10 +393,12 @@ def test_products_follow_the_node_count(monkeypatch):
                 assert graph.aggregate_adjoint(h).tobytes() == (lam @ h).tobytes()
                 assert "_dense" in vars(graph)
             else:
+                rows, cols = graph.edge_index
+                weights = graph.csr[2]
                 assert (graph.aggregate(h).tobytes()
-                        == segment_sum(graph._column_blocks, h, 30).tobytes())
+                        == whole_edge_list_sum(cols, rows, weights, h, 30).tobytes())
                 assert (graph.aggregate_adjoint(h).tobytes()
-                        == segment_sum(graph._row_blocks, h, 30).tobytes())
+                        == whole_edge_list_sum(rows, cols, weights, h, 30).tobytes())
                 np.testing.assert_allclose(graph.aggregate(h), lam.T @ h, rtol=1e-12, atol=0)
                 assert "_dense" not in vars(graph)
             # the adjacency property densifies afresh on every call
@@ -481,12 +493,13 @@ def test_malformed_csr_refused(indptr, indices, data):
         Graph.from_csr(indptr, indices, data, np.ones((len(indptr) - 1, 1)))
 
 
-# -- blocked per-edge kernels ----------------------------------------------------------
+# -- the edge-list product kernel ------------------------------------------------------
 
 
 def whole_edge_list_sum(targets, sources, weights, x, m):
-    """One bincount over every edge at once: the order the blocked segment
-    sum must reproduce bit for bit."""
+    """One bincount over every (edge, column) pair at once, keyed
+    target * N + column: the order the per-column segment sum must
+    reproduce bit for bit."""
     n = x.shape[1]
     values = x[sources] * weights[:, None]
     keys = (targets[:, None] * n + np.arange(n)).ravel()
@@ -507,22 +520,26 @@ def csr_graph(m, pairs, n, seed=0):
 
 
 def assert_products_are_whole_edge_list_sums(graph):
-    # the kernel on the graph's edge blocks, and the graph's products when
-    # its node count puts them on the kernel
+    # the kernel on the CSR edge list, and the graph's products with every
+    # node count put on the kernel
     rows, cols = graph.edge_index
     data = graph.csr[2]
     h = graph.features
     m = graph.num_nodes
-    for blocks, targets, sources, product in (
-            (graph._column_blocks, cols, rows, graph.aggregate),
-            (graph._row_blocks, rows, cols, graph.aggregate_adjoint)):
-        whole = whole_edge_list_sum(targets, sources, data, h, m).tobytes()
-        assert segment_sum(blocks, h, m).tobytes() == whole
-        if not graphs_module.dense_products(m):
+    saved = graphs_module.DENSE_NODES
+    graphs_module.DENSE_NODES = -1
+    try:
+        for targets, sources, product in ((cols, rows, graph.aggregate),
+                                          (rows, cols, graph.aggregate_adjoint)):
+            whole = whole_edge_list_sum(targets, sources, data, h, m).tobytes()
+            assert segment_sum(targets, sources, data, h, m).tobytes() == whole
             assert product(h).tobytes() == whole
+    finally:
+        graphs_module.DENSE_NODES = saved
 
 
 def kernel_cases():
+    # edge counts in units of EDGE_BLOCK, AMP-ave's gather block
     rng = np.random.default_rng(1)
     m = 3 * EDGE_BLOCK // 2
     star = [(0, v) for v in range(m)] + [(v, 0) for v in range(m)]
@@ -553,19 +570,30 @@ def test_blocked_segment_sums_equal_one_whole_edge_list_bincount(case, n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 80), st.integers(1, 4), st.integers(1, 7),
-       st.integers(0, 2 ** 16))
-def test_segment_sums_with_tiny_blocks_equal_one_whole_edge_list_bincount(m, e, n, block, seed):
-    # blocks of a few edges hold one or a few nodes' edges, and node 0 is a
-    # hub in both directions, so its edges fill a block of their own
+@given(st.integers(1, 12), st.integers(0, 80), st.integers(1, 4), st.integers(0, 2 ** 16))
+def test_segment_sums_on_small_graphs_equal_one_whole_edge_list_bincount(m, e, n, seed):
+    # a few nodes and edges, and node 0 a hub in both directions
     rng = np.random.default_rng(seed)
     pairs = rng.integers(0, m, size=(e, 2))
     pairs[: e // 3, 0] = 0
     pairs[e // 3: 2 * e // 3, 1] = 0
-    graph = csr_graph(m, pairs, n, seed)
-    saved = graphs_module.EDGE_BLOCK
-    graphs_module.EDGE_BLOCK = block
+    assert_products_are_whole_edge_list_sums(csr_graph(m, pairs, n, seed))
+
+
+def test_edge_list_products_build_no_e_by_n_array():
+    # M = 20,000, N = 16 and about 10^5 edges: one E x N float64 array
+    # would be 12.2 MiB, the output itself is 2.4 MiB
+    m, n = 20_000, 16
+    rng = np.random.default_rng(0)
+    graph = csr_graph(m, rng.integers(0, m, size=(5 * m, 2)), n)
+    edges = graph.csr[1].size
+    assert edges > 99_000 and not graphs_module.dense_products(m)
+    h = graph.features
+    tracemalloc.start()
     try:
-        assert_products_are_whole_edge_list_sums(graph)
+        graph.aggregate(h)
+        graph.aggregate_adjoint(h)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        graphs_module.EDGE_BLOCK = saved
+        tracemalloc.stop()
+    assert peak < edges * n * 8, (peak / 2 ** 20, edges * n * 8 / 2 ** 20)

@@ -1,0 +1,42 @@
+"""The benchmark still runs against the library: a short amp-scale run,
+untraced and traced, and an import of the workloads module.  perfbench
+reads library members that no other code calls, so a change that removed
+one would otherwise break the benchmark without failing a test."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def test_workloads_module_imports(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    assert "amp-scale" in module.WORKLOADS
+
+
+@pytest.mark.parametrize("trace, names", [(0, "end_to_end"), (1, "per_layer")])
+def test_amp_scale_runs_and_reports_every_declared_metric(trace, names):
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "amp-scale",
+         "--seconds", "1", "--trace", str(trace)],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.rstrip("\n").split("\n")
+    result = json.loads(lines[-1])
+    assert result["correct"] is True and result["failed"] == 0, lines[-1]
+    printed = {line.split()[0] for line in lines[:-1] if line.startswith("  ")}
+    for metric in DECLARED[names]:
+        assert metric["name"] in printed, metric["name"]
+        assert metric["name"] in result["metrics"], metric["name"]

@@ -25,8 +25,8 @@ WIDTH = 16
 K = 5
 # tracemalloc peak of load, forward, stack and both searches, which hold
 # O(E N + M N) arrays (about 56.4 MiB here, reached in EMP-neu's table
-# build; the per-edge kernels gather in blocks); a dense Lambda alone would
-# be 3.2 GB.
+# build; forward gathers one feature column at a time and AMP-ave's step
+# objective one edge block); a dense Lambda alone would be 3.2 GB.
 PEAK_CEILING_MIB = 64
 
 
