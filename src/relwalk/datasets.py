@@ -163,7 +163,7 @@ class InfectionScenario:
             raise ModelFormatError("scenario: 'chains' must be an object of node-index lists")
         try:
             lam, steps = float(data["lambda"]), int(data["steps"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"scenario: 'lambda' or 'steps' not a number: {exc}") from exc
         return cls(graph, carriers, lam, steps, np.asarray(labels, dtype=bool), chains)
 

@@ -307,10 +307,13 @@ def forward(model: GnnModel, graph: Graph) -> Activations:
     """Deterministic forward pass retaining every intermediate activation.
 
     Aggregation sends along edges: node v receives sum_u Lambda[u, v] * H[u].
+    graph may also be a group of graphs whose node rows are stacked (B, M, N)
+    (training.GraphGroup); every activation then gains the leading axis B,
+    with the same bits per graph as a pass on that graph alone.
     """
-    if graph.features.shape[1] != model.in_dim:
+    if graph.features.shape[-1] != model.in_dim:
         raise ShapeError(
-            f"graph features dim {graph.features.shape[1]} != model input {model.in_dim}"
+            f"graph features dim {graph.features.shape[-1]} != model input {model.in_dim}"
         )
     h = graph.features
     hidden = [h]
@@ -323,8 +326,9 @@ def forward(model: GnnModel, graph: Graph) -> Activations:
 
     head = model.readout.head
     if model.readout.task == "graph":
-        pooled = h.sum(axis=0)
-        logits = pooled if head is None else pooled @ head
+        pooled = h.sum(axis=-2)
+        # one gemv per graph; a (B, N) gemm would round differently
+        logits = pooled if head is None else np.matmul(pooled[..., None, :], head)[..., 0, :]
         return Activations(tuple(hidden), tuple(aggregated), pooled, logits)
     logits = h if head is None else h @ head
     return Activations(tuple(hidden), tuple(aggregated), None, logits)
@@ -371,7 +375,7 @@ def _object(obj, path: str) -> dict:
 def _matrix(obj, path: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:     # an integer beyond float range
         raise ModelFormatError(f"{path}: not a numeric matrix") from exc
     if arr.ndim != 2:
         raise ModelFormatError(f"{path}: expected a 2-D matrix, got shape {arr.shape}")
@@ -380,6 +384,8 @@ def _matrix(obj, path: str) -> np.ndarray:
 
 def _weight(obj, path: str) -> np.ndarray:
     arr = _matrix(obj, path)
+    if 0 in arr.shape:
+        raise ModelFormatError(f"{path}: every dimension must be >= 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"{path}: non-finite weight")
     return arr
@@ -487,7 +493,7 @@ def graph_from_dict(data: dict) -> Graph:
         raise ModelFormatError("num_nodes: missing")
     try:
         m = int(data["num_nodes"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:     # 1e400 reads as inf
         raise ModelFormatError("num_nodes: not an integer") from exc
     if m < 0:
         raise ModelFormatError("num_nodes: must be >= 0")

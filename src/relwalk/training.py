@@ -3,18 +3,20 @@
 Softmax cross-entropy loss, Glorot-uniform initialization, learning rate
 decayed as base / (1 + epoch / epochs).  The ReLU subgradient at zero is
 taken as zero.  Gradients are fully analytic.  A `Batch` stacks the
-training graphs once, so each epoch is one forward and backward pass over
-the whole batch, with the same bits as a pass per graph.
+training graphs once, in groups of one node count, so each epoch runs
+graphs.forward once per group, then one backward pass, with the same bits
+as a pass per graph.
 """
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (Activations, Graph, GnnModel, LayerSpec, ReadoutSpec, ShapeError,
-                     dense_products)
+from .graphs import (Graph, GnnModel, LayerSpec, ReadoutSpec, ShapeError, dense_products,
+                     forward)
 
 
 class TrainingError(RuntimeError):
@@ -125,94 +127,65 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _block_diagonal(graphs: list[Graph], features: np.ndarray) -> Graph:
-    """One CSR graph holding the graphs' Lambdas on its diagonal, in order."""
-    indptr, indices, data = [np.zeros(1, dtype=np.intp)], [], []
-    nodes = edges = 0
-    for g in graphs:
-        ptr, idx, values = g.csr
-        indptr.append(ptr[1:] + edges)
-        indices.append(idx + nodes)
-        data.append(values)
-        nodes += g.num_nodes
-        edges += idx.size
-    return Graph.from_csr(np.concatenate(indptr), np.concatenate(indices),
-                          np.concatenate(data), features)
-
-
 class GraphGroup:
     """The graphs of a batch that share a node count M, stacked once: node
-    rows as (B, M, N) arrays.
+    rows as (B, M, N) arrays, which forward runs on as it runs on a Graph.
 
     Lambda follows the node count as a graph's products do
-    (dense_products): a (B, M, M) stack scattered from each graph's CSR
-    arrays, so numpy's stacked matmul makes each graph's own BLAS call, or
-    one block-diagonal CSR graph, whose segment sum adds each node's edges
-    in the same order as the graph's own.  Each product keeps the per-graph
-    operation of a forward pass, so a pass gives every graph the same bits
-    as forward on it alone.
+    (dense_products): at or below DENSE_NODES a (B, M, M) stack scattered
+    from each graph's CSR arrays, so numpy's stacked matmul makes each
+    graph's own BLAS call; above it each graph multiplies with its own
+    Graph.aggregate and aggregate_adjoint.  Each product keeps the
+    per-graph operation of a forward pass, so a pass gives every graph the
+    same bits as forward on it alone.
     """
 
     def __init__(self, model: GnnModel, graphs: list[Graph], positions: list[int]):
-        self.task = model.readout.task
-        self.mixes = [s.uses_adjacency for s in model.steps]
         self.positions = np.asarray(positions)
         self.features = np.stack([g.features for g in graphs])
-        b, m, n = self.features.shape
+        b, m, _ = self.features.shape
+        self.graphs = graphs
+        self.lam = None
         if dense_products(m):
             self.lam = np.zeros((b, m, m))
             for lam, g in zip(self.lam, graphs):
                 lam[g.edge_index] = g.csr[2]
-        else:
-            self.lam = _block_diagonal(graphs, self.features.reshape(b * m, n))
         # every model's first step mixes over Lambda, and its input is fixed
-        self.first = self.aggregate(self.features)
-        if self.task == "graph":
-            self.labels = np.array([int(g.label) for g in graphs])
-        else:
-            labels = [np.asarray(g.label).astype(int).reshape(-1) for g in graphs]
-            if any(lab.shape != (m,) for lab in labels):
-                raise ShapeError(f"a node-task graph needs one label per node ({m})")
-            self.labels = np.stack(labels)
+        self.first = self._product(self.features, adjoint=False)
+        shape = () if model.readout.task == "graph" else (m,)
+        labels = []
+        for pos, g in zip(positions, graphs):
+            label = np.asarray(g.label)
+            if label.dtype.kind not in "biu" or label.shape != shape:
+                raise ValueError(f"graphs[{pos}]: a {model.readout.task}-task label must "
+                                 f"hold integers or booleans of shape {shape}, "
+                                 f"got {reprlib.repr(g.label)}")
+            labels.append(label.astype(int))
+        self.labels = np.stack(labels)
         if np.any((self.labels < 0) | (self.labels >= model.num_classes)):
             raise ValueError(f"labels must lie in 0..{model.num_classes - 1}")
         # where each label's logit sits in the flattened logits
         self.label_index = np.arange(self.labels.size) * model.num_classes + self.labels.ravel()
 
+    def _product(self, h: np.ndarray, adjoint: bool) -> np.ndarray:
+        if self.lam is None:
+            product = Graph.aggregate_adjoint if adjoint else Graph.aggregate
+            return np.stack([product(g, x) for g, x in zip(self.graphs, h)])
+        return np.matmul(self.lam if adjoint else self.lam.transpose(0, 2, 1), h)
+
     def aggregate(self, h: np.ndarray) -> np.ndarray:
-        """Lambda^T h for every graph."""
-        if isinstance(self.lam, Graph):
-            return self.lam.aggregate(h.reshape(-1, h.shape[2])).reshape(h.shape)
-        return np.matmul(self.lam.transpose(0, 2, 1), h)
+        """Lambda^T h for every graph; for the features it is computed once."""
+        return self.first if h is self.features else self._product(h, adjoint=False)
 
     def aggregate_adjoint(self, g: np.ndarray) -> np.ndarray:
         """Lambda g for every graph, the adjoint of aggregate."""
-        if isinstance(self.lam, Graph):
-            return self.lam.aggregate_adjoint(g.reshape(-1, g.shape[2])).reshape(g.shape)
-        return np.matmul(self.lam, g)
-
-    def forward(self, weights: list[np.ndarray]) -> Activations:
-        """Stacked forward pass: logits[i] is forward(model, graph i).logits."""
-        h = self.features
-        hidden, aggregated = [h], []
-        for s, (w, mixes) in enumerate(zip(weights, self.mixes)):
-            z = self.first if s == 0 else self.aggregate(h) if mixes else h
-            h = np.maximum(np.matmul(z, w), 0.0)
-            aggregated.append(z)
-            hidden.append(h)
-        head = weights[-1]
-        if self.task == "graph":
-            pooled = h.sum(axis=1)
-            # one gemv per graph, as pooled @ head; a (B, N) gemm rounds differently
-            logits = np.matmul(pooled[:, None, :], head)[:, 0]
-            return Activations(tuple(hidden), tuple(aggregated), pooled, logits)
-        return Activations(tuple(hidden), tuple(aggregated), None, np.matmul(h, head))
+        return self._product(g, adjoint=True)
 
     def hits(self, logits: np.ndarray) -> int:
         """Correct predictions: one per graph, or one per node."""
         return int((logits.argmax(axis=-1) == self.labels).sum())
 
-    def loss_grads(self, weights: list[np.ndarray], losses: np.ndarray,
+    def loss_grads(self, model: GnnModel, losses: np.ndarray,
                    per_graph: list[np.ndarray]) -> int:
         """One forward and backward pass.  Writes each graph's loss into
         losses and its gradients into per_graph at the graph's position in
@@ -220,14 +193,15 @@ class GraphGroup:
 
         Node-task graphs average the cross entropy over their nodes.
         """
-        acts = self.forward(weights)
+        acts = forward(model, self)
         pos = self.positions
-        head = weights[-1]
+        steps = model.steps
+        head = model.readout.head
         dlogits = _softmax(acts.logits)
         flat = dlogits.reshape(-1)
         picked = flat[self.label_index].reshape(self.labels.shape)
         flat[self.label_index] -= 1.0
-        if self.task == "graph":
+        if model.readout.task == "graph":
             losses[pos] = -np.log(np.maximum(picked, 1e-300))
             per_graph[-1][pos] = acts.pooled[:, :, None] * dlogits[:, None, :]
             # one gemv per graph, as head @ dlogits; the same for every node
@@ -239,14 +213,14 @@ class GraphGroup:
             per_graph[-1][pos] = np.matmul(acts.hidden[-1].transpose(0, 2, 1), dlogits)
             dh = np.matmul(dlogits, head.T)
 
-        for s in range(len(weights) - 2, -1, -1):
+        for s in range(len(steps) - 1, -1, -1):
             dpre = dh * (acts.hidden[s + 1] > 0)
             per_graph[s][pos] = np.matmul(acts.aggregated[s].transpose(0, 2, 1), dpre)
             if s == 0:
                 break       # no parameter lies below the first step
-            dz = np.matmul(dpre, weights[s].T)
+            dz = np.matmul(dpre, steps[s].weight.T)
             # z = Lambda^T h, so dh = Lambda dz
-            dh = self.aggregate_adjoint(dz) if self.mixes[s] else dz
+            dh = self.aggregate_adjoint(dz) if steps[s].uses_adjacency else dz
         return self.hits(acts.logits)
 
 
@@ -255,6 +229,8 @@ class Batch:
     once, for any number of passes over changing weights."""
 
     def __init__(self, model: GnnModel, graphs: list[Graph]):
+        if not graphs:
+            raise ValueError("a batch needs at least one graph")
         for g in graphs:
             if g.features.shape[1] != model.in_dim:
                 raise ShapeError(f"graph features dim {g.features.shape[1]} "
@@ -273,10 +249,10 @@ class Batch:
         self.per_graph = np.empty((self.size, sum(w.size for w in like)))
         self.per_graph_views = _views(self.per_graph, like)
 
-    def loss_grads(self, weights: list[np.ndarray], grad: np.ndarray) -> tuple[float, float]:
+    def loss_grads(self, model: GnnModel, grad: np.ndarray) -> tuple[float, float]:
         """Mean loss and accuracy of one pass; writes the mean gradient into
         grad, all weights' flat one after another."""
-        hits = sum(group.loss_grads(weights, self.losses, self.per_graph_views)
+        hits = sum(group.loss_grads(model, self.losses, self.per_graph_views)
                    for group in self.groups)
         # adds the graphs one at a time in list order, like grad += one graph's
         np.add.reduce(self.per_graph, axis=0, out=grad)
@@ -290,19 +266,19 @@ class Batch:
 def train(model: GnnModel, graphs: list[Graph], config: TrainConfig) -> TrainResult:
     """Full-batch gradient descent; raises TrainingError on divergence.
 
-    The weights live in one flat buffer, updated in place; one stacked
-    pass over the batch per epoch gives its loss and gradients.
+    The weights live in one flat buffer, updated in place, and the
+    returned model is built once over views of it; one stacked pass over
+    the batch per epoch gives its loss and gradients.
     """
     batch = Batch(model, graphs)
     start = _weights(model)
     flat = np.concatenate([w.ravel() for w in start])
     grad = np.empty_like(flat)
-    weights = _views(flat, start)
-    result = TrainResult(model)
+    result = TrainResult(_rebuild(model, _views(flat, start)))
     # an overflow ends in a non-finite loss or weight, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            loss, acc = batch.loss_grads(weights, grad)
+            loss, acc = batch.loss_grads(result.model, grad)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             flat -= config.lr_at(epoch) * grad
@@ -311,12 +287,10 @@ def train(model: GnnModel, graphs: list[Graph], config: TrainConfig) -> TrainRes
     # a non-finite weight stays non-finite, so one check covers every epoch
     if not np.all(np.isfinite(flat)):
         raise TrainingError(f"non-finite weights after epoch {config.epochs - 1}")
-    result.model = _rebuild(model, weights)
     return result
 
 
 def accuracy(model: GnnModel, graphs: list[Graph]) -> float:
     batch = Batch(model, graphs)
-    weights = _weights(model)
-    hits = sum(group.hits(group.forward(weights).logits) for group in batch.groups)
+    hits = sum(group.hits(forward(model, group).logits) for group in batch.groups)
     return hits / batch.predictions

@@ -37,7 +37,7 @@ from relwalk import (
 )
 from relwalk.datasets import _simulate_si
 from relwalk.propagation import EPS_STAB
-from relwalk.training import Batch, _views, _weights
+from relwalk.training import Batch, _rebuild, _views, _weights
 
 
 def random_instance(
@@ -207,16 +207,18 @@ def reference_train(model, graphs, config):
 def batch_loss_grads(model, graphs):
     """Mean loss, gradients (one per step, then the head) and accuracy of
     one stacked pass of the trainer's Batch."""
-    weights = _weights(model)
-    grad = np.empty(sum(w.size for w in weights))
-    loss, acc = Batch(model, graphs).loss_grads(weights, grad)
-    return loss, _views(grad, weights), acc
+    like = _weights(model)
+    grad = np.empty(sum(w.size for w in like))
+    loss, acc = Batch(model, graphs).loss_grads(model, grad)
+    return loss, _views(grad, like), acc
 
 
 def numeric_gradients(model, graphs, h: float = 1e-6):
     """Central finite differences of the batch loss, parameter by parameter."""
     batch = Batch(model, graphs)
     weights = [w.copy() for w in _weights(model)]
+    # perturbing a weight in place perturbs this model's weight
+    perturbed = _rebuild(model, weights)
     unused = np.empty(sum(w.size for w in weights))
     grads = []
     for w in weights:
@@ -224,9 +226,9 @@ def numeric_gradients(model, graphs, h: float = 1e-6):
         for pos in np.ndindex(*w.shape):
             orig = w[pos]
             w[pos] = orig + h
-            hi, _ = batch.loss_grads(weights, unused)
+            hi, _ = batch.loss_grads(perturbed, unused)
             w[pos] = orig - h
-            lo, _ = batch.loss_grads(weights, unused)
+            lo, _ = batch.loss_grads(perturbed, unused)
             w[pos] = orig
             g[pos] = (hi - lo) / (2 * h)
         grads.append(g)

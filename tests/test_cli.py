@@ -177,6 +177,38 @@ def test_train_divergence_exit_2(tmp_path, capsys, epochs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label", [None, [0, 1], {"a": 1}, 1.5],
+                         ids=["null", "list", "object", "float"])
+def test_train_malformed_graph_label_exit_2(ba_dir, tmp_path, capsys, label):
+    data, out = tmp_path / "data", tmp_path / "m.json"
+    data.mkdir()
+    for f in ba_dir.iterdir():
+        (data / f.name).write_text(f.read_text())
+    graph = json.loads((data / "graph_0002.json").read_text())
+    graph["label"] = label
+    (data / "graph_0002.json").write_text(json.dumps(graph))
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--epochs", "1", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "graphs[2]: a graph-task label" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", [None, [[0]] * 25, [1.7] * 25],
+                         ids=["null", "column", "float"])
+def test_train_malformed_node_labels_exit_2(infection_files, tmp_path, capsys, label):
+    scenario, _ = infection_files
+    data = json.loads(scenario.read_text())
+    data["graph"]["label"] = label
+    bad, out = tmp_path / "scenario.json", tmp_path / "m.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["train", "--data", str(bad), "--epochs", "1", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "graphs[0]: a node-task label" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "bench"])
 def test_width_below_one_exit_2(ba_dir, tmp_path, capsys, command):
     out = tmp_path / "m.json"
@@ -277,6 +309,16 @@ def test_explain_num_nodes_beyond_the_features_exit_2(model_file, tmp_path, caps
     assert "num_nodes" in capsys.readouterr().err
 
 
+def test_explain_num_nodes_beyond_float_range_exit_2(model_file, tmp_path, capsys):
+    # the stdlib reads 1e400 as inf, which no integer holds
+    graph = tmp_path / "graph.json"
+    graph.write_text('{"num_nodes": 1e400, "features": [[1.0, 1.0, 1.0, 1.0, 1.0]], '
+                     '"edges": []}')
+    code = main(["explain", "--model", str(model_file), "--graph", str(graph)])
+    assert code == EXIT_VALIDATION
+    assert "num_nodes: not an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind, text", [
     ("model", "5"), ("model", '{"layers": [5]}'),
     ("model", '{"layers": [{"w": [[1.0]]}], "readout": 3}'), ("graph", "5"),
@@ -318,6 +360,42 @@ def test_explain_feature_beyond_float_range_exit_2(model_file, tmp_path, capsys)
     code = main(["explain", "--model", str(model_file), "--graph", str(graph)])
     assert code == EXIT_VALIDATION
     assert "finite" in capsys.readouterr().err
+
+
+HUGE = "1" + "0" * 400      # an integer literal beyond float range
+
+
+@pytest.mark.parametrize("field", ["features", "dense", "w", "w2", "head"])
+def test_explain_number_beyond_float_range_exit_2(ba_dir, model_file, tmp_path, capsys, field):
+    # orjson refuses the file and the stdlib reads the literal as a Python int
+    graph = json.loads((ba_dir / "graph_0000.json").read_text())
+    graph["dense"] = load_graph(ba_dir / "graph_0000.json").adjacency.tolist()
+    graph.pop("edges", None)
+    model = json.loads(model_file.read_text())
+    layer = model["layers"][-1]
+    layer["w2"] = np.eye(len(layer["w"][0])).tolist()
+    matrix = {"features": graph["features"], "dense": graph["dense"], "w": layer["w"],
+              "w2": layer["w2"], "head": model["readout"]["head"]}[field]
+    matrix[0][0] = "HUGE"
+    files = {"graph": tmp_path / "graph.json", "model": tmp_path / "model.json"}
+    for name, data in (("graph", graph), ("model", model)):
+        files[name].write_text(json.dumps(data).replace('"HUGE"', HUGE))
+    code = main(["explain", "--model", str(files["model"]), "--graph", str(files["graph"])])
+    assert code == EXIT_VALIDATION
+    assert f"{field}: not a numeric matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, path", [
+    ('{"layers": [{"w": [[]]}]}', "layers[0].w"),
+    ('{"layers": [{"w": [[1.0], [1.0], [1.0], [1.0], [1.0]], "w2": [[]]}]}', "layers[0].w2"),
+    ('{"layers": [{"w": [[1.0, 1.0]]}], "readout": {"head": [[], []]}}', "readout.head")],
+    ids=["w", "w2", "head"])
+def test_explain_zero_width_weight_exit_2(ba_dir, tmp_path, capsys, text, path):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    code = main(["explain", "--model", str(model), "--graph", str(ba_dir / "graph_0000.json")])
+    assert code == EXIT_VALIDATION
+    assert f"{path}: every dimension must be >= 1" in capsys.readouterr().err
 
 
 def test_explain_gamma_flag_changes_output(ba_dir, model_file, capsys):
@@ -471,6 +549,20 @@ def test_eval_infection_recall_max_targets_below_one_exit_2(infection_files, max
                  "--scenario", str(scenario), "--max-targets", max_targets])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().out == ""
+
+
+def test_eval_infection_recall_lambda_beyond_float_range_exit_2(infection_files, tmp_path,
+                                                                capsys):
+    scenario, model = infection_files
+    data = json.loads(scenario.read_text())
+    data["lambda"] = "HUGE"
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(data).replace('"HUGE"', HUGE))
+    capsys.readouterr()
+    code = main(["eval", "infection-recall", "--model", str(model), "--scenario", str(bad)])
+    assert code == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and "'lambda'" in err
 
 
 @pytest.mark.parametrize("command", ["eval", "train"])

@@ -1,7 +1,9 @@
 """The benchmark still runs against the library: a short amp-scale run,
-untraced and traced, and an import of the workloads module.  perfbench
-reads library members that no other code calls, so a change that removed
-one would otherwise break the benchmark without failing a test."""
+untraced and traced, an import of the workloads module, and a shortened
+infection-node setup, which trains, with a few of its explanations.
+perfbench reads library members that no other code calls, so a change
+that removed one would otherwise break the benchmark without failing a
+test."""
 
 import importlib.util
 import json
@@ -40,3 +42,29 @@ def test_amp_scale_runs_and_reports_every_declared_metric(trace, names):
     for metric in DECLARED[names]:
         assert metric["name"] in printed, metric["name"]
         assert metric["name"] in result["metrics"], metric["name"]
+
+
+@pytest.fixture
+def perfbench_modules(monkeypatch):
+    """perfbench's modules, imported as bench.py imports its siblings: by
+    bare name from the perfbench directory; they leave sys.modules after
+    the test."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    names = ("workloads", "bench", "checks", "tracing")
+    yield [importlib.import_module(name) for name in names]
+    for name in names:
+        sys.modules.pop(name, None)
+
+
+def test_infection_node_setup_trains_and_its_explanations_pass_the_checks(
+        perfbench_modules, monkeypatch, tmp_path):
+    workloads, bench, checks, tracing = perfbench_modules
+    monkeypatch.setattr(workloads.InfectionNode, "SCENARIOS", 1)
+    monkeypatch.setattr(workloads.InfectionNode, "EPOCHS", 5)
+    workload = workloads.InfectionNode(0, str(tmp_path))
+    rec = tracing.Recorder()
+    workload.setup(rec)
+    tally = checks.Tally()
+    for task in workload.tasks[:4]:
+        assert bench.attempt(task, rec, tally) is not None
+    assert (tally.attempted, tally.failed) == (4, 0), tally.problems

@@ -16,7 +16,7 @@ from relwalk.graphs import (Graph, degree_normalized, forward, graph_from_dict, 
                             modified_adjacency)
 from relwalk.training import Batch, GraphGroup
 
-from helpers import batch_loss_grads, numeric_gradients, reference_train
+from helpers import batch_loss_grads, numeric_gradients, reference_loss_grads, reference_train
 
 
 def tiny_dataset(seed, n=6, m=5, task="graph"):
@@ -109,15 +109,12 @@ def test_training_equals_the_per_graph_reference_bit_for_bit(form, gin, task):
 
 
 @pytest.mark.parametrize("task", ["graph", "node"])
-def test_training_on_block_diagonal_groups_equals_the_reference(task, monkeypatch):
-    # above DENSE_NODES a group's Lambda is one block-diagonal CSR graph,
-    # and each graph's own products are segment sums; the 1-node graphs
-    # stay dense
+def test_training_on_groups_above_dense_nodes_equals_the_reference(task, monkeypatch):
+    # above DENSE_NODES each graph of a group multiplies with its own
+    # segment sums; the 1-node graphs stay dense
     monkeypatch.setattr(graphs_module, "DENSE_NODES", 4)
     graphs = batch_of("mixed", task)
     model = init_model([3, 4, 4], 2, task=task, seed=7)
-    batch = Batch(model, graphs)
-    assert sorted(isinstance(group.lam, Graph) for group in batch.groups) == [False, True, True]
     config = TrainConfig(epochs=40, lr=0.1)
     result = train(model, graphs, config)
     weights, losses, accuracies = reference_train(model, graphs, config)
@@ -127,6 +124,34 @@ def test_training_on_block_diagonal_groups_equals_the_reference(task, monkeypatc
     assert result.accuracies == accuracies
 
 
+def large_edge_list(seed, task, sizes=(290, 310, 290, 310)):
+    """Edge-list graphs of two node counts above DENSE_NODES, interleaved."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i, m in enumerate(sizes):
+        edges = rng.integers(0, m, size=(3 * m, 2))
+        label = i % 2 if task == "graph" else rng.integers(0, 2, size=m).tolist()
+        graphs.append(graph_from_dict({"num_nodes": m, "features": rng.random((m, 3)).tolist(),
+                                       "edges": edges.tolist(), "label": label}))
+    return graphs
+
+
+@pytest.mark.parametrize("gin", [False, True])
+@pytest.mark.parametrize("task", ["graph", "node"])
+def test_training_on_graphs_above_dense_nodes_equals_the_reference(task, gin):
+    graphs = large_edge_list(11, task)
+    assert all(not graphs_module.dense_products(g.num_nodes) for g in graphs)
+    model = init_model([3, 4, 4], 2, task=task, seed=7, gin=gin)
+    config = TrainConfig(epochs=5, lr=0.1)
+    result = train(model, graphs, config)
+    weights, losses, accuracies = reference_train(model, graphs, config)
+    trained = [s.weight for s in result.model.steps] + [result.model.readout.head]
+    assert all(np.array_equal(a, b) for a, b in zip(trained, weights))
+    assert result.losses == losses
+    assert result.accuracies == accuracies
+    assert accuracy(result.model, graphs) == reference_loss_grads(result.model, graphs)[2]
+
+
 @pytest.mark.parametrize("gin", [False, True])
 @pytest.mark.parametrize("task", ["graph", "node"])
 def test_batch_logits_equal_forward_per_graph(task, gin):
@@ -134,10 +159,9 @@ def test_batch_logits_equal_forward_per_graph(task, gin):
     model = init_model([3, 4, 4], 2, task=task, seed=1, gin=gin)
     batch = Batch(model, graphs)
     assert len(batch.groups) == 3
-    weights = [s.weight for s in model.steps] + [model.readout.head]
     seen = []
     for group in batch.groups:
-        logits = group.forward(weights).logits
+        logits = forward(model, group).logits
         for i, pos in enumerate(group.positions):
             assert np.array_equal(logits[i], forward(model, graphs[pos]).logits)
             seen.append(pos)
@@ -151,6 +175,45 @@ def test_label_outside_the_classes_is_refused(task, label):
     graphs[0].label = label if task == "graph" else np.full(5, label)
     with pytest.raises(ValueError, match="labels"):
         batch_loss_grads(init_model([3, 4, 2], 2, task=task, seed=0), graphs)
+
+
+@pytest.mark.parametrize("label", [None, [0, 1], {"a": 1}, 1.5, "1", np.array([1])],
+                         ids=["none", "list", "dict", "float", "str", "one-element-array"])
+def test_malformed_graph_label_is_refused_naming_the_graph(label):
+    graphs = tiny_dataset(0)
+    graphs[3].label = label
+    model = init_model([3, 4, 2], 2, seed=0)
+    with pytest.raises(ValueError, match=r"graphs\[3\]: a graph-task label"):
+        train(model, graphs, TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match=r"graphs\[3\]"):
+        accuracy(model, graphs)
+
+
+@pytest.mark.parametrize("label", [None, 1, [[0]] * 5, [1.7] * 5, [1] * 4, [1] * 6],
+                         ids=["none", "scalar", "column", "float", "short", "long"])
+def test_malformed_node_labels_are_refused_naming_the_graph(label):
+    graphs = tiny_dataset(0, task="node")
+    graphs[2].label = label
+    model = init_model([3, 4, 2], 2, task="node", seed=0)
+    with pytest.raises(ValueError, match=r"graphs\[2\]: a node-task label"):
+        train(model, graphs, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("task", ["graph", "node"])
+def test_boolean_labels_train_as_integers(task):
+    graphs = tiny_dataset(0, task=task)
+    flags = [Graph(g.adjacency, g.features, np.asarray(g.label).astype(bool)) for g in graphs]
+    model = init_model([3, 4, 2], 2, task=task, seed=0)
+    config = TrainConfig(epochs=5)
+    assert train(model, flags, config).losses == train(model, graphs, config).losses
+
+
+def test_training_or_scoring_no_graphs_is_refused():
+    model = init_model([3, 4, 2], 2, seed=0)
+    with pytest.raises(ValueError, match="at least one graph"):
+        train(model, [], TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="at least one graph"):
+        accuracy(model, [])
 
 
 @pytest.mark.parametrize("dims, classes", [([3, 0, 0], 2), ([3, 4, 0], 2), ([0, 4], 2),
