@@ -20,12 +20,13 @@ engine shared with EMP-neu (splitting.py) picks each subset's walk,
 ranks it by that relevance and reports the same counters.
 
 The step objective factorizes over {Lambda, H, Wup}, the propagation
-stack's only representation, and is maximized along the stack's edge
-list with EMP-neu's reduction (propagation.segment_first_max), so a
-step costs O(E N + M N^2) time and no dense transition tensor or M x M
-objective is ever built.  A subset after a prefix scores only the
-successors of the prefix's last node, read from the stack's CSR rows
-(PropagationStack.out_edges) as EMP-neu reads them.
+stack's only representation, and is maximized along each step's edge
+list (stack.lams[l].edge_index) with EMP-neu's reduction
+(propagation.segment_first_max), so a step costs O(E N + M N^2) time
+and no dense transition tensor or M x M objective is ever built.  A
+subset after a prefix scores only the successors of the prefix's last
+node, read from the step's CSR rows (Graph.out_edges) as EMP-neu reads
+them.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:
     complete[-1] = np.any(stack.output_relevance != 0, axis=1)
     for l in range(stack.num_steps - 1, -1, -1):
         scaled[l] = mu[l + 1] * stack.inverse_denominators[l]   # (M, N_{l+1})
-        rows, cols = stack.edges[l]
+        rows, cols = stack.lams[l].edge_index
         keep = complete[l + 1][cols]
-        rows, cols, values = rows[keep], cols[keep], stack.edge_values[l][keep]
+        rows, cols, values = rows[keep], cols[keep], stack.lams[l].csr[2][keep]
         heads, starts, segment = edge_segments(rows)
         _, first = segment_first_max(edge_objective(stack, l, scaled[l], rows, cols, values),
                                      starts, segment)
@@ -139,7 +140,7 @@ def candidate_scores(stack: PropagationStack, table: NodeMessageTable, prefix: t
 
     After a prefix the candidates are the successors of its last node
     (Lambda != 0) whose completion follows edges and ends on R^(L)'s
-    support (stack.out_edges, kept where table.complete), so a subset
+    support (Graph.out_edges, kept where table.complete), so a subset
     costs O(out-degree N) beyond its fold; at the root they are all
     nodes, and those whose completion does not score -inf.  So every
     representative is such a walk.  Scoring all free-position candidates
@@ -157,7 +158,7 @@ def candidate_scores(stack: PropagationStack, table: NodeMessageTable, prefix: t
         row = row @ stack.slice(l, prefix[l], prefix[l + 1])
     p = prefix[-1]
     contrib = (row * stack.hidden[i - 1][p]) @ stack.wups[i - 1]  # (N_i,)
-    cols, lam = stack.out_edges(i - 1, p)
+    cols, lam = stack.lams[i - 1].out_edges(p)
     keep = table.complete[i][cols]
     cols, lam = cols[keep], lam[keep]
     return cols, lam * (table.scaled[i - 1][cols] @ contrib), 1.0

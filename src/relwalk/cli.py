@@ -334,9 +334,18 @@ def _eval_infection_recall(args) -> int:
     return EXIT_OK
 
 
+def _sizes(text: str, flag: str) -> list[int]:
+    """A bench grid axis: comma-separated sizes, each >= 1."""
+    sizes = [int(x) for x in text.split(",")]
+    if min(sizes) < 1:
+        raise ParameterError(f"{flag} entries must be >= 1, got {text}")
+    return sizes
+
+
 def _cmd_bench(args) -> int:
     rows = []
-    for m in (int(x) for x in args.m_values.split(",")):
+    l_values = _sizes(args.l_values, "--l-values")
+    for m in _sizes(args.m_values, "--m-values"):
         graph = random_graph(m, args.hidden, min(4.0 / max(m - 1, 1), 1.0),
                              np.random.default_rng(args.seed))
 
@@ -344,7 +353,7 @@ def _cmd_bench(args) -> int:
             model = init_model([args.hidden] * (l + 1), 2, seed=args.seed)
             return Explainer(model, graph, parse_gamma(args.gamma, model.num_steps)).stack(0)
 
-        for l in (int(x) for x in args.l_values.split(",")):
+        for l in l_values:
             stack = stack_of_depth(l)
             for method in args.methods.split(","):
                 sub_l = l

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (Graph, ModelFormatError, _read_json, graph_from_dict, graph_to_dict,
-                     modified_adjacency)
+from .graphs import (Graph, ModelFormatError, _read_json, degree_normalized, graph_from_dict,
+                     graph_to_dict, modified_adjacency)
 
 HOUSE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]  # square + roof
 CYCLE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
@@ -98,7 +98,8 @@ def gen_ba2motif(
         bridge = int(rng.integers(base_size))
         a[bridge, base_size] = a[base_size, bridge] = 1.0
         feats = np.ones((n, 1)) if feature_mode == "ones" else _degree_onehot(a)
-        graphs.append(Graph(modified_adjacency(a, normalize=normalize), feats, label))
+        graph = Graph(modified_adjacency(a), feats, label)
+        graphs.append(degree_normalized(graph) if normalize else graph)
     return graphs
 
 

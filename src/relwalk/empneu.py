@@ -12,6 +12,9 @@ subsets_created, argmax_ops, exhausted) and the extraction list as
 `absolute`.  A subset whose best absolute value is 0 holds only
 zero-relevance walks and counts as empty, so no zero walk is ever
 extracted, and exhausted means every walk with nonzero relevance was.
+The messages and scores read Lambda^(l) from the step's Graph
+(stack.lams[l]): its edge list for the max over successors, and its
+rows (out_edges) for a subset's candidates.
 """
 
 from __future__ import annotations
@@ -71,9 +74,9 @@ def build_message_table(stack: PropagationStack) -> MessageTable:
         nu = np.abs(stack.inverse_denominators[l])
         nu *= mu[l + 1].reshape(m, n_next)
         factors[l] = nu
-        rows, cols = stack.edges[l]
+        rows, cols = stack.lams[l].edge_index
         heads, starts, segment = edge_segments(rows)
-        weights = np.abs(stack.edge_values[l])
+        weights = np.abs(stack.lams[l].csr[2])
         best = np.zeros((m, n_l))           # becomes mu[l]
         chosen = np.empty((m, n_l), dtype=np.intp)      # becomes step[l]
         at_zero = np.empty(n_l, dtype=np.intp)      # where best is 0, m' = 0
@@ -111,7 +114,7 @@ def _scored_row(stack: PropagationStack, table: MessageTable, l: int, pair: int
     dims = stack.dims
     n_next = dims[l + 1]
     m, n = divmod(pair, dims[l])
-    cols, lam = stack.out_edges(l, m)
+    cols, lam = stack.lams[l].out_edges(m)
     w = np.abs(stack.wups[l][n])
     row = abs(stack.hidden[l][m, n]) * (np.abs(lam)[:, None]
                                         * (w[None, :] * table.factors[l][cols]))

@@ -15,6 +15,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -52,7 +54,10 @@ class Graph:
     matrix; Graph.from_csr (the JSON edge-list form) takes them as given.
     The products follow the node count alone (dense_products): BLAS on a
     dense Lambda, densified once and cached, or a segment sum per feature
-    column over the CSR edge list, with no M x M array.
+    column over the CSR edge list, with no M x M array.  The searches read
+    Lambda two ways more, a row (out_edges) and an entry (value), from
+    Python copies of the CSR arrays built on first use, so every stack and
+    session over one graph shares one set.
     """
 
     def __init__(self, adjacency, features, label: int | np.ndarray | None = None):
@@ -81,6 +86,8 @@ class Graph:
                 or data.shape != indices.shape):
             raise ShapeError("CSR arrays do not fit together")
         m = indptr.size - 1
+        if m < 1:
+            raise ShapeError("a graph needs at least one node")
         rows = np.repeat(np.arange(m), np.diff(indptr))
         if (np.any((indices < 0) | (indices >= m))
                 or np.any((np.diff(indices) <= 0) & (np.diff(rows) == 0))):
@@ -130,6 +137,28 @@ class Graph:
         rows, cols = self.edge_index
         return _segment_sum(rows, cols, self.csr[2], g, self.num_nodes)
 
+    @cached_property
+    def _python_rows(self) -> tuple[array, array, array]:
+        """The CSR arrays as Python arrays, whose items read as Python
+        scalars, for the scalar reads by bisection."""
+        indptr, indices, data = self.csr
+        return (array("q", indptr.astype(np.int64).tobytes()),
+                array("q", indices.astype(np.int64).tobytes()),
+                array("d", data.tobytes()))
+
+    def out_edges(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, values) of row m of Lambda: m's successors, in column order."""
+        ptr = self._python_rows[0]
+        lo, hi = ptr[m], ptr[m + 1]
+        return self.csr[1][lo:hi], self.csr[2][lo:hi]
+
+    def value(self, m: int, mp: int) -> float:
+        """Lambda[m, m'], 0 off the edges: a bisection in row m."""
+        ptr, cols, values = self._python_rows
+        hi = ptr[m + 1]
+        i = bisect_left(cols, mp, ptr[m], hi)
+        return values[i] if i < hi and cols[i] == mp else 0.0
+
 
 def _segment_sum(targets: np.ndarray, sources: np.ndarray, weights: np.ndarray,
                  x: np.ndarray, m: int) -> np.ndarray:
@@ -166,6 +195,8 @@ def modified_adjacency(a: np.ndarray, normalize: bool = False) -> np.ndarray:
     """Build Lambda = A + I, optionally with symmetric degree normalization."""
     a = np.asarray(a, dtype=float)
     lam = a + np.eye(a.shape[0])
+    # the package normalizes with degree_normalized; this branch stays while
+    # perfbench's workloads call it
     if normalize:
         deg = lam.sum(axis=1)
         dinv = np.where(deg > 0, deg ** -0.5, 0.0)

@@ -77,7 +77,7 @@ def column_similarity_histogram(stack: PropagationStack) -> SimilarityHistogram:
     zero_cols = 0
     degenerate = 0
     for l in range(stack.num_steps):
-        for m, mp in zip(*stack.edges[l]):
+        for m, mp in zip(*stack.lams[l].edge_index):
             t = stack.slice(l, int(m), int(mp))
             avg = t.mean(axis=1)
             avg_norm = np.linalg.norm(avg)

@@ -4,9 +4,9 @@ This is the brute-force reference every fast search is tested against:
 straight-line products over the transition tensors, depth-first
 enumeration of the full walk space, full sort.  Kept deliberately
 simple and independent of the message-passing code paths.  The dense
-Lambda and transition tensors live only here (dense_lambda,
-dense_tensor); the propagation stack itself stays factorized and holds
-Lambda only at its edges.
+transition tensors live only here (dense_tensor, over each step's
+Graph.adjacency); the propagation stack itself stays factorized and
+holds Lambda only at its edges.
 """
 
 from __future__ import annotations
@@ -42,17 +42,10 @@ class ScoredWalk:
         }
 
 
-def dense_lambda(stack: PropagationStack, l: int) -> np.ndarray:
-    """Lambda^(l) as an M x M matrix, densified from the stack's edges."""
-    lam = np.zeros((stack.num_nodes, stack.num_nodes))
-    lam[stack.edges[l]] = stack.edge_values[l]
-    return lam
-
-
 def dense_tensor(stack: PropagationStack, l: int) -> np.ndarray:
     """Full 4-index tensor T^(l), shape (M, N_l, M, N_{l+1}), by one dense
     einsum over the stack's factors: O(M^2 N_l N_{l+1}) time and memory."""
-    num = np.einsum("ma,mn,nb->mnab", dense_lambda(stack, l), stack.hidden[l], stack.wups[l])
+    num = np.einsum("ma,mn,nb->mnab", stack.lams[l].adjacency, stack.hidden[l], stack.wups[l])
     return num * stack.inverse_denominators[l][None, None, :, :]
 
 

@@ -11,21 +11,22 @@ are zeroed so the column sum stays exactly in {0, 1}.
 
 The stack is always kept factorized as {Lam, H, Wup} plus one guarded
 inverse denominator per step, with entries and (m, m') slices on demand.
-Lam is kept only at its nonzeros, as the graph's CSR arrays, so no stack
-holds an M x M array.  An Explainer session takes Lam^T H from forward
-and the edge lists from the graph, and builds the O(L M N^2) rest once
-per graph, so a target costs only its output relevance.  The dense
-4-index tensor, O(M^2 N^2) per step, is never built here; the
-brute-force oracle builds its own (oracle.dense_tensor) as the
-independent reference.  Both searches maximize over a node's edges
-with segment_first_max on the stack's per-step edge lists.
+Each step's Lam is a Graph (stack.lams[l]), the one Lam container: it
+holds Lam only at its nonzeros, as CSR arrays, so no stack holds an
+M x M array, and it serves a row (out_edges) and an entry (value).  An
+Explainer session takes Lam^T H from forward, puts the session's graph
+on every adjacency step and one Lam = I graph on the node-local steps,
+and builds the O(L M N^2) rest once per graph, so a target costs only
+its output relevance.  The dense 4-index tensor, O(M^2 N^2) per step,
+is never built here; the brute-force oracle builds its own
+(oracle.dense_tensor) as the independent reference.  Both searches
+maximize over a node's edges with segment_first_max on each step's
+edge list, lams[l].edge_index.
 """
 
 from __future__ import annotations
 
 import copy
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,19 +106,16 @@ class PropagationStack:
     """Factorized per-step transitions plus output-layer relevance.
 
     Holds {Lam, H, Wup} per step and serves entries and slices of T^(l)
-    from them; the constructor only stores what it is given.  Lam^(l) is
-    held only at its nonzeros: edges[l] is their row-major (rows, cols)
-    list, edge_values[l] the values there, and row m's edges sit at
-    row_pointers[l][m]:row_pointers[l][m + 1], in column order.
-    inverse_denominators[l] is the guarded 1 / den^(l), 0 on the zeroed
-    columns (|den| < EPS_STAB).  In a stack from an Explainer, the
-    steps over the adjacency share the graph's CSR arrays, and the
-    node-local steps share one diagonal with unit values.
+    from them; the constructor only stores what it is given.  lams[l] is
+    Lam^(l) as a Graph, which holds it only at its nonzeros and serves its
+    rows (out_edges) and entries (value).  inverse_denominators[l] is the
+    guarded 1 / den^(l), 0 on the zeroed columns (|den| < EPS_STAB).  In a
+    stack from an Explainer, the steps over the adjacency hold the
+    session's graph itself, and the node-local steps share one Lam = I
+    graph.
     """
 
-    edges: list[tuple[np.ndarray, np.ndarray]]  # row-major nonzeros of each Lam
-    edge_values: list[np.ndarray]               # Lam^(l) at edges[l]
-    row_pointers: list[np.ndarray]              # CSR row pointers of edges[l]
+    lams: list[Graph]                           # Lam^(l) per step
     hidden: list[np.ndarray]                    # H^(0) .. H^(L-1): inputs of each step
     wups: list[np.ndarray]                      # modified weights per step
     inverse_denominators: list[np.ndarray]      # guarded 1 / den^(l), M x N^(l+1)
@@ -127,11 +125,6 @@ class PropagationStack:
     # the benchmark drops propagation.materialized_bytes; no stack holds
     # dense tensors.
     materialized = None
-
-    def __post_init__(self):
-        # the row copies' holder: filled on first use, and shared by every
-        # shallow copy of this stack (the targets of one Explainer)
-        self._row_copies: list[tuple[array, array, array]] = []
 
     # -- shape info ---------------------------------------------------------
 
@@ -148,49 +141,17 @@ class PropagationStack:
         """Feature dimension per layer, length num_steps + 1."""
         return [h.shape[1] for h in self.hidden] + [self.wups[-1].shape[1]]
 
-    # -- Lam access -----------------------------------------------------------
-
-    def out_edges(self, l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """(cols, values) of row m of Lam^(l): m's successors, in column order."""
-        ptr = self._python_rows[l][0]
-        lo, hi = ptr[m], ptr[m + 1]
-        return self.edges[l][1][lo:hi], self.edge_values[l][lo:hi]
-
-    @property
-    def _python_rows(self) -> list[tuple[array, array, array]]:
-        """(row pointers, cols, values) of each step as Python arrays, whose
-        items read as Python scalars, for scalar reads by bisection; built
-        on first use, once per distinct edge list."""
-        rows = self._row_copies
-        if not rows:
-            built = {}
-            for ptr, (_, cols), values in zip(self.row_pointers, self.edges, self.edge_values):
-                key = (id(ptr), id(cols), id(values))
-                if key not in built:
-                    built[key] = (array("q", ptr.astype(np.int64).tobytes()),
-                                  array("q", cols.astype(np.int64).tobytes()),
-                                  array("d", values.astype(float).tobytes()))
-                rows.append(built[key])
-        return rows
-
-    def lam(self, l: int, m: int, mp: int) -> float:
-        """Lam^(l)[m, m'], 0 off the edges: a bisection in row m."""
-        ptr, cols, values = self._python_rows[l]
-        hi = ptr[m + 1]
-        i = bisect_left(cols, mp, ptr[m], hi)
-        return values[i] if i < hi and cols[i] == mp else 0.0
-
     # -- entry access -------------------------------------------------------
 
     def entry(self, l: int, m: int, n: int, mp: int, np_: int) -> float:
         """Single on-demand entry T^(l)[m, n, m', n']."""
-        return float(self.lam(l, m, mp) * self.hidden[l][m, n] * self.wups[l][n, np_]
+        return float(self.lams[l].value(m, mp) * self.hidden[l][m, n] * self.wups[l][n, np_]
                      * self.inverse_denominators[l][mp, np_])
 
     def slice(self, l: int, m: int, mp: int) -> np.ndarray:
         """T^(l)[m, :, m', :] as an N_l x N_{l+1} matrix."""
         return (
-            self.lam(l, m, mp)
+            self.lams[l].value(m, mp)
             * self.hidden[l][m][:, None]
             * self.wups[l]
             * self.inverse_denominators[l][mp][None, :]
@@ -199,7 +160,7 @@ class PropagationStack:
 
 def edge_segments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(heads, starts, segment) of a row-major edge list's rows (as in
-    PropagationStack.edges, possibly filtered): the rows with at least
+    Graph.edge_index, possibly filtered): the rows with at least
     one edge, in ascending order, the position of each one's first edge,
     and each edge's index into heads.  An empty edge list gives empty
     arrays."""
@@ -231,9 +192,10 @@ class Explainer:
 
     Runs forward (unless acts is given) and builds what no target changes
     once: the gamma-modified weights and the guarded inverse denominators
-    acts.aggregated[l] @ Wup^(l) (forward holds Lam^T H); the row copies
-    follow on first use, shared by every target.  stack(target) adds only
-    the target's output relevance.
+    acts.aggregated[l] @ Wup^(l) (forward holds Lam^T H).  Its stacks read
+    Lam from the graph itself, whose row copies follow on first use, shared
+    by every target and every session over the graph.  stack(target) adds
+    only the target's output relevance.
     """
 
     def __init__(self, model: GnnModel, graph: Graph, schedule: GammaSchedule,
@@ -248,17 +210,16 @@ class Explainer:
             raise ParameterError(
                 f"gamma schedule length {len(schedule)} != propagation depth {len(steps)}")
         self.model, self.acts = model, acts
-        m = graph.num_nodes
-        indptr, _, values = graph.csr
-        # node-local steps mix over Lam = I: the diagonal, unit values
-        diagonal, unit, diagonal_ptr = (np.arange(m),) * 2, np.ones(m), np.arange(m + 1)
+        lams = [graph] * len(steps)
+        if not all(s.uses_adjacency for s in steps):
+            # node-local steps mix over Lam = I, one graph shared by all of them
+            m = graph.num_nodes
+            identity = Graph.from_csr(np.arange(m + 1), np.arange(m), np.ones(m), graph.features)
+            lams = [graph if s.uses_adjacency else identity for s in steps]
         wups = [modified_weight(s.weight, g) for s, g in zip(steps, schedule.values)]
         dens = [z @ w for z, w in zip(acts.aggregated, wups)]     # (Lam^T H) Wup
-        adjacency = [s.uses_adjacency for s in steps]
         self._shared = PropagationStack(
-            edges=[graph.edge_index if a else diagonal for a in adjacency],
-            edge_values=[values if a else unit for a in adjacency],
-            row_pointers=[indptr if a else diagonal_ptr for a in adjacency],
+            lams=lams,
             hidden=list(acts.hidden[:-1]),
             wups=wups,
             inverse_denominators=[np.divide(1.0, d, out=np.zeros_like(d),

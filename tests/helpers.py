@@ -88,18 +88,15 @@ def scale_edges(adjacency, seed):
 
 def stack_from_factors(lambdas, hidden, wups, output_relevance):
     """PropagationStack built by hand from its factors, independently of
-    build_propagation: from the dense matrices Lam^(l), edges[l] is
-    np.nonzero(Lam^(l)), edge_values[l] the entries there and
-    row_pointers[l] their row counts, cumulated; the inverse denominators
-    are the guarded 1 / ((Lam^T H) W_up)."""
+    build_propagation: lams[l] is Graph(Lam^(l), H^(l)), read off the
+    dense matrix; the inverse denominators are the guarded
+    1 / ((Lam^T H) W_up)."""
     inverse = []
     for lam, h, w in zip(lambdas, hidden, wups):
         den = (lam.T @ h) @ w
         with np.errstate(divide="ignore", over="ignore"):
             inverse.append(np.where(np.abs(den) >= EPS_STAB, 1.0 / den, 0.0))
-    edges = [np.nonzero(lam) for lam in lambdas]
-    pointers = [np.concatenate([[0], np.cumsum((lam != 0).sum(axis=1))]) for lam in lambdas]
-    return PropagationStack(edges, [lam[e] for lam, e in zip(lambdas, edges)], pointers,
+    return PropagationStack([Graph(lam, h) for lam, h in zip(lambdas, hidden)],
                             hidden, wups, inverse, output_relevance)
 
 

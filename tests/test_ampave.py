@@ -26,7 +26,7 @@ from relwalk import (
     walks_to_edge_scores,
 )
 from relwalk.ampave import EDGE_BLOCK, candidate_scores, edge_objective
-from relwalk.oracle import ScoredWalk, dense_lambda
+from relwalk.oracle import ScoredWalk
 from helpers import (dense_slices, headed_instance, random_instance, sink_adjacency,
                      stack_from_factors)
 
@@ -45,9 +45,9 @@ def test_edge_objective_matches_tensor_contraction():
         for l in range(stack.num_steps):
             mu_next = np.random.default_rng(seed + l).normal(
                 size=(stack.num_nodes, stack.dims[l + 1]))
-            rows, cols = stack.edges[l]
+            rows, cols = stack.lams[l].edge_index
             via_edges = edge_objective(stack, l, mu_next * stack.inverse_denominators[l],
-                                       rows, cols, stack.edge_values[l])
+                                       rows, cols, stack.lams[l].csr[2])
             via_tensor = dense_objective(stack, l, mu_next)
             np.testing.assert_allclose(via_edges, via_tensor[rows, cols], atol=1e-9)
             # the objective off the edge list is exactly 0
@@ -249,7 +249,7 @@ def test_splitting_partitions_node_walk_space():
 
 
 def follows_edges(stack, nodes):
-    return all(stack.lam(l, nodes[l], nodes[l + 1]) != 0
+    return all(stack.lams[l].value(nodes[l], nodes[l + 1]) != 0
                for l in range(stack.num_steps))
 
 
@@ -336,7 +336,7 @@ def masked_dense_objective(stack, table, l):
     """Dense objective rows of step l, with -inf off the continuations the
     table may choose (edges whose completion follows edges)."""
     obj = dense_objective(stack, l, table.mu[l + 1])
-    allowed = (dense_lambda(stack, l) != 0) & table.complete[l + 1][None, :]
+    allowed = (stack.lams[l].adjacency != 0) & table.complete[l + 1][None, :]
     return obj, allowed, np.where(allowed, obj, -np.inf)
 
 

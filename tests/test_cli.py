@@ -658,6 +658,20 @@ def test_bench_exhaustive_node_receives_budget(monkeypatch, capsys):
     assert row.startswith("exhaustive-node,115,3,1,") and row.endswith(",")
 
 
+@pytest.mark.parametrize("method", ["amp-ave", "emp-neu", "exhaustive-node",
+                                    "exhaustive-neuron"])
+@pytest.mark.parametrize("flag, value", [("--m-values", "0"), ("--m-values", "-3"),
+                                         ("--m-values", "4,0"), ("--l-values", "0")])
+def test_bench_sizes_below_one_exit_2_naming_the_flag(method, flag, value, capsys):
+    # a graph with no nodes, or a model with no step, has no walk to search
+    args = {"--m-values": "4", "--l-values": "2", flag: value}
+    code = main(["bench", "--methods", method, "--hidden", "3", "--repetitions", "1",
+                 *(x for item in args.items() for x in item)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+
+
 # -- flags ------------------------------------------------------------------------
 
 

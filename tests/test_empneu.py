@@ -21,7 +21,6 @@ from relwalk import (
     neuron_walk_relevance,
 )
 from relwalk.empneu import candidate_scores
-from relwalk.oracle import dense_lambda
 from relwalk.splitting import pick
 
 from helpers import assert_topk_equivalent, headed_instance, random_instance, sink_adjacency
@@ -119,7 +118,7 @@ def test_message_table_mu_matches_dense_max_product(weighted):
     dead = edgeless = 0
     for stack in table_instances(weighted):
         dead += sum(int(np.sum(h == 0)) for h in stack.hidden[1:])
-        edgeless += sum(int(np.sum(np.diff(ptr) == 0)) for ptr in stack.row_pointers)
+        edgeless += sum(int(np.sum(np.diff(lam.csr[0]) == 0)) for lam in stack.lams)
         table = build_message_table(stack)
         mu, _ = dense_max_product(stack)
         for l in range(stack.num_steps + 1):
@@ -164,7 +163,7 @@ def max_over_all_node_pairs(stack):
         inner_scored = np.abs(stack.wups[l])[None, :, :] * nu[:, None, :]
         inner = np.argmax(inner_scored, axis=2)
         g = np.take_along_axis(inner_scored, inner[:, :, None], axis=2)[:, :, 0]
-        scored = np.abs(dense_lambda(stack, l))[:, :, None] * g[None, :, :]  # (M, M', N_l)
+        scored = np.abs(stack.lams[l].adjacency)[:, :, None] * g[None, :, :]  # (M, M', N_l)
         outer = np.argmax(scored, axis=1)
         best = np.take_along_axis(scored, outer[:, None, :], axis=1)[:, 0, :]
         mu.insert(0, np.abs(stack.hidden[l]) * best)

@@ -377,6 +377,40 @@ def test_edge_list_gives_exactly_the_dense_constructions_lambda(case):
     assert graph_to_dict(graph_from_dict(graph_to_dict(graph))) == graph_to_dict(graph)
 
 
+def assert_reads_equal_the_matrix(graph):
+    """out_edges(m) is row m of graph.adjacency at its nonzeros, and
+    value(m, m') every entry, each a Python float."""
+    lam = graph.adjacency
+    for m in range(graph.num_nodes):
+        cols, values = graph.out_edges(m)
+        np.testing.assert_array_equal(cols, np.flatnonzero(lam[m]))
+        assert values.tobytes() == lam[m, cols].tobytes()
+        for mp in range(graph.num_nodes):
+            value = graph.value(m, mp)
+            assert type(value) is float and value == lam[m, mp]
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists)
+def test_row_and_entry_reads_equal_the_matrix(case):
+    # the edge-list form adds a self-loop per node, and a listed [i, i]
+    # makes Lambda[i, i] 2; the matrix A alone, without them, has empty rows
+    m, edges = case
+    graph = graph_from_dict({"num_nodes": m, "features": np.ones((m, 1)).tolist(),
+                             "edges": [list(e) for e in edges]})
+    assert_reads_equal_the_matrix(graph)
+    a = np.zeros((m, m))
+    for i, j in edges:
+        a[i, j] = 1.0
+    assert_reads_equal_the_matrix(Graph(a, np.ones((m, 1))))
+
+
+def test_row_and_entry_reads_of_a_degree_normalized_graph_equal_the_matrix():
+    graph = degree_normalized(gen_infection(40, steps=2, lam=0.5, seed=3).graph)
+    assert not np.all(graph.csr[2] == 1.0)
+    assert_reads_equal_the_matrix(graph)
+
+
 def test_products_follow_the_node_count(monkeypatch):
     # 30 nodes: dense products at DENSE_NODES 30, segment sums at 29,
     # whichever constructor built the graph
@@ -491,6 +525,16 @@ def test_degree_normalization_of_a_large_edge_list_graph_allocates_no_dense_lamb
 def test_malformed_csr_refused(indptr, indices, data):
     with pytest.raises(ShapeError):
         Graph.from_csr(indptr, indices, data, np.ones((len(indptr) - 1, 1)))
+
+
+def test_a_graph_without_nodes_is_refused_by_both_constructors():
+    # neither search has a walk to return on it
+    with pytest.raises(ShapeError, match="at least one node"):
+        Graph(np.zeros((0, 0)), np.zeros((0, 3)))
+    with pytest.raises(ShapeError, match="at least one node"):
+        Graph.from_csr([0], [], [], np.zeros((0, 3)))
+    with pytest.raises(ShapeError, match="at least one node"):
+        random_graph(0, 3, 0.5, np.random.default_rng(0))
 
 
 # -- the edge-list product kernel ------------------------------------------------------

@@ -45,7 +45,7 @@ def test_neuron_walk_single_factor_product():
 def test_neuron_walk_zero_entry_annihilates():
     # edgeless graph: only self-loops, so any cross-node step has T entry 0
     _, _, _, stack = random_instance(m=3, dims=(2, 2), seed=0, edge_prob=0.0)
-    assert stack.lam(0, 0, 1) == 0.0
+    assert stack.lams[0].value(0, 1) == 0.0
     assert neuron_walk_relevance(stack, (0, 1), (0, 0)) == 0.0
 
 

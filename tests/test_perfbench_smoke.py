@@ -1,6 +1,7 @@
 """The benchmark still runs against the library: a short amp-scale run,
 untraced and traced, an import of the workloads module, and a shortened
-infection-node setup, which trains, with a few of its explanations.
+infection-node setup, which trains, with a few of its explanations, and
+explanations of a GIN model through perfbench's explain and checks.
 perfbench reads library members that no other code calls, so a change
 that removed one would otherwise break the benchmark without failing a
 test."""
@@ -11,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,3 +70,36 @@ def test_infection_node_setup_trains_and_its_explanations_pass_the_checks(
     for task in workload.tasks[:4]:
         assert bench.attempt(task, rec, tally) is not None
     assert (tally.attempted, tally.failed) == (4, 0), tally.problems
+
+
+@pytest.mark.parametrize("method", ["amp", "emp"])
+def test_explanations_of_a_gin_model_pass_the_checks(perfbench_modules, monkeypatch, method):
+    # every perfbench workload explains GCN models; a GIN model's node-local
+    # steps mix over a Lam = I graph, which only this test sends through
+    # perfbench's explain and checks
+    from relwalk import init_model, random_graph
+
+    workloads, bench, checks, tracing = perfbench_modules
+    recomputed = []
+
+    def counted(oracle):
+        def recompute(stack, *walk):
+            recomputed.append(walk)
+            return oracle(stack, *walk)
+        return recompute
+
+    for name in ("node_walk_relevance", "neuron_walk_relevance"):
+        monkeypatch.setattr(checks, name, counted(getattr(checks, name)))
+    graph = random_graph(7, 3, 0.4, np.random.default_rng(2))
+    model = init_model([3, 3, 3], 2, task="node", seed=2, gin=True)   # 0 and 1 leave AMP-ave no walk
+    assert not all(step.uses_adjacency for step in model.steps)
+    tally = checks.Tally()
+    positives = 0
+    for target in range(graph.num_nodes):
+        task = workloads.Task(f"gin-{method}-{target}", method, model, 5, 200,
+                              graph=graph, target=target)
+        done = bench.attempt(task, tracing.Recorder(), tally)
+        assert done is not None, tally.problems
+        positives += len(done[1].positive)
+    assert (tally.attempted, tally.failed) == (graph.num_nodes, 0), tally.problems
+    assert positives > 0 and len(recomputed) == positives

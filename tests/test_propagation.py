@@ -31,7 +31,6 @@ from relwalk import (
     predicted_target,
     random_graph,
 )
-from relwalk.oracle import dense_lambda
 from relwalk.propagation import EPS_STAB, edge_segments, segment_first_max
 from helpers import random_instance, stack_from_factors
 
@@ -160,12 +159,14 @@ def test_denominators_below_eps_stab_get_a_zero_inverse():
 def test_edge_lists_are_row_major_nonzeros_shared_by_steps():
     _, graph, _, stack = random_instance(seed=3, edge_prob=0.3)
     expected_rows, expected_cols = np.nonzero(graph.adjacency)
-    for (rows, cols), values in zip(stack.edges, stack.edge_values):
+    for lam in stack.lams:
+        rows, cols = lam.edge_index
         np.testing.assert_array_equal(rows, expected_rows)
         np.testing.assert_array_equal(cols, expected_cols)
-        np.testing.assert_array_equal(values, graph.adjacency[rows, cols])
-    # every GCN step reads the one adjacency, so its edges are scanned once
-    assert all(e is stack.edges[0] for e in stack.edges)
+        np.testing.assert_array_equal(lam.csr[2], graph.adjacency[rows, cols])
+    # every GCN step reads the one adjacency, the session's graph itself,
+    # so its edges are scanned once
+    assert all(lam is graph for lam in stack.lams)
     for task in ("graph", "node"):
         for gin in (False, True):
             for seed in range(5):
@@ -173,30 +174,31 @@ def test_edge_lists_are_row_major_nonzeros_shared_by_steps():
                 model = init_model([3, 3, 3], 2, task=task, seed=seed, gin=gin)
                 session = Explainer(model, graph,
                                     GammaSchedule.linear_decay(3.0, model.num_steps))
+                identity = None
                 # two targets of one session: two classes, or two nodes
                 for target in (0, 1):
                     stack = session.stack(target)
-                    ref = stack_from_factors(
-                        [dense_lambda(stack, l) for l in range(stack.num_steps)],
-                        stack.hidden, stack.wups, stack.output_relevance)
-                    diagonal = None
+                    ref = stack_from_factors([lam.adjacency for lam in stack.lams],
+                                             stack.hidden, stack.wups, stack.output_relevance)
                     for l, step in enumerate(model.steps):
-                        for got, expected in zip(
-                                stack.edges[l] + (stack.edge_values[l], stack.row_pointers[l]),
-                                ref.edges[l] + (ref.edge_values[l], ref.row_pointers[l])):
-                            np.testing.assert_array_equal(got, expected)
+                        lam, expected = stack.lams[l], ref.lams[l]
+                        for got, want in zip(lam.csr + lam.edge_index,
+                                             expected.csr + expected.edge_index):
+                            np.testing.assert_array_equal(got, want)
                         # the stack's denominators come from forward's Lam^T H,
                         # the reference's from its own product: the same bits
                         assert (stack.inverse_denominators[l].tobytes()
                                 == ref.inverse_denominators[l].tobytes())
                         if step.uses_adjacency:
-                            assert stack.edges[l] is graph.edge_index
-                            assert stack.edge_values[l] is graph.csr[2]
+                            assert lam is graph
                         else:
-                            if diagonal is None:
-                                diagonal = stack.edges[l]
-                            assert stack.edges[l] is diagonal
-                    assert gin == (diagonal is not None)
+                            # Lam = I, one graph for every node-local step
+                            # and every target of the session
+                            if identity is None:
+                                identity = lam
+                            assert lam is identity
+                            np.testing.assert_array_equal(lam.adjacency, np.eye(6))
+                assert gin == (identity is not None)
 
 
 @pytest.mark.parametrize("task", ["graph", "node"])
@@ -208,20 +210,27 @@ def test_targets_of_one_session_share_all_but_their_output_relevance(task):
     for field in dataclasses.fields(a):
         shared = getattr(a, field.name) is getattr(b, field.name)
         assert shared == (field.name != "output_relevance"), field.name
-    assert a._python_rows is b._python_rows
     assert not np.array_equal(a.output_relevance, b.output_relevance)
 
 
 def test_row_copies_are_built_on_first_use_and_shared_by_the_session():
     graph = random_graph(8, 3, 0.4, np.random.default_rng(1))
     model = init_model([3, 3, 3, 3], 2, task="node", seed=1, gin=True)
-    session = Explainer(model, graph, GammaSchedule.linear_decay(3.0, model.num_steps))
-    a, b = session.stack(0), session.stack(1)
-    # constructing the session and its stacks built no row copy
-    assert a._row_copies == [] and a._row_copies is b._row_copies
-    cols, values = b.out_edges(0, 2)
-    assert len(a._row_copies) == model.num_steps
-    assert a._python_rows is b._python_rows
+    schedule = GammaSchedule.linear_decay(3.0, model.num_steps)
+    # two sessions over one graph, two targets of the first
+    first = Explainer(model, graph, schedule)
+    a, b = first.stack(0), first.stack(1)
+    c = Explainer(model, graph, schedule).stack(0)
+    lams = a.lams + c.lams
+    # constructing the sessions and their stacks built no row copy
+    assert not any("_python_rows" in vars(lam) for lam in lams)
+    cols, values = b.lams[0].out_edges(2)
+    # the graph's row copies now serve every stack of both sessions; the
+    # node-local steps' Lam = I graphs have built none
+    assert all(lam is graph for s in (a, b, c) for lam, step in zip(s.lams, model.steps)
+               if step.uses_adjacency)
+    assert "_python_rows" in vars(graph)
+    assert not any("_python_rows" in vars(lam) for lam in lams if lam is not graph)
     ptr = graph.csr[0]
     np.testing.assert_array_equal(cols, graph.csr[1][ptr[2]:ptr[3]])
     np.testing.assert_array_equal(values, graph.csr[2][ptr[2]:ptr[3]])
@@ -399,7 +408,7 @@ def test_slices_and_entries_equal_dense_tensor(seed, weighted, kill_unit, edge_p
 
 def test_gin_stack_on_an_edge_list_graph_holds_no_m_by_m_array():
     # a ring, loaded from its edge list; its node-local steps share one
-    # diagonal with unit values instead of an M x M identity per target
+    # Lam = I graph instead of an M x M identity per target
     m = 3000
     ring = [[i, (i + 1) % m] for i in range(m)] + [[(i + 1) % m, i] for i in range(m)]
     graph = graph_from_dict({"num_nodes": m, "features": np.ones((m, 2)).tolist(),
@@ -416,11 +425,13 @@ def test_gin_stack_on_an_edge_list_graph_holds_no_m_by_m_array():
         finally:
             tracemalloc.stop()
         assert peak < m * m            # an identity alone takes 8 M^2 bytes
-        arrays = [a for l in range(stack.num_steps)
-                  for a in stack.edges[l] + (stack.edge_values[l], stack.row_pointers[l])]
+        arrays = [a for lam in stack.lams for a in lam.csr + lam.edge_index + (lam.features,)]
         arrays += stack.hidden + stack.wups + stack.inverse_denominators
         assert max(a.size for a in arrays + [stack.output_relevance]) < m * m
-        assert all(stack.edges[l] is stack.edges[local[0]] for l in local)
-        for l in local:
-            np.testing.assert_array_equal(stack.edges[l], (np.arange(m),) * 2)
-            np.testing.assert_array_equal(stack.edge_values[l], 1.0)
+        assert all(stack.lams[l] is graph for l in range(stack.num_steps) if l not in local)
+        identity = stack.lams[local[0]]
+        assert identity is not graph and all(stack.lams[l] is identity for l in local)
+        np.testing.assert_array_equal(identity.edge_index, (np.arange(m),) * 2)
+        np.testing.assert_array_equal(identity.csr[2], 1.0)
+        # no row copy is built before first use
+        assert not any("_python_rows" in vars(lam) for lam in stack.lams)

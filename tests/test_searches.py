@@ -33,7 +33,7 @@ def test_step_without_edges_leaves_no_walk():
     hidden = [np.ones((3, 2)), np.ones((3, 2))]
     wups = [np.ones((2, 2)), np.ones((2, 2))]
     stack = stack_from_factors(lambdas, hidden, wups, np.ones((3, 2)))
-    assert stack.edges[1][0].size == 0
+    assert stack.lams[1].csr[1].size == 0
     build_message_table(stack)
     table = build_node_message_table(stack)
     assert not any(c.any() for c in table.complete[:-1])
@@ -63,7 +63,7 @@ def test_gin_identity_steps_match_oracles(task, weighted):
                                   target)
         for l, step in enumerate(model.steps):
             if not step.uses_adjacency:
-                rows, cols = stack.edges[l]
+                rows, cols = stack.lams[l].edge_index
                 assert np.array_equal(rows, np.arange(m)) and np.array_equal(cols, rows)
         for walk in amp_ave_topk(stack, 5, max_k_tilde=40).extracted:
             assert walk.relevance == pytest.approx(node_walk_relevance(stack, walk.nodes),
@@ -97,8 +97,8 @@ def test_matrix_and_edge_list_forms_give_equal_stacks_and_walks(task, gin):
         a, b = (build_propagation(model, g, forward(model, g), schedule, target)
                 for g in (dense, sparse))
         for l in range(a.num_steps):
-            for got, expected in zip(b.edges[l] + (b.edge_values[l], b.row_pointers[l]),
-                                     a.edges[l] + (a.edge_values[l], a.row_pointers[l])):
+            for got, expected in zip(b.lams[l].csr + b.lams[l].edge_index,
+                                     a.lams[l].csr + a.lams[l].edge_index):
                 np.testing.assert_array_equal(got, expected)
         for got, expected in zip(b.hidden + b.inverse_denominators + [b.output_relevance],
                                  a.hidden + a.inverse_denominators + [a.output_relevance]):
