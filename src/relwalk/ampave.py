@@ -133,7 +133,7 @@ def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:
 
 
 def candidate_scores(stack: PropagationStack, table: NodeMessageTable, prefix: tuple[int, ...]
-                     ) -> tuple[np.ndarray | None, np.ndarray, float]:
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
     """Relevance of every candidate node at the free position, completed
     greedily along the message-table argmax steps and scored from the
     folded prefix and table.scaled, with scale 1.0.
@@ -150,7 +150,8 @@ def candidate_scores(stack: PropagationStack, table: NodeMessageTable, prefix: t
     """
     i = len(prefix)
     if i == 0:
-        return None, np.where(table.complete[0], table.mu[0].sum(axis=1), -np.inf), 1.0
+        return (np.arange(stack.num_nodes),
+                np.where(table.complete[0], table.mu[0].sum(axis=1), -np.inf), 1.0)
     # fold the prefix chain into a single row vector, then score the
     # successors of its last node in one vectorized step
     row = np.ones(stack.hidden[0].shape[1])

@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--hidden", type=int, default=8)
     tr.add_argument("--epochs", type=int, default=500)
     tr.add_argument("--lr", type=float, default=0.05)
-    tr.add_argument("--lr-schedule", choices=("decay", "constant"), default="decay")
     tr.add_argument("--normalize", action="store_true",
                     help="degree-normalize the adjacency before training")
     tr.add_argument("--out", required=True, help="output model file")
@@ -238,7 +237,7 @@ def _cmd_train(args) -> int:
     in_dim = graphs[0].features.shape[1]
     dims = [in_dim] + [args.hidden] * args.layers
     model = init_model(dims, 2, task=task, seed=args.seed, gin=args.arch == "gin")
-    config = TrainConfig(epochs=args.epochs, lr=args.lr, lr_schedule=args.lr_schedule)
+    config = TrainConfig(epochs=args.epochs, lr=args.lr)
     result = train(model, graphs, config)
     save_model(result.model, args.out)
     print(f"final loss {result.final_loss:.4f}, accuracy {result.final_accuracy:.3f}")

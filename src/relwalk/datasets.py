@@ -38,14 +38,19 @@ def _ba_adjacency(n: int, rng: np.random.Generator) -> np.ndarray:
     return a
 
 
+def _er_directed(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Directed Erdos-Renyi adjacency: each off-diagonal entry 1 with probability p."""
+    a = (rng.random((m, m)) < p).astype(float)
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
 def random_graph(m: int, feature_dim: int, edge_prob: float,
                  rng: np.random.Generator) -> Graph:
     """Undirected Erdos-Renyi graph with one self-loop per node (Lambda = A + I)
     and features uniform in [0.1, 1.1), drawn from rng in that order."""
-    a = (rng.random((m, m)) < edge_prob).astype(float)
-    a = np.maximum(a, a.T)
-    np.fill_diagonal(a, 0.0)
-    return Graph(modified_adjacency(a), rng.random((m, feature_dim)) + 0.1, 0)
+    a = _er_directed(m, edge_prob, rng)
+    return Graph(modified_adjacency(np.maximum(a, a.T)), rng.random((m, feature_dim)) + 0.1, 0)
 
 
 DEGREE_BINS = 5
@@ -184,13 +189,6 @@ def _node_list(value, m: int) -> bool:
         for v in value)
 
 
-def _er_directed(m: int, mean_out_degree: float, rng: np.random.Generator) -> np.ndarray:
-    p = min(mean_out_degree / (m - 1), 1.0)
-    a = (rng.random((m, m)) < p).astype(float)
-    np.fill_diagonal(a, 0.0)
-    return a
-
-
 def _simulate_si(
     out_neighbors: list[np.ndarray],
     carriers: list[int],
@@ -249,7 +247,8 @@ def gen_infection(
     if carriers is None and not (0.0 < carrier_frac < 1.0):
         raise ValueError("carrier_frac must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    a = _er_directed(m, mean_out_degree, rng) if adjacency is None else np.asarray(adjacency, float)
+    p = min(mean_out_degree / (m - 1), 1.0)
+    a = _er_directed(m, p, rng) if adjacency is None else np.asarray(adjacency, float)
     if carriers is None:
         n_carriers = max(1, int(np.ceil(carrier_frac * m)))
         carriers = sorted(int(c) for c in rng.choice(m, size=n_carriers, replace=False))

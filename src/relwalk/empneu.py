@@ -122,7 +122,7 @@ def _scored_row(stack: PropagationStack, table: MessageTable, l: int, pair: int
 
 
 def candidate_scores(stack: PropagationStack, table: MessageTable, prefix: tuple[int, ...]
-                     ) -> tuple[np.ndarray | None, np.ndarray, float]:
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
     """Best absolute continuation value of every candidate pair at layer
     len(prefix) after the flat-pair prefix, and the prefix's absolute
     factor as scale.
@@ -138,7 +138,7 @@ def candidate_scores(stack: PropagationStack, table: MessageTable, prefix: tuple
     if prefix:
         values, row = _scored_row(stack, table, len(prefix) - 1, prefix[-1])
     else:
-        values, row = None, table.mu[0]
+        values, row = np.arange(table.mu[0].size), table.mu[0]
     return values, np.where(row == 0, -np.inf, row), _prefix_factor(stack, prefix)
 
 

@@ -109,14 +109,18 @@ class Graph:
     def num_nodes(self) -> int:
         return self.features.shape[0]
 
+    def densify_into(self, out: np.ndarray) -> np.ndarray:
+        """Scatter Lambda's nonzeros into out, a zeroed M x M buffer (or a
+        graph's slice of a stacked one), and return it: the package's one
+        densifier."""
+        out[self.edge_index] = self.csr[2]
+        return out
+
     @property
     def adjacency(self) -> np.ndarray:
         """Lambda as a fresh M x M matrix densified from the CSR arrays (for
         oracles, tests and the dense file form)."""
-        rows, cols = self.edge_index
-        lam = np.zeros((self.num_nodes, self.num_nodes))
-        lam[rows, cols] = self.csr[2]
-        return lam
+        return self.densify_into(np.zeros((self.num_nodes, self.num_nodes)))
 
     @cached_property
     def _dense(self) -> np.ndarray:

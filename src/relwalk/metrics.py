@@ -123,7 +123,9 @@ def infection_chain_recall(
     """Fraction of targets whose ground-truth chain is among the top-k walks.
 
     Two matching conventions are reported: exact match after padding the
-    chain with terminal self-steps, and subsequence containment.
+    chain with terminal self-steps, and subsequence containment.  A chain
+    of more than walk_length nodes fits in no walk either way, so its
+    target counts as a miss in both.
     """
     hit_pad = 0
     hit_sub = 0
@@ -133,6 +135,8 @@ def infection_chain_recall(
         if chain is None:
             continue
         targets += 1
+        if len(chain) > walk_length:
+            continue
         top = [w.nodes for w in walks[:k]]
         padded = pad_chain(chain, walk_length)
         if padded in top:

@@ -28,12 +28,6 @@ class ScoredWalk:
     relevance: float
     neurons: tuple[int, ...] | None = None
 
-    def sort_key(self) -> tuple[int, ...]:
-        """Lexicographic tie-break key: interleaved (m, n) pairs, or nodes."""
-        if self.neurons is None:
-            return self.nodes
-        return tuple(x for pair in zip(self.nodes, self.neurons) for x in pair)
-
     def to_record(self) -> dict:
         return {
             "nodes": list(self.nodes),

@@ -195,17 +195,22 @@ class Explainer:
     acts.aggregated[l] @ Wup^(l) (forward holds Lam^T H).  Its stacks read
     Lam from the graph itself, whose row copies follow on first use, shared
     by every target and every session over the graph.  stack(target) adds
-    only the target's output relevance.
+    only the target's output relevance.  Activations, denominators or an
+    output relevance that overflowed to inf or NaN are refused
+    (ParameterError), as modified_weight refuses a non-finite W_up.
     """
 
     def __init__(self, model: GnnModel, graph: Graph, schedule: GammaSchedule,
                  acts: Activations | None = None):
         steps = model.steps
-        acts = forward(model, graph) if acts is None else acts
+        if acts is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                acts = forward(model, graph)
         if len(acts.hidden) != len(steps) + 1:
             raise ShapeError("activations do not match the model depth")
         if acts.hidden[0].shape != graph.features.shape:
             raise ShapeError("activations were computed on a different graph")
+        _refuse_non_finite("activations", *acts.hidden, *acts.aggregated, acts.logits)
         if len(schedule) != len(steps):
             raise ParameterError(
                 f"gamma schedule length {len(schedule)} != propagation depth {len(steps)}")
@@ -217,7 +222,9 @@ class Explainer:
             identity = Graph.from_csr(np.arange(m + 1), np.arange(m), np.ones(m), graph.features)
             lams = [graph if s.uses_adjacency else identity for s in steps]
         wups = [modified_weight(s.weight, g) for s, g in zip(steps, schedule.values)]
-        dens = [z @ w for z, w in zip(acts.aggregated, wups)]     # (Lam^T H) Wup
+        with np.errstate(over="ignore", invalid="ignore"):
+            dens = [z @ w for z, w in zip(acts.aggregated, wups)]     # (Lam^T H) Wup
+        _refuse_non_finite("LRP denominators", *dens)
         self._shared = PropagationStack(
             lams=lams,
             hidden=list(acts.hidden[:-1]),
@@ -237,9 +244,18 @@ class Explainer:
                 raise ParameterError("a target (node index) is required for node-task models")
             target = predicted_target(self.model, self.acts)
         stack = copy.copy(self._shared)
-        stack.output_relevance = init_output_relevance(self.model, self.acts, target,
-                                                       target_class=target_class)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack.output_relevance = init_output_relevance(self.model, self.acts, target,
+                                                           target_class=target_class)
+        _refuse_non_finite("output relevance", stack.output_relevance)
         return stack
+
+
+def _refuse_non_finite(what: str, *arrays: np.ndarray) -> None:
+    """Refuse an explanation whose inputs overflowed: relevances computed
+    from an inf or NaN would not be numbers."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ParameterError(f"non-finite {what}: the model overflows float64 on this graph")
 
 
 def build_propagation(model: GnnModel, graph: Graph, acts: Activations, schedule: GammaSchedule,

@@ -4,13 +4,13 @@ shared by both walk searches.
 A subset of the walk space is a prefix, fixing positions 0 .. i-1, and
 a set of values excluded at the free position i.  A search supplies only
 scores(prefix) -> (values, scores, scale): the ascending candidate
-values at the free position (None for every value, 0 .. len(scores) - 1;
-after a prefix, the successors of its last value), a fresh array of one
-score per candidate (-inf where no walk continues) and the prefix's
-factor.  Every other value holds no walk.  pick takes a subset's
-representative: its first non-excluded maximizer, completed through the
-search's argmax steps and ranked by scale times its score (None once the
-subset holds no walk).
+values at the free position (every value at the root; after a prefix,
+the successors of its last value), a fresh array of one score per
+candidate (-inf where no walk continues) and the prefix's factor.
+Every other value holds no walk.  pick takes a subset's representative:
+its first non-excluded maximizer, completed through the search's argmax
+steps and ranked by scale times its score (None once the subset holds
+no walk).
 Live subsets wait in a heap keyed by (-priority, walk).  Popping the
 best one extracts its walk and splits the rest of the subset into at
 most L + 1 children: child j fixes the walk through position j - 1 and
@@ -32,7 +32,7 @@ import numpy as np
 from .oracle import ScoredWalk
 
 Walk = tuple[int, ...]
-Scorer = Callable[[Walk], tuple[np.ndarray | None, np.ndarray, float]]
+Scorer = Callable[[Walk], tuple[np.ndarray, np.ndarray, float]]
 
 
 @dataclass
@@ -78,7 +78,7 @@ def _backtrack(step: Sequence, layer: int, start: int) -> list[int]:
     return path
 
 
-def pick(values: np.ndarray | None, scores: np.ndarray, scale: float, step: Sequence,
+def pick(values: np.ndarray, scores: np.ndarray, scale: float, step: Sequence,
          prefix: Walk, excluded: frozenset) -> tuple[float, Walk] | None:
     """(scale * best score, walk) of a subset, or None if it holds no walk.
 
@@ -88,13 +88,11 @@ def pick(values: np.ndarray | None, scores: np.ndarray, scale: float, step: Sequ
     candidates: it was an extracted walk's value after the same prefix.
     """
     if excluded:
-        excluded = list(excluded)
-        scores[excluded if values is None else np.searchsorted(values, excluded)] = -np.inf
+        scores[np.searchsorted(values, list(excluded))] = -np.inf
     j = int(np.argmax(scores))
     if scores[j] == -np.inf:
         return None
-    start = j if values is None else int(values[j])
-    return scale * float(scores[j]), prefix + tuple(_backtrack(step, len(prefix), start))
+    return scale * float(scores[j]), prefix + tuple(_backtrack(step, len(prefix), int(values[j])))
 
 
 class Splitter:

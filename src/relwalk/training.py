@@ -27,7 +27,6 @@ class TrainingError(RuntimeError):
 class TrainConfig:
     epochs: int = 500
     lr: float = 0.05
-    lr_schedule: str = "decay"    # "decay": lr/(1 + epoch/epochs); "constant"
     # train never reads it: full-batch descent from a given model draws
     # nothing at random.  It stays while perfbench's workloads pass seed=.
     seed: int = 0
@@ -37,12 +36,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
-        if self.lr_schedule not in ("decay", "constant"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
 
     def lr_at(self, epoch: int) -> float:
-        if self.lr_schedule == "constant":
-            return self.lr
+        """The decayed learning rate lr / (1 + epoch / epochs)."""
         return self.lr / (1.0 + epoch / self.epochs)
 
 
@@ -132,12 +128,13 @@ class GraphGroup:
     rows as (B, M, N) arrays, which forward runs on as it runs on a Graph.
 
     Lambda follows the node count as a graph's products do
-    (dense_products): at or below DENSE_NODES a (B, M, M) stack scattered
-    from each graph's CSR arrays, so numpy's stacked matmul makes each
-    graph's own BLAS call; above it each graph multiplies with its own
-    Graph.aggregate and aggregate_adjoint.  Each product keeps the
-    per-graph operation of a forward pass, so a pass gives every graph the
-    same bits as forward on it alone.
+    (dense_products): at or below DENSE_NODES a (B, M, M) stack, each
+    graph densified into its own slice (Graph.densify_into, no per-graph
+    copy), so numpy's stacked matmul makes each graph's own BLAS call;
+    above it each graph multiplies with its own Graph.aggregate and
+    aggregate_adjoint.  Each product keeps the per-graph operation of a
+    forward pass, so a pass gives every graph the same bits as forward on
+    it alone.
     """
 
     def __init__(self, model: GnnModel, graphs: list[Graph], positions: list[int]):
@@ -149,7 +146,7 @@ class GraphGroup:
         if dense_products(m):
             self.lam = np.zeros((b, m, m))
             for lam, g in zip(self.lam, graphs):
-                lam[g.edge_index] = g.csr[2]
+                g.densify_into(lam)
         # every model's first step mixes over Lambda, and its input is fixed
         self.first = self._product(self.features, adjoint=False)
         shape = () if model.readout.task == "graph" else (m,)

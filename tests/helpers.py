@@ -296,11 +296,11 @@ def assert_topk_equivalent(found, expected, tol=1e-10, absolute=True):
         assert abs(key(f) - key(e)) <= tol, (f, e)
         # signed values must agree too, not only magnitudes
         assert abs(f.relevance - e.relevance) <= tol, (f, e)
-    assert len({w.sort_key() for w in found}) == len(found), "duplicate walks"
+    assert len({(w.nodes, w.neurons) for w in found}) == len(found), "duplicate walks"
     fg = tie_groups(found, tol, key)
     eg = tie_groups(expected, tol, key)
     assert [len(g) for g in fg] == [len(g) for g in eg]
     for i, (group_f, group_e) in enumerate(zip(fg[:-1], eg[:-1])):
-        ids_f = {w.sort_key() for w in group_f}
-        ids_e = {w.sort_key() for w in group_e}
+        ids_f = {(w.nodes, w.neurons) for w in group_f}
+        ids_e = {(w.nodes, w.neurons) for w in group_e}
         assert ids_f == ids_e, (i, ids_f ^ ids_e)

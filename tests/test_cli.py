@@ -165,6 +165,15 @@ def test_train_empty_dataset_exit_2(tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_train_lr_schedule_is_an_unknown_flag(tmp_path, capsys):
+    # the learning rate always decays; there is no schedule to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.json"),
+              "--lr-schedule", "decay"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lr-schedule" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("epochs", [1, 3])
 def test_train_divergence_exit_2(tmp_path, capsys, epochs):
     # at 1 epoch only the weights diverge, at 3 the loss does too
@@ -419,6 +428,22 @@ def test_explain_non_finite_gamma_exit_2(ba_dir, model_file, capsys, method, gam
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["amp-ave", "emp-neu"])
+def test_explain_overflowing_model_exit_2(ba_dir, model_file, tmp_path, capsys, method):
+    # weights this large overflow the forward pass to inf and NaN
+    data = json.loads(model_file.read_text())
+    for layer in data["layers"]:
+        layer["w"] = (np.asarray(layer["w"]) * 1e155).tolist()
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["explain", "--model", str(big), "--graph", str(ba_dir / "graph_0000.json"),
+                 "--method", method])
+    assert code == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and "non-finite activations" in err
+
+
 def test_explain_bad_gamma_exit_2(ba_dir, model_file):
     code = main(["explain", "--model", str(model_file),
                  "--graph", str(ba_dir / "graph_0000.json"),
@@ -524,6 +549,25 @@ def test_eval_infection_recall_json(infection_files, capsys):
     report = json.loads(capsys.readouterr().out)
     assert 0.0 <= report["recall_padded"] <= 1.0
     assert report["targets"] <= 5
+
+
+def test_eval_infection_recall_counts_a_chain_longer_than_the_walk_as_a_miss(tmp_path,
+                                                                            capsys):
+    # 5 SI steps give target 4 the chain [0, 11, 14, 4]; a 2-layer model's
+    # walks have 3 nodes
+    scenario, model = tmp_path / "scenario.json", tmp_path / "model.json"
+    assert main(["gen", "infection", "--m", "60", "--steps", "5", "--lam", "0.9",
+                 "--carrier-frac", "0.05", "--out", str(scenario), "--seed", "0"]) == EXIT_OK
+    assert InfectionScenario.load(scenario).chains[4] == [0, 11, 14, 4]
+    assert main(["train", "--data", str(scenario), "--layers", "2", "--hidden", "4",
+                 "--epochs", "30", "--lr", "0.2", "--out", str(model)]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["eval", "infection-recall", "--model", str(model),
+                 "--scenario", str(scenario), "--topk", "3", "--max-targets", "4"])
+    assert code == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["targets"] == 4
+    assert report["recall_padded"] <= 0.75 and report["recall_subsequence"] <= 0.75
 
 
 def test_eval_infection_recall_refuses_a_graph_task_model(tmp_path, capsys):

@@ -377,6 +377,16 @@ def test_edge_list_gives_exactly_the_dense_constructions_lambda(case):
     assert graph_to_dict(graph_from_dict(graph_to_dict(graph))) == graph_to_dict(graph)
 
 
+def test_densify_into_fills_each_graphs_slice_of_a_stacked_buffer():
+    # weighted matrices with empty rows and columns, read back exactly
+    rng = np.random.default_rng(0)
+    matrices = [rng.random((5, 5)) * (rng.random((5, 5)) < 0.4) for _ in range(3)]
+    stacked = np.zeros((3, 5, 5))
+    for out, a in zip(stacked, matrices):
+        assert Graph(a, np.ones((5, 1))).densify_into(out) is out
+    assert np.array_equal(stacked, np.stack(matrices))
+
+
 def assert_reads_equal_the_matrix(graph):
     """out_edges(m) is row m of graph.adjacency at its nonzeros, and
     value(m, m') every entry, each a Python float."""

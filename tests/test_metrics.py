@@ -168,6 +168,17 @@ def test_subsequence_convention_is_weaker_than_padded():
     assert recall.subsequence == 1.0
 
 
+def test_chain_longer_than_the_walk_is_a_miss_in_both_conventions():
+    # a walk of 3 nodes holds a 4-node chain neither padded nor as a
+    # subsequence; the other target still counts as a hit
+    chains = {4: [0, 1, 2, 4], 3: [0, 3]}
+    per_target = {4: walks((0, 1, 2)), 3: walks((0, 3, 3))}
+    recall = infection_chain_recall(per_target, chains, k=5, walk_length=3)
+    assert recall.targets == 2
+    assert recall.padded == 0.5
+    assert recall.subsequence == 0.5
+
+
 # -- edge recall ---------------------------------------------------------------------
 
 

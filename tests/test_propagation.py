@@ -77,6 +77,44 @@ def test_non_finite_modified_weights_refused_before_any_search(schedule):
         Explainer(model, graph, schedule)      # before any target is named
 
 
+def _overflowing(kind):
+    """(model, graph, schedule) whose explanation overflows float64 in the
+    activations, or only in the LRP denominators (z @ 1.5 W at z = 3)."""
+    if kind == "activations":
+        model = init_model([5, 3, 3], 2, seed=0)
+        model = GnnModel(tuple(LayerSpec(layer.weight * 1e155) for layer in model.layers),
+                         model.readout)
+        graph = random_graph(6, 5, 0.6, np.random.default_rng(0))
+        return model, graph, GammaSchedule.linear_decay(3.0, 2)
+    graph = Graph(np.array([[3.0]]), np.array([[1.0]]))
+    model = GnnModel((LayerSpec(np.array([[5e307]])),),
+                     ReadoutSpec(task="graph", head=np.array([[1.0, 1.0]])))
+    return model, graph, GammaSchedule.constant(0.5, 1)
+
+
+@pytest.mark.parametrize("kind", ["activations", "LRP denominators"])
+def test_an_overflowing_forward_pass_is_refused(kind):
+    model, graph, schedule = _overflowing(kind)
+    with pytest.raises(ParameterError, match=f"non-finite {kind}"):
+        Explainer(model, graph, schedule)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts = forward(model, graph)
+    with pytest.raises(ParameterError, match=f"non-finite {kind}"):
+        Explainer(model, graph, schedule, acts)       # activations passed in
+
+
+def test_an_overflowing_output_relevance_is_refused():
+    # finite activations and logits, but H^(L) times the head overflows
+    graph = Graph(np.array([[1.0]]), np.array([[1.0]]))
+    model = GnnModel((LayerSpec(np.array([[1e300]])),),
+                     ReadoutSpec(task="graph", head=np.array([[1e10, 1.0]])))
+    with np.errstate(over="ignore"):
+        acts = dataclasses.replace(forward(model, graph), logits=np.array([1.0, 0.0]))
+    session = Explainer(model, graph, GammaSchedule.constant(0.0, 1), acts)
+    with pytest.raises(ParameterError, match="non-finite output relevance"):
+        session.stack(0)
+
+
 @given(st.floats(0, 10), st.floats(0, 10))
 def test_gamma_monotonicity_of_positive_mass(g1, g2):
     w = np.array([[1.0, -2.0], [3.0, -0.5]])

@@ -12,25 +12,25 @@ STEP = (np.array([2, 0, 1, 1]),)
 
 def test_pick_takes_first_maximizer_under_exact_ties():
     scores = np.array([1.0, 3.0, -INF, 3.0])
-    assert pick(None, scores, 1.0, STEP, (), frozenset()) == (3.0, (1, 0))
+    assert pick(np.arange(4), scores, 1.0, STEP, (), frozenset()) == (3.0, (1, 0))
 
 
 def test_pick_skips_excluded_values():
     scores = np.array([1.0, 3.0, -INF, 3.0])
-    assert pick(None, scores.copy(), 1.0, STEP, (), frozenset({1})) == (3.0, (3, 1))
-    assert pick(None, scores.copy(), 1.0, STEP, (), frozenset({1, 3})) == (1.0, (0, 2))
+    assert pick(np.arange(4), scores.copy(), 1.0, STEP, (), frozenset({1})) == (3.0, (3, 1))
+    assert pick(np.arange(4), scores.copy(), 1.0, STEP, (), frozenset({1, 3})) == (1.0, (0, 2))
 
 
 def test_pick_none_when_only_minus_inf_is_left():
     scores = np.array([1.0, -INF, -INF, 3.0])
-    assert pick(None, scores, 1.0, STEP, (), frozenset({0, 3})) is None
-    assert pick(None, np.full(4, -INF), 1.0, STEP, (), frozenset()) is None
+    assert pick(np.arange(4), scores, 1.0, STEP, (), frozenset({0, 3})) is None
+    assert pick(np.arange(4), np.full(4, -INF), 1.0, STEP, (), frozenset()) is None
 
 
 def test_pick_completes_after_the_prefix():
     # a prefix fixes position 0; the free value is the last position
     scores = np.array([0.5, -INF, 2.0, 2.0])
-    assert pick(None, scores, 1.0, STEP, (3,), frozenset()) == (2.0, (3, 2))
+    assert pick(np.arange(4), scores, 1.0, STEP, (3,), frozenset()) == (2.0, (3, 2))
 
 
 def test_pick_scale_stays_outside_the_argmax():
@@ -39,11 +39,11 @@ def test_pick_scale_stays_outside_the_argmax():
     scores = np.array([1.0, np.nextafter(1.0, 2.0)])
     tiny = 5e-324
     assert tiny * scores[0] == tiny * scores[1]
-    value, walk = pick(None, scores, tiny, (np.array([0, 0]),), (), frozenset())
+    value, walk = pick(np.arange(2), scores, tiny, (np.array([0, 0]),), (), frozenset())
     assert walk == (1, 0)
     assert value == tiny * scores[1]
     # a zero scale reports 0 for the same walk, never a -inf product
-    assert pick(None, np.array([-INF, 2.0]), 0.0, (np.array([0, 0]),), (), frozenset()) \
+    assert pick(np.arange(2), np.array([-INF, 2.0]), 0.0, (np.array([0, 0]),), (), frozenset()) \
         == (0.0, (1, 0))
 
 
@@ -64,7 +64,7 @@ class CountingScorer:
     def __call__(self, prefix):
         scores = self.TABLE[prefix].copy()
         self.sizes.append(scores.size)
-        return None, scores, 1.0
+        return np.arange(scores.size), scores, 1.0
 
 
 def test_argmax_ops_counts_every_scorer_call_empty_subsets_included():
@@ -83,7 +83,7 @@ def test_argmax_ops_counts_every_scorer_call_empty_subsets_included():
 
 
 def test_splitter_root_without_walk_is_empty():
-    scorer = lambda prefix: (None, np.full(3, -INF), 1.0)
+    scorer = lambda prefix: (np.arange(3), np.full(3, -INF), 1.0)
     splitter = Splitter(scorer, (np.zeros(3, dtype=int),))
     assert splitter.heap == []
     assert splitter.subsets_created == 0
