@@ -166,12 +166,20 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+# method name -> call(stack, k, budget).  The budget caps the searches'
+# extractions (a target with fewer than k positive walks yields a partial
+# result) and the walk space an oracle may enumerate (else BudgetError).
+METHODS = {
+    "emp-neu": lambda stack, k, budget: emp_neu_topk(stack, k, max_k_tilde=budget),
+    "amp-ave": lambda stack, k, budget: amp_ave_topk(stack, k, max_k_tilde=budget),
+    "exhaustive-node": lambda stack, k, budget: exhaustive_topk_node(stack, k, budget=budget),
+    "exhaustive-neuron":
+        lambda stack, k, budget: exhaustive_topk_neuron(stack, k, budget=budget),
+}
+
+
 def _run_search(args, stack, method: str, k: int):
-    # the enumeration budget also caps extractions, so targets with fewer
-    # than k positive walks yield a partial result instead of sweeping the
-    # whole walk space
-    search = emp_neu_topk if method == "emp-neu" else amp_ave_topk
-    return search(stack, k, max_k_tilde=args.budget)
+    return METHODS[method](stack, k, args.budget)
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -262,18 +270,14 @@ def _cmd_eval(args) -> int:
     if args.metric == "infection-recall":
         return _eval_infection_recall(args)
     if args.metric == "pr":
-        ks = [int(x) for x in args.ks.split(",")]
-        kstars = [int(x) for x in args.kstars.split(",")]
-        if min(ks + kstars) < 1:
-            raise ParameterError(f"--ks and --kstars must be >= 1, "
-                                 f"got {args.ks!r} and {args.kstars!r}")
+        ks, kstars = _sizes(args.ks, "--ks"), _sizes(args.kstars, "--kstars")
     model = load_model(args.model)
     graph = load_graph(args.graph)
     stack = Explainer(model, graph, parse_gamma(args.gamma, model.num_steps)).stack(args.target)
 
     if args.metric == "pr":
         # precision_recall reads only the oracle's first K* walks
-        oracle = exhaustive_topk_node(stack, max(kstars), budget=args.budget)
+        oracle = _run_search(args, stack, "exhaustive-node", max(kstars))
         approx = _run_search(args, stack, "amp-ave", max(ks)).positive
         points = precision_recall(approx, oracle, ks, kstars)
         print("K,K_star,precision,recall")
@@ -334,7 +338,7 @@ def _eval_infection_recall(args) -> int:
 
 
 def _sizes(text: str, flag: str) -> list[int]:
-    """A bench grid axis: comma-separated sizes, each >= 1."""
+    """A list of sizes: comma-separated integers, each >= 1."""
     sizes = [int(x) for x in text.split(",")]
     if min(sizes) < 1:
         raise ParameterError(f"{flag} entries must be >= 1, got {text}")
@@ -342,40 +346,24 @@ def _sizes(text: str, flag: str) -> list[int]:
 
 
 def _cmd_bench(args) -> int:
+    methods = args.methods.split(",")
+    for method in methods:
+        if method not in METHODS:
+            raise ParameterError(f"unknown bench method {method!r}")
     rows = []
     l_values = _sizes(args.l_values, "--l-values")
     for m in _sizes(args.m_values, "--m-values"):
         graph = random_graph(m, args.hidden, min(4.0 / max(m - 1, 1), 1.0),
                              np.random.default_rng(args.seed))
-
-        def stack_of_depth(l):
-            model = init_model([args.hidden] * (l + 1), 2, seed=args.seed)
-            return Explainer(model, graph, parse_gamma(args.gamma, model.num_steps)).stack(0)
-
         for l in l_values:
-            stack = stack_of_depth(l)
-            for method in args.methods.split(","):
-                sub_l = l
-                if method in ("amp-ave", "emp-neu"):
-                    fn = lambda: _run_search(args, stack, method, args.topk)
-                elif method == "exhaustive-node":
-                    # beyond the budget, time the enumeration of a budget-sized
-                    # sub-problem and scale by the walk-count ratio
-                    while m ** (sub_l + 1) > args.budget and sub_l > 1:
-                        sub_l -= 1
-                    sub_stack = stack if sub_l == l else stack_of_depth(sub_l)
-                    fn = lambda: exhaustive_topk_node(sub_stack, args.topk, budget=args.budget)
-                elif method == "exhaustive-neuron":
-                    fn = lambda: exhaustive_topk_neuron(stack, args.topk, budget=args.budget)
-                else:
-                    raise ParameterError(f"unknown bench method {method!r}")
-                median, var = time_callable(fn, args.repetitions)
-                rows.append({
-                    "method": method, "M": m, "L": l, "K": args.topk,
-                    "seconds": median * m ** (l - sub_l),
-                    "repetitions": args.repetitions, "variance": var,
-                    "estimated": "estimated from partial computation" if sub_l < l else "",
-                })
+            model = init_model([args.hidden] * (l + 1), 2, seed=args.seed)
+            stack = Explainer(model, graph, parse_gamma(args.gamma, model.num_steps)).stack(0)
+            for method in methods:
+                median, var = time_callable(
+                    lambda: _run_search(args, stack, method, args.topk), args.repetitions)
+                rows.append({"method": method, "M": m, "L": l, "K": args.topk,
+                             "seconds": median, "repetitions": args.repetitions,
+                             "variance": var})
     csv_text = bench_rows_to_csv(rows)
     if args.out:
         Path(args.out).write_text(csv_text)
@@ -397,7 +385,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "budget", 1) < 1:
             raise ParameterError(f"--budget must be >= 1, got {args.budget}")
         return handlers[args.command](args)
-    except BudgetError as exc:
+    except (BudgetError, MemoryError) as exc:
+        # an allocation the machine refuses is a size limit too
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ParameterError, ShapeError, ModelFormatError, TrainingError, ValueError,

@@ -227,14 +227,11 @@ def gen_infection(
     carrier_frac: float = 0.02,
     mean_out_degree: float = 4.0,
     seed: int = 0,
-    adjacency: np.ndarray | None = None,
-    carriers: list[int] | None = None,
 ) -> InfectionScenario:
     """Generate an infection scenario: graph, carriers, one SI realization.
 
     Node features are 2-dim carrier indicators; labels mark nodes infected
-    after `steps`.  A fixed adjacency/carrier set can be passed to
-    re-simulate on the same instance.
+    after `steps`.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -244,14 +241,12 @@ def gen_infection(
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not mean_out_degree >= 0:
         raise ValueError(f"mean_out_degree must be >= 0, got {mean_out_degree}")
-    if carriers is None and not (0.0 < carrier_frac < 1.0):
+    if not (0.0 < carrier_frac < 1.0):
         raise ValueError("carrier_frac must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    p = min(mean_out_degree / (m - 1), 1.0)
-    a = _er_directed(m, p, rng) if adjacency is None else np.asarray(adjacency, float)
-    if carriers is None:
-        n_carriers = max(1, int(np.ceil(carrier_frac * m)))
-        carriers = sorted(int(c) for c in rng.choice(m, size=n_carriers, replace=False))
+    a = _er_directed(m, min(mean_out_degree / (m - 1), 1.0), rng)
+    n_carriers = max(1, int(np.ceil(carrier_frac * m)))
+    carriers = sorted(int(c) for c in rng.choice(m, size=n_carriers, replace=False))
     out_neighbors = [np.flatnonzero(a[u]) for u in range(m)]
     infected, chains = _simulate_si(out_neighbors, carriers, lam, steps, rng)
 
@@ -260,4 +255,4 @@ def gen_infection(
     feats[carriers, 0] = 0.0
     feats[carriers, 1] = 1.0
     graph = Graph(modified_adjacency(a), feats, np.asarray(infected))
-    return InfectionScenario(graph, list(carriers), lam, steps, infected, chains)
+    return InfectionScenario(graph, carriers, lam, steps, infected, chains)

@@ -194,7 +194,7 @@ def bench_rows_to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf,
-        fieldnames=["method", "M", "L", "K", "seconds", "repetitions", "variance", "estimated"],
+        fieldnames=["method", "M", "L", "K", "seconds", "repetitions", "variance"],
     )
     writer.writeheader()
     writer.writerows(rows)

@@ -18,7 +18,10 @@ Groups:
   gen        every file that `relwalk gen ba2motif` and `gen infection`
              write;
   training   trained weights and losses of the desk and infection recipes
-             of tests/conftest.py.
+             of tests/conftest.py;
+  cli        the stdout of `relwalk explain` and every `eval` subcommand
+             on models that `relwalk train` fits to `gen ba2motif` and
+             `gen infection` data, and the model files.
 
 Relevances and losses enter as float.hex, arrays as dtype, shape and raw
 bytes.  BLAS runs on one thread, so the digests do not depend on the
@@ -211,12 +214,56 @@ def group_training(quick: bool) -> str:
     return d.hexdigest()
 
 
+def group_cli(quick: bool) -> str:
+    """`bench` stays out: its output carries timings."""
+    d = Digest()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+
+        def run(*argv: str) -> None:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main(list(argv))
+            if code != 0:
+                raise RuntimeError(f"{' '.join(argv)} exited {code}")
+            # gen prints where it wrote, which is a temporary directory
+            d.add([a.replace(str(tmp), "") for a in argv])
+            d.add(out.getvalue().replace(str(tmp), ""))
+
+        ba, model = str(tmp / "ba"), str(tmp / "model.json")
+        run("gen", "ba2motif", "--n", "6" if quick else "20", "--normalize", "--seed", "1",
+            "--out", ba)
+        run("train", "--data", ba, "--layers", "2", "--hidden", "4", "--epochs", "60",
+            "--seed", "1", "--out", model)
+        d.add(Path(model).read_bytes())
+        for i in range(1 if quick else 4):
+            flags = ["--model", model, "--graph", str(tmp / "ba" / f"graph_{i:04d}.json")]
+            run("explain", *flags, "--method", "amp-ave")
+            run("explain", *flags, "--method", "emp-neu")
+            run("explain", *flags, "--method", "emp-neu", "--report-abs")
+            run("eval", "pr", *flags)
+            run("eval", "colsim", *flags)
+            run("eval", "edge-recall", *flags)
+            run("eval", "positive-ratio", *flags, "--method", "amp-ave")
+            run("eval", "positive-ratio", *flags, "--method", "emp-neu")
+        scenario, node_model = str(tmp / "scenario.json"), str(tmp / "node_model.json")
+        run("gen", "infection", "--m", "60", "--lam", "0.5", "--carrier-frac", "0.05",
+            "--seed", "0", "--out", scenario)
+        run("train", "--data", scenario, "--layers", "3", "--hidden", "8",
+            "--epochs", "100" if quick else "400", "--lr", "0.25", "--normalize",
+            "--seed", "0", "--out", node_model)
+        d.add(Path(node_model).read_bytes())
+        run("eval", "infection-recall", "--model", node_model, "--scenario", scenario)
+    return d.hexdigest()
+
+
 GROUPS = {
     "infection": group_infection,
     "random": group_random,
     "scale": group_scale,
     "gen": group_gen,
     "training": group_training,
+    "cli": group_cli,
 }
 
 

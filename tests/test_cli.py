@@ -661,17 +661,18 @@ def test_bench_csv_columns(capsys):
                  "--l-values", "2", "--repetitions", "2", "--hidden", "3"])
     assert code == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "method,M,L,K,seconds,repetitions,variance,estimated"
+    assert lines[0] == "method,M,L,K,seconds,repetitions,variance"
     assert lines[1].startswith("amp-ave,8,2,")
 
 
-def test_bench_estimates_oversized_exhaustive(capsys):
+def test_bench_exhaustive_node_honours_budget(capsys):
+    # 8**4 = 4,096 node walks against a budget of 100
     code = main(["bench", "--methods", "exhaustive-node", "--m-values", "8",
                  "--l-values", "3", "--repetitions", "1", "--hidden", "3",
                  "--budget", "100"])
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert "estimated from partial computation" in out
+    assert code == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == "" and "4096 node walks exceed" in captured.err
 
 
 def test_bench_exhaustive_neuron_honours_budget(capsys):
@@ -699,7 +700,23 @@ def test_bench_exhaustive_node_receives_budget(monkeypatch, capsys):
     assert code == EXIT_OK
     assert budgets == [200_000_000]
     row = capsys.readouterr().out.strip().splitlines()[1]
-    assert row.startswith("exhaustive-node,115,3,1,") and row.endswith(",")
+    assert row.startswith("exhaustive-node,115,3,1,")
+
+
+def test_bench_unknown_method_exits_2_before_timing_any(monkeypatch, capsys):
+    timed = []
+
+    def time_callable(fn, repetitions):
+        timed.append(fn)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(cli, "time_callable", time_callable)
+    code = main(["bench", "--methods", "amp-ave,bogus", "--m-values", "8",
+                 "--l-values", "2", "--hidden", "3", "--repetitions", "1"])
+    assert code == EXIT_VALIDATION
+    assert timed == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'bogus'" in captured.err
 
 
 @pytest.mark.parametrize("method", ["amp-ave", "emp-neu", "exhaustive-node",
@@ -714,6 +731,24 @@ def test_bench_sizes_below_one_exit_2_naming_the_flag(method, flag, value, capsy
     assert code == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == "" and flag in captured.err
+
+
+# -- allocations the machine refuses ------------------------------------------------
+
+
+# a dense M x M draw at M = 10**9 asks for 8e18 bytes (6.94 EiB), more than
+# any 64-bit address space maps, so the allocation fails before it starts
+@pytest.mark.parametrize("argv", [["gen", "infection", "--m", "1000000000"],
+                                  ["bench", "--methods", "amp-ave",
+                                   "--m-values", "1000000000", "--repetitions", "1"]],
+                         ids=["gen-infection", "bench"])
+def test_allocation_refused_by_the_machine_exits_3(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code = main(argv + ["--out", str(out)])
+    assert code == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("budget refusal: ")
+    assert not out.exists()
 
 
 # -- flags ------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from relwalk import (
     gen_ba2motif,
     gen_infection,
     graph_to_dict,
+    modified_adjacency,
     motif_edges,
 )
 from relwalk.datasets import CYCLE_EDGES, HOUSE_EDGES, MOTIF_SIZE, _simulate_si
@@ -68,16 +69,18 @@ def test_generator_parameter_validation():
 # -- infection scenarios -----------------------------------------------------------
 
 
-def path_adjacency(n):
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = 1.0
-    return a
+def path_scenario(n, steps):
+    """The SI process at lambda 1 on the path 0 -> 1 -> ... -> n-1, from carrier 0."""
+    a = np.eye(n, k=1)
+    infected, chains = _simulate_si([np.flatnonzero(row) for row in a], [0], 1.0, steps,
+                                    np.random.default_rng(0))
+    graph = Graph(modified_adjacency(a), np.eye(2)[(np.arange(n) == 0).astype(int)],
+                  infected)
+    return InfectionScenario(graph, [0], 1.0, steps, infected, chains)
 
 
 def test_deterministic_spread_on_path():
-    scenario = gen_infection(3, steps=2, lam=1.0,
-                             adjacency=path_adjacency(3), carriers=[0])
+    scenario = path_scenario(3, steps=2)
     assert scenario.labels.tolist() == [True, True, True]
     assert scenario.chains[2] == [0, 1, 2]
     assert scenario.chains[1] == [0, 1]
@@ -158,8 +161,7 @@ def test_oracle_probabilities_in_unit_interval():
 
 
 def test_oracle_deterministic_scenario_all_reachable_certain():
-    scenario = gen_infection(4, steps=3, lam=1.0,
-                             adjacency=path_adjacency(4), carriers=[0])
+    scenario = path_scenario(4, steps=3)
     est = oracle_estimate(scenario, q=50)
     np.testing.assert_array_equal(est.infection_prob, np.ones(4))
     assert [c for c in est.chain_prob if c[-1] == 3] == [(0, 1, 2, 3)]

@@ -10,7 +10,7 @@ from pathlib import Path
 import relwalk
 
 SCRIPT = Path(__file__).resolve().parent / "identity_digest.py"
-GROUPS = ["infection", "random", "scale", "gen", "training"]
+GROUPS = ["infection", "random", "scale", "gen", "training", "cli"]
 
 
 def run_digest() -> dict[str, str]:

@@ -221,13 +221,11 @@ def test_time_callable_reports_median_and_variance():
 def test_bench_csv_contract():
     row = {"M": 25, "L": 3, "K": 1, "repetitions": 5}
     rows = [
-        {**row, "method": "amp_ave", "seconds": 0.001, "variance": 1e-8, "estimated": ""},
-        {**row, "method": "exhaustive", "seconds": 120.0, "variance": 0.5,
-         "estimated": "estimated from partial computation"},
+        {**row, "method": "amp_ave", "seconds": 0.001, "variance": 1e-8},
+        {**row, "method": "exhaustive", "seconds": 120.0, "variance": 0.5},
     ]
     csv_text = bench_rows_to_csv(rows)
     lines = csv_text.strip().splitlines()
-    assert lines[0] == "method,M,L,K,seconds,repetitions,variance,estimated"
-    assert len(lines) == 3
-    assert lines[1] == "amp_ave,25,3,1,0.001,5,1e-08,"
-    assert "estimated from partial computation" in lines[2]
+    assert lines == ["method,M,L,K,seconds,repetitions,variance",
+                     "amp_ave,25,3,1,0.001,5,1e-08",
+                     "exhaustive,25,3,1,120.0,5,0.5"]

@@ -1,10 +1,14 @@
 """Rules both searches share: a step with no edge leaves no walk, GIN's
-node-local steps match the oracles, and both graph forms give the same walks."""
+node-local steps match the oracles, so do inputs with negative features,
+and both graph forms give the same walks."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relwalk import (
+    Explainer,
     GammaSchedule,
     Graph,
     amp_ave_topk,
@@ -21,7 +25,7 @@ from relwalk import (
     predicted_target,
     random_graph,
 )
-from helpers import assert_topk_equivalent, scale_edges, stack_from_factors
+from helpers import assert_topk_equivalent, random_instance, scale_edges, stack_from_factors
 
 SEARCHES = (amp_ave_topk, emp_neu_topk)
 
@@ -72,6 +76,26 @@ def test_gin_identity_steps_match_oracles(task, weighted):
         found = emp_neu_topk(stack, 5, max_k_tilde=40).extracted
         assert_topk_equivalent(found, exhaustive_topk_neuron(stack, len(found)))
     assert extractions > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.sampled_from(["graph", "node"]))
+def test_negative_features_match_oracles(seed, gin, task):
+    # features drawn from a normal distribution are negative about half the
+    # time: units die and denominators vanish (their guarded inverse is 0),
+    # and both searches must still agree with the oracles
+    m = 6
+    model, graph, _, _ = random_instance(m=m, seed=seed, task=task)
+    if gin:
+        model = init_model([3, 3, 3], 2, task=task, seed=seed, gin=True)
+    rng = np.random.default_rng(seed)
+    graph = Graph(graph.adjacency, rng.normal(size=graph.features.shape), graph.label)
+    stack = Explainer(model, graph, GammaSchedule.linear_decay(3.0, model.num_steps)).stack(
+        None if task == "graph" else seed % m)
+    found = emp_neu_topk(stack, 5, max_k_tilde=50)
+    assert_topk_equivalent(found.absolute, exhaustive_topk_neuron(stack, found.k_tilde))
+    for walk in amp_ave_topk(stack, 5, max_k_tilde=50).extracted:
+        assert abs(walk.relevance - node_walk_relevance(stack, walk.nodes)) <= 1e-9
 
 
 def assert_close_relative(got, expected, rel=1e-12):
