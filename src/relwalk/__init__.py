@@ -11,7 +11,6 @@ from .ampave import (
     NodeMessageTable,
     amp_ave_topk,
     build_node_message_table,
-    walks_to_edge_scores,
 )
 from .datasets import (
     InfectionScenario,
@@ -51,13 +50,13 @@ from .metrics import (
     ChainRecall,
     PRPoint,
     SimilarityHistogram,
-    bench_rows_to_csv,
     column_similarity_histogram,
     edge_recall,
     infection_chain_recall,
     pad_chain,
     precision_recall,
     time_callable,
+    walks_to_edge_scores,
 )
 from .oracle import (
     ScoredWalk,

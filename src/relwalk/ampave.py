@@ -184,15 +184,3 @@ def amp_ave_topk(
     return split_topk(partial(candidate_scores, stack, table), table.step,
                       ScoredWalk, k, max_k_tilde)
 
-
-def walks_to_edge_scores(walks: list[ScoredWalk]) -> dict[tuple[int, int], float]:
-    """Edge score = highest relevance among walks traversing the edge."""
-    if not walks:
-        raise ValueError("walks must be nonempty")
-    scores: dict[tuple[int, int], float] = {}
-    for w in walks:
-        for a, b in zip(w.nodes, w.nodes[1:]):
-            edge = (a, b)
-            if edge not in scores or w.relevance > scores[edge]:
-                scores[edge] = w.relevance
-    return scores

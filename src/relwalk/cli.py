@@ -8,14 +8,16 @@ Subcommands: gen (synthetic data), train, explain (walk search), eval
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .ampave import amp_ave_topk, walks_to_edge_scores
+from .ampave import amp_ave_topk
 from .datasets import (
     InfectionScenario,
     gen_ba2motif,
@@ -36,12 +38,12 @@ from .graphs import (
     save_model,
 )
 from .metrics import (
-    bench_rows_to_csv,
     column_similarity_histogram,
     edge_recall,
     infection_chain_recall,
     precision_recall,
     time_callable,
+    walks_to_edge_scores,
 )
 from .oracle import (
     DEFAULT_ENUM_BUDGET,
@@ -141,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     ir.add_argument("--max-targets", type=int, default=None)
 
     er = ev_sub.add_parser("edge-recall", parents=explained)
-    er.add_argument("--base-size", type=int, default=20)
     er.add_argument("--topk", type=int, default=20)
 
     posr = ev_sub.add_parser("positive-ratio", parents=explained)
@@ -178,16 +179,15 @@ METHODS = {
 }
 
 
-def _run_search(args, stack, method: str, k: int):
-    return METHODS[method](stack, k, args.budget)
-
-
-def _emit(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(lines: Iterable[str], out_path: str | None) -> None:
+    """Write each line as it arrives, to stdout or to out_path, which is
+    opened with the first line."""
+    with contextlib.ExitStack() as files:
+        out = sys.stdout
+        for i, line in enumerate(lines):
+            if out_path and i == 0:
+                out = files.enter_context(open(out_path, "w"))
+            out.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def _cmd_explain(args) -> int:
     model = load_model(args.model)
     stack = Explainer(model, load_graph(args.graph),
                       parse_gamma(args.gamma, model.num_steps)).stack(args.target)
-    result = _run_search(args, stack, args.method, args.topk)
+    result = METHODS[args.method](stack, args.topk, args.budget)
     walks = result.absolute if args.report_abs else result.positive
     lines = [json.dumps(w.to_record()) for w in walks]
     lines.append(json.dumps({"summary": result.summary()}))
@@ -277,8 +277,8 @@ def _cmd_eval(args) -> int:
 
     if args.metric == "pr":
         # precision_recall reads only the oracle's first K* walks
-        oracle = _run_search(args, stack, "exhaustive-node", max(kstars))
-        approx = _run_search(args, stack, "amp-ave", max(ks)).positive
+        oracle = METHODS["exhaustive-node"](stack, max(kstars), args.budget)
+        approx = METHODS["amp-ave"](stack, max(ks), args.budget).positive
         points = precision_recall(approx, oracle, ks, kstars)
         print("K,K_star,precision,recall")
         for p in points:
@@ -296,18 +296,17 @@ def _cmd_eval(args) -> int:
         return EXIT_OK
 
     if args.metric == "edge-recall":
-        walks = _run_search(args, stack, "amp-ave", args.topk).positive
+        walks = METHODS["amp-ave"](stack, args.topk, args.budget).positive
         if not walks:
             raise ParameterError("no positive walks found; cannot score edges")
-        scores = walks_to_edge_scores(walks)
-        true_edges = motif_edges(graph, base_size=args.base_size)
         print("cutoff,recall")
-        for cutoff in range(1, len(scores) + 1):
-            print(f"{cutoff},{edge_recall(scores, true_edges, cutoff)}")
+        for cutoff, recall in enumerate(
+                edge_recall(walks_to_edge_scores(walks), motif_edges(graph)), 1):
+            print(f"{cutoff},{recall}")
         return EXIT_OK
 
     # positive-ratio
-    result = _run_search(args, stack, args.method, args.topk)
+    result = METHODS[args.method](stack, args.topk, args.budget)
     print(json.dumps({**result.summary(), "positive_ratio": result.positive_ratio}))
     return EXIT_OK
 
@@ -322,7 +321,7 @@ def _eval_infection_recall(args) -> int:
     if args.max_targets is not None:
         targets = targets[: args.max_targets]
     walks_per_target = {
-        t: _run_search(args, session.stack(t, target_class=1), "amp-ave", args.topk).positive
+        t: METHODS["amp-ave"](session.stack(t, target_class=1), args.topk, args.budget).positive
         for t in targets
     }
     recall = infection_chain_recall(
@@ -350,25 +349,25 @@ def _cmd_bench(args) -> int:
     for method in methods:
         if method not in METHODS:
             raise ParameterError(f"unknown bench method {method!r}")
-    rows = []
-    l_values = _sizes(args.l_values, "--l-values")
-    for m in _sizes(args.m_values, "--m-values"):
-        graph = random_graph(m, args.hidden, min(4.0 / max(m - 1, 1), 1.0),
-                             np.random.default_rng(args.seed))
-        for l in l_values:
-            model = init_model([args.hidden] * (l + 1), 2, seed=args.seed)
-            stack = Explainer(model, graph, parse_gamma(args.gamma, model.num_steps)).stack(0)
-            for method in methods:
-                median, var = time_callable(
-                    lambda: _run_search(args, stack, method, args.topk), args.repetitions)
-                rows.append({"method": method, "M": m, "L": l, "K": args.topk,
-                             "seconds": median, "repetitions": args.repetitions,
-                             "variance": var})
-    csv_text = bench_rows_to_csv(rows)
-    if args.out:
-        Path(args.out).write_text(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+
+    def lines():
+        # the header comes with the first row, so a grid refused at its
+        # first cell writes nothing
+        header = "method,M,L,K,seconds,repetitions,variance\n"
+        l_values = _sizes(args.l_values, "--l-values")
+        for m in _sizes(args.m_values, "--m-values"):
+            graph = random_graph(m, args.hidden, min(4.0 / max(m - 1, 1), 1.0),
+                                 np.random.default_rng(args.seed))
+            for l in l_values:
+                model = init_model([args.hidden] * (l + 1), 2, seed=args.seed)
+                stack = Explainer(model, graph, parse_gamma(args.gamma, model.num_steps)).stack(0)
+                for method in methods:
+                    median, var = time_callable(
+                        lambda: METHODS[method](stack, args.topk, args.budget), args.repetitions)
+                    yield f"{header}{method},{m},{l},{args.topk},{median},{args.repetitions},{var}"
+                    header = ""
+
+    _emit(lines(), args.out)
     return EXIT_OK
 
 

@@ -108,8 +108,10 @@ def gen_ba2motif(
     return graphs
 
 
-def motif_edges(graph: Graph, base_size: int = 20) -> set[tuple[int, int]]:
-    """Motif-internal edges (both directions) of a generated sample."""
+def motif_edges(graph: Graph) -> set[tuple[int, int]]:
+    """Motif-internal edges (both directions) of a gen_ba2motif sample,
+    whose last MOTIF_SIZE nodes are the motif."""
+    base_size = graph.num_nodes - MOTIF_SIZE
     rows, cols = graph.edge_index
     keep = (rows != cols) & (rows >= base_size) & (cols >= base_size)
     return set(zip(rows[keep].tolist(), cols[keep].tolist()))

@@ -1,14 +1,13 @@
 """Evaluation metrics: precision/recall against the oracle, transition
-column similarity, infection chain recall, edge recall, and a timing
-benchmark harness.
+column similarity, infection chain recall, edge recall over the edge
+ranking that walks induce, and a timing benchmark harness.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -148,14 +147,29 @@ def infection_chain_recall(
     return ChainRecall(hit_pad / targets, hit_sub / targets, targets)
 
 
+def walks_to_edge_scores(walks: list[ScoredWalk]) -> dict[tuple[int, int], float]:
+    """Edge score = highest relevance among walks traversing the edge."""
+    if not walks:
+        raise ValueError("walks must be nonempty")
+    scores: dict[tuple[int, int], float] = {}
+    for w in walks:
+        for a, b in zip(w.nodes, w.nodes[1:]):
+            edge = (a, b)
+            if edge not in scores or w.relevance > scores[edge]:
+                scores[edge] = w.relevance
+    return scores
+
+
 def edge_recall(
     edge_scores: dict[tuple[int, int], float],
     true_edges: set[tuple[int, int]],
-    top_e: int,
-) -> float:
-    """Recall of the ground-truth edge set among the top-scoring edges.
+) -> list[float]:
+    """Recall of the ground-truth edge set among the top-c scoring edges, at
+    every cutoff c = 1 .. len(edge_scores): entry c - 1 is cutoff c.
 
-    Undirected comparison: (i, j) and (j, i) count as the same edge.
+    Undirected comparison: (i, j) and (j, i) count as the same edge, scored
+    by the higher of the two, and self-loops are not ranked, so the curve
+    is flat past the last undirected edge.  Ties rank by edge.
     """
     if not true_edges:
         raise ValueError("true_edges must be nonempty")
@@ -167,8 +181,9 @@ def edge_recall(
         if key not in canon_scores or s > canon_scores[key]:
             canon_scores[key] = s
     canon_true = {(min(i, j), max(i, j)) for i, j in true_edges}
-    ranked = sorted(canon_scores, key=lambda e: (-canon_scores[e], e))[:top_e]
-    return len(set(ranked) & canon_true) / len(canon_true)
+    ranked = sorted(canon_scores, key=lambda e: (-canon_scores[e], e))
+    found = [e in canon_true for e in ranked] + [False] * (len(edge_scores) - len(ranked))
+    return [hits / len(canon_true) for hits in accumulate(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +203,3 @@ def time_callable(fn, repetitions: int = 5) -> tuple[float, float]:
     arr = np.asarray(times)
     return float(np.median(arr)), float(arr.var())
 
-
-def bench_rows_to_csv(rows: list[dict]) -> str:
-    """CSV text of bench rows, one dict per row keyed by the column names."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=["method", "M", "L", "K", "seconds", "repetitions", "variance"],
-    )
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()

@@ -106,13 +106,16 @@ class PropagationStack:
     """Factorized per-step transitions plus output-layer relevance.
 
     Holds {Lam, H, Wup} per step and serves entries and slices of T^(l)
-    from them; the constructor only stores what it is given.  lams[l] is
-    Lam^(l) as a Graph, which holds it only at its nonzeros and serves its
-    rows (out_edges) and entries (value).  inverse_denominators[l] is the
-    guarded 1 / den^(l), 0 on the zeroed columns (|den| < EPS_STAB).  In a
-    stack from an Explainer, the steps over the adjacency hold the
-    session's graph itself, and the node-local steps share one Lam = I
-    graph.
+    from them; the constructor stores what it is given and refuses
+    (ParameterError) a non-finite hidden, wups, inverse_denominators or
+    output_relevance array, whose walks would index past an edge list or
+    score inf.  output_relevance is None in an Explainer's shared stack.
+    lams[l] is Lam^(l) as a Graph, which holds it only at its nonzeros and
+    serves its rows (out_edges) and entries (value).
+    inverse_denominators[l] is the guarded 1 / den^(l), 0 on the zeroed
+    columns (|den| < EPS_STAB).  In a stack from an Explainer, the steps
+    over the adjacency hold the session's graph itself, and the node-local
+    steps share one Lam = I graph.
     """
 
     lams: list[Graph]                           # Lam^(l) per step
@@ -125,6 +128,13 @@ class PropagationStack:
     # the benchmark drops propagation.materialized_bytes; no stack holds
     # dense tensors.
     materialized = None
+
+    def __post_init__(self):
+        arrays = [*self.hidden, *self.wups, *self.inverse_denominators]
+        if self.output_relevance is not None:
+            arrays.append(self.output_relevance)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ParameterError("non-finite stack array: a walk relevance would not be a number")
 
     # -- shape info ---------------------------------------------------------
 

@@ -21,7 +21,9 @@ Groups:
              of tests/conftest.py;
   cli        the stdout of `relwalk explain` and every `eval` subcommand
              on models that `relwalk train` fits to `gen ba2motif` and
-             `gen infection` data, and the model files.
+             `gen infection` data, the model files, and the rows of a
+             small `relwalk bench` grid whose timer is stubbed to call
+             each search once and report 0.0 s.
 
 Relevances and losses enter as float.hex, arrays as dtype, shape and raw
 bytes.  BLAS runs on one thread, so the digests do not depend on the
@@ -38,11 +40,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -214,13 +218,20 @@ def group_training(quick: bool) -> str:
     return d.hexdigest()
 
 
+def _untimed(fn, repetitions):
+    """Stand-in for relwalk.cli.time_callable: one call, no timing."""
+    fn()
+    return 0.0, 0.0
+
+
 def group_cli(quick: bool) -> str:
-    """`bench` stays out: its output carries timings."""
+    """`bench` runs with its timer stubbed (_untimed), and its rows enter
+    as parsed CSV, so line ends do not count."""
     d = Digest()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
 
-        def run(*argv: str) -> None:
+        def run(*argv: str, rows: bool = False) -> None:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = cli_main(list(argv))
@@ -228,7 +239,8 @@ def group_cli(quick: bool) -> str:
                 raise RuntimeError(f"{' '.join(argv)} exited {code}")
             # gen prints where it wrote, which is a temporary directory
             d.add([a.replace(str(tmp), "") for a in argv])
-            d.add(out.getvalue().replace(str(tmp), ""))
+            text = out.getvalue().replace(str(tmp), "")
+            d.add(list(csv.reader(io.StringIO(text))) if rows else text)
 
         ba, model = str(tmp / "ba"), str(tmp / "model.json")
         run("gen", "ba2motif", "--n", "6" if quick else "20", "--normalize", "--seed", "1",
@@ -254,6 +266,10 @@ def group_cli(quick: bool) -> str:
             "--seed", "0", "--out", node_model)
         d.add(Path(node_model).read_bytes())
         run("eval", "infection-recall", "--model", node_model, "--scenario", scenario)
+        with mock.patch("relwalk.cli.time_callable", _untimed):
+            run("bench", "--methods", "amp-ave,emp-neu,exhaustive-node,exhaustive-neuron",
+                "--m-values", "5" if quick else "5,12", "--l-values", "2,3", "--hidden", "3",
+                "--repetitions", "1", rows=True)
     return d.hexdigest()
 
 

@@ -23,10 +23,8 @@ from relwalk import (
     forward,
     modified_adjacency,
     node_walk_relevance,
-    walks_to_edge_scores,
 )
 from relwalk.ampave import EDGE_BLOCK, candidate_scores, edge_objective
-from relwalk.oracle import ScoredWalk
 from helpers import (dense_slices, headed_instance, random_instance, sink_adjacency,
                      stack_from_factors)
 
@@ -420,21 +418,3 @@ def test_completions_avoid_dead_ends():
         result = amp_ave_topk(stack, len(walks) + 1)
         assert sorted(w.nodes for w in result.extracted) == walks
 
-
-# -- edge scores -------------------------------------------------------------------
-
-
-def test_edge_scores_single_walk():
-    scores = walks_to_edge_scores([ScoredWalk((0, 1, 2), 0.5)])
-    assert scores == {(0, 1): 0.5, (1, 2): 0.5}
-
-
-def test_edge_scores_max_rule():
-    walks = [ScoredWalk((0, 1, 1), 0.2), ScoredWalk((0, 1, 2), 0.7)]
-    scores = walks_to_edge_scores(walks)
-    assert scores[(0, 1)] == 0.7
-
-
-def test_edge_scores_empty_input_rejected():
-    with pytest.raises(ValueError):
-        walks_to_edge_scores([])

@@ -13,7 +13,7 @@ import pytest
 import relwalk
 from relwalk import cli
 from relwalk.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, build_parser, main
-from relwalk.datasets import InfectionScenario
+from relwalk.datasets import CYCLE_EDGES, HOUSE_EDGES, InfectionScenario, motif_edges
 from relwalk.graphs import _read_json, graph_from_dict, load_graph, load_model, save_model
 from relwalk.training import init_model
 
@@ -526,6 +526,31 @@ def test_eval_edge_recall_csv(ba_dir, model_file, capsys):
     assert all(a <= b for a, b in zip(recalls, recalls[1:]))
 
 
+@pytest.mark.parametrize("base_size", [8, 30])
+def test_eval_edge_recall_reads_the_motif_from_the_graph(tmp_path, capsys, base_size):
+    # the motif is the last five nodes at any base size: 12 directed edges
+    # for the house, 10 for the cycle, and no base edge among them
+    data, model_path = tmp_path / "ba", tmp_path / "model.json"
+    assert main(["gen", "ba2motif", "--n", "6", "--base-size", str(base_size), "--normalize",
+                 "--out", str(data)]) == EXIT_OK
+    assert main(["train", "--data", str(data), "--layers", "2", "--hidden", "4",
+                 "--epochs", "60", "--out", str(model_path)]) == EXIT_OK
+    model = load_model(model_path)
+    for name, motif in [("graph_0000.json", HOUSE_EDGES), ("graph_0001.json", CYCLE_EDGES)]:
+        graph = load_graph(data / name)
+        truth = {(base_size + u, base_size + v) for a, b in motif for u, v in ((a, b), (b, a))}
+        assert motif_edges(graph) == truth
+        capsys.readouterr()
+        assert main(["eval", "edge-recall", "--model", str(model_path),
+                     "--graph", str(data / name)]) == EXIT_OK
+        walks = relwalk.amp_ave_topk(
+            relwalk.Explainer(model, graph, relwalk.parse_gamma("linear:3", 2)).stack(), 20,
+            max_k_tilde=cli.DEFAULT_ENUM_BUDGET).positive
+        curve = relwalk.edge_recall(relwalk.walks_to_edge_scores(walks), truth)
+        assert capsys.readouterr().out.splitlines() == ["cutoff,recall"] + [
+            f"{cutoff},{recall}" for cutoff, recall in enumerate(curve, 1)]
+
+
 @pytest.fixture(scope="module")
 def infection_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("infection")
@@ -665,6 +690,35 @@ def test_bench_csv_columns(capsys):
     assert lines[1].startswith("amp-ave,8,2,")
 
 
+def test_bench_csv_contract(monkeypatch, capsys):
+    # rows are written with str(float) and LF line ends
+    timings = iter([(0.001, 1e-8), (120.0, 0.5)])
+    monkeypatch.setattr(cli, "time_callable", lambda fn, repetitions: next(timings))
+    code = main(["bench", "--methods", "amp-ave,exhaustive-node", "--m-values", "8",
+                 "--l-values", "2", "--hidden", "3", "--repetitions", "5"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == ("method,M,L,K,seconds,repetitions,variance\n"
+                                       "amp-ave,8,2,1,0.001,5,1e-08\n"
+                                       "exhaustive-node,8,2,1,120.0,5,0.5\n")
+
+
+def test_bench_keeps_the_rows_timed_before_a_refusal(tmp_path, capsys):
+    # exhaustive-node at M=40, L=2 meets 40**3 = 64,000 node walks against
+    # a budget of 10,000; the five cells before it were timed
+    argv = ["bench", "--methods", "amp-ave,exhaustive-node", "--m-values", "5,40",
+            "--l-values", "2,3", "--repetitions", "1", "--hidden", "3", "--budget", "10000"]
+    cells = [["amp-ave", "5", "2"], ["exhaustive-node", "5", "2"], ["amp-ave", "5", "3"],
+             ["exhaustive-node", "5", "3"], ["amp-ave", "40", "2"]]
+    out = tmp_path / "bench.csv"
+    assert main(argv) == EXIT_BUDGET
+    assert main(argv + ["--out", str(out)]) == EXIT_BUDGET
+    for text in (capsys.readouterr().out, out.read_bytes().decode()):
+        lines = text.split("\n")
+        assert lines[0] == "method,M,L,K,seconds,repetitions,variance"
+        assert [line.split(",")[:3] for line in lines[1:-1]] == cells
+        assert lines[-1] == "" and "\r" not in text
+
+
 def test_bench_exhaustive_node_honours_budget(capsys):
     # 8**4 = 4,096 node walks against a budget of 100
     code = main(["bench", "--methods", "exhaustive-node", "--m-values", "8",
@@ -766,7 +820,7 @@ COMMANDS = {
 }
 UNREAD_FLAGS = ([(cmd, "--low-mem") for cmd in COMMANDS]
                 + [(cmd, "--seed 1") for cmd in COMMANDS if cmd != "bench"]
-                + [("eval colsim", "--budget 10")])
+                + [("eval colsim", "--budget 10"), ("eval edge-recall", "--base-size 20")])
 
 
 @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)

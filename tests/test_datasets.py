@@ -43,6 +43,15 @@ def test_motif_edge_counts():
         assert len(undirected) == (6 if g.label == 0 else 5)
 
 
+@pytest.mark.parametrize("base_size", [5, 8, 30])
+def test_motif_edges_read_the_motif_from_the_graph(base_size):
+    # the motif is the last MOTIF_SIZE nodes, whatever the base size
+    for g in gen_ba2motif(2, base_size=base_size, seed=1):
+        motif = HOUSE_EDGES if g.label == 0 else CYCLE_EDGES
+        assert motif_edges(g) == {(base_size + u, base_size + v)
+                                  for a, b in motif for u, v in ((a, b), (b, a))}
+
+
 def test_motif_attached_by_single_bridge():
     for g in gen_ba2motif(6, seed=2):
         a = g.adjacency

@@ -1,5 +1,5 @@
-"""Evaluation metrics: precision/recall, column similarity, chain and edge
-recall, and the timing harness."""
+"""Evaluation metrics: precision/recall, column similarity, chain recall,
+edge scores and edge recall, and the timing harness."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from relwalk import (
     ScoredWalk,
-    bench_rows_to_csv,
     column_similarity_histogram,
     edge_recall,
     infection_chain_recall,
     pad_chain,
     precision_recall,
     time_callable,
+    walks_to_edge_scores,
 )
 from relwalk.metrics import _is_subsequence
 
@@ -179,33 +179,69 @@ def test_chain_longer_than_the_walk_is_a_miss_in_both_conventions():
     assert recall.subsequence == 0.5
 
 
-# -- edge recall ---------------------------------------------------------------------
+# -- edge scores and edge recall ----------------------------------------------------
+
+
+def test_edge_scores_single_walk():
+    scores = walks_to_edge_scores([ScoredWalk((0, 1, 2), 0.5)])
+    assert scores == {(0, 1): 0.5, (1, 2): 0.5}
+
+
+def test_edge_scores_max_rule():
+    walks = [ScoredWalk((0, 1, 1), 0.2), ScoredWalk((0, 1, 2), 0.7)]
+    scores = walks_to_edge_scores(walks)
+    assert scores[(0, 1)] == 0.7
+
+
+def test_edge_scores_empty_input_rejected():
+    with pytest.raises(ValueError):
+        walks_to_edge_scores([])
 
 
 def test_edge_recall_direction_insensitive():
     scores = {(1, 0): 3.0, (2, 3): 2.0, (4, 5): 1.0}
-    assert edge_recall(scores, {(0, 1), (3, 2)}, top_e=2) == 1.0
-    assert edge_recall(scores, {(0, 1), (4, 5)}, top_e=2) == pytest.approx(0.5)
+    assert edge_recall(scores, {(0, 1), (3, 2)}) == [0.5, 1.0, 1.0]
+    assert edge_recall(scores, {(0, 1), (4, 5)}) == [0.5, 0.5, 1.0]
 
 
 def test_edge_recall_ignores_self_loops():
+    # the curve still has one cutoff per scored edge, flat past the ranked ones
     scores = {(0, 0): 10.0, (1, 2): 1.0}
-    assert edge_recall(scores, {(1, 2)}, top_e=1) == 1.0
+    assert edge_recall(scores, {(1, 2)}) == [1.0, 1.0]
 
 
 def test_edge_recall_requires_true_edges():
     with pytest.raises(ValueError):
-        edge_recall({(0, 1): 1.0}, set(), top_e=1)
+        edge_recall({(0, 1): 1.0}, set())
 
 
-@given(st.integers(1, 6))
+@given(st.integers(1, 9))
 @settings(deadline=None, max_examples=20)
 def test_edge_recall_monotone_in_top_e(top_e):
     rng = np.random.default_rng(7)
     scores = {(int(i), int(j)): float(rng.random())
               for i in range(5) for j in range(i + 1, 5)}
-    true = {(0, 1), (2, 3)}
-    assert edge_recall(scores, true, top_e) <= edge_recall(scores, true, top_e + 1)
+    curve = edge_recall(scores, {(0, 1), (2, 3)})
+    assert len(curve) == len(scores)
+    assert curve[top_e - 1] <= curve[top_e]
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       st.sampled_from([0.5, 1.0, 2.0]), min_size=1),
+       st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1))
+@settings(deadline=None, max_examples=50)
+def test_edge_recall_curve_is_the_recall_at_each_cutoff(scores, true_edges):
+    # reference: rank the undirected edges afresh at every cutoff, each
+    # scored by its best direction, self-loops left out, ties by edge
+    best = {}
+    for (i, j), s in scores.items():
+        if i != j:
+            key = (min(i, j), max(i, j))
+            best[key] = max(s, best.get(key, s))
+    truth = {(min(i, j), max(i, j)) for i, j in true_edges}
+    ranked = sorted(best, key=lambda e: (-best[e], e))
+    assert edge_recall(scores, true_edges) == [
+        len(set(ranked[:cutoff]) & truth) / len(truth) for cutoff in range(1, len(scores) + 1)]
 
 
 # -- timing harness ------------------------------------------------------------------
@@ -217,15 +253,3 @@ def test_time_callable_reports_median_and_variance():
     with pytest.raises(ValueError):
         time_callable(lambda: None, repetitions=0)
 
-
-def test_bench_csv_contract():
-    row = {"M": 25, "L": 3, "K": 1, "repetitions": 5}
-    rows = [
-        {**row, "method": "amp_ave", "seconds": 0.001, "variance": 1e-8},
-        {**row, "method": "exhaustive", "seconds": 120.0, "variance": 0.5},
-    ]
-    csv_text = bench_rows_to_csv(rows)
-    lines = csv_text.strip().splitlines()
-    assert lines == ["method,M,L,K,seconds,repetitions,variance",
-                     "amp_ave,25,3,1,0.001,5,1e-08",
-                     "exhaustive,25,3,1,120.0,5,0.5"]

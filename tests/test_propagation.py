@@ -19,6 +19,7 @@ from relwalk import (
     Graph,
     LayerSpec,
     ParameterError,
+    PropagationStack,
     ReadoutSpec,
     build_propagation,
     dense_tensor,
@@ -113,6 +114,24 @@ def test_an_overflowing_output_relevance_is_refused():
     session = Explainer(model, graph, GammaSchedule.constant(0.0, 1), acts)
     with pytest.raises(ParameterError, match="non-finite output relevance"):
         session.stack(0)
+
+
+@pytest.mark.parametrize("field, step, value", [("hidden", 0, np.nan), ("wups", 1, np.nan),
+                                               ("inverse_denominators", 0, np.inf),
+                                               ("output_relevance", None, np.nan)])
+def test_a_hand_built_stack_refuses_non_finite_arrays(field, step, value):
+    # on these 3 x 3 all-ones stacks, a NaN in wups or output_relevance made
+    # both searches index past an edge list (segment_first_max), and an inf
+    # in inverse_denominators gave walks of relevance inf
+    ones = np.ones((3, 3))
+    factors = {"lams": [Graph(ones, ones)] * 2, "hidden": [ones] * 2, "wups": [ones] * 2,
+               "inverse_denominators": [ones / 9] * 2, "output_relevance": ones}
+    bad = ones.copy()
+    bad[1, 2] = value
+    factors[field] = bad if step is None else [
+        bad if l == step else a for l, a in enumerate(factors[field])]
+    with pytest.raises(ParameterError, match="non-finite stack array"):
+        PropagationStack(**factors)
 
 
 @given(st.floats(0, 10), st.floats(0, 10))
