@@ -27,6 +27,12 @@ and no dense transition tensor or M x M objective is ever built.  A
 subset after a prefix scores only the successors of the prefix's last
 node, read from the step's CSR rows (Graph.out_edges) as EMP-neu reads
 them.
+
+The table keeps only what the search reads: per step the scaled message,
+the argmax steps and the completeness mask, plus one score per root
+node.  A message is built in place in the rows it gathers and lives only
+until the step before it has scaled it, so a build holds O(1) M x N
+arrays beyond the table.
 """
 
 from __future__ import annotations
@@ -57,28 +63,30 @@ class NodeMessageTable:
     over the continuations m' with Lambda^(l)[m, m'] != 0 whose own
     completion follows edges (0 where m has none).  The objective is
     scored on those edges only, one step at a time, and never stored.
-    mu[l] has shape (M, N_l): mu[l][m] is the exact relevance vector of
-    the greedy completion backtracked from node m at layer l, so
-    mu[0][m].sum() is the exact relevance of the walk backtracked from m.
+    The message mu[l], of shape (M, N_l), is the exact relevance vector of
+    the greedy completion backtracked from each node at layer l (mu[L] is
+    R^(L)); the table keeps no message, only what the search reads of one.
     scaled[l] is mu[l + 1] times the guarded inverse denominators of step
     l, the factor that step l applies to it: a prefix folded to a node at
     layer l, stepped into scaled[l], scores each next node m' by the exact
-    relevance of its walk (candidate_scores).  complete[l][m] says whether
-    the completion from m at layer l follows edges and ends on R^(L)'s
-    support (False only where no such continuation exists; mu[l][m] is
-    then 0).  complete[-1] is that support itself: the nodes whose row of
-    R^(L) is nonzero, so the last node of every completion carries
-    relevance.  Every array is (M,) or (M, N_l).
+    relevance of its walk (candidate_scores).  root[m] is mu[0][m] summed
+    over neurons, the exact relevance of the walk backtracked from m, which
+    scores the candidates at the root.  complete[l][m] says whether the
+    completion from m at layer l follows edges and ends on R^(L)'s support
+    (False only where no such continuation exists; mu[l][m] is then 0).
+    complete[-1] is that support itself: the nodes whose row of R^(L) is
+    nonzero, so the last node of every completion carries relevance.
+    Every array is (M,) or (M, N_l).
     """
 
     # perfbench's traced ampave.objective_bytes sums `table.objective`; no
     # table stores an objective, so it reads 0 until the benchmark drops it.
     objective = ()
 
-    mu: tuple[np.ndarray, ...]
     step: tuple[np.ndarray, ...]
     scaled: tuple[np.ndarray, ...]
     complete: tuple[np.ndarray, ...]
+    root: np.ndarray
 
 
 def edge_objective(stack: PropagationStack, l: int, scaled: np.ndarray,
@@ -105,19 +113,24 @@ def edge_objective(stack: PropagationStack, l: int, scaled: np.ndarray,
 
 
 def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:
-    """Backward greedy messages along the edge list, O(E N + M N^2) per step."""
+    """Backward greedy messages along the edge list, O(E N + M N^2) per step.
+
+    Each message mu[l] lives only until step l - 1 has scaled it.
+    """
     m = stack.num_nodes
-    mu = [None] * (stack.num_steps + 1)
     step = [None] * stack.num_steps
     scaled = [None] * stack.num_steps
     complete = [None] * (stack.num_steps + 1)
-    mu[-1] = stack.output_relevance
-    complete[-1] = np.any(stack.output_relevance != 0, axis=1)
+    mu = stack.output_relevance
+    complete[-1] = np.any(mu != 0, axis=1)
     for l in range(stack.num_steps - 1, -1, -1):
-        scaled[l] = mu[l + 1] * stack.inverse_denominators[l]   # (M, N_{l+1})
+        scaled[l] = mu * stack.inverse_denominators[l]          # (M, N_{l+1})
+        del mu
         rows, cols = stack.lams[l].edge_index
+        values = stack.lams[l].csr[2]
         keep = complete[l + 1][cols]
-        rows, cols, values = rows[keep], cols[keep], stack.lams[l].csr[2][keep]
+        if not keep.all():
+            rows, cols, values = rows[keep], cols[keep], values[keep]
         heads, starts, segment = edge_segments(rows)
         _, first = segment_first_max(edge_objective(stack, l, scaled[l], rows, cols, values),
                                      starts, segment)
@@ -127,9 +140,11 @@ def build_node_message_table(stack: PropagationStack) -> NodeMessageTable:
         complete[l][heads] = True
         lam_sel = np.zeros(m)
         lam_sel[heads] = values[first]
-        wq = scaled[l] @ stack.wups[l].T            # (M, N_l)
-        mu[l] = lam_sel[:, None] * stack.hidden[l] * wq[step[l]]
-    return NodeMessageTable(tuple(mu), tuple(step), tuple(scaled), tuple(complete))
+        # mu[l] = (lam_sel H^(l)) * (scaled[l] W_up^T)[step], built in the gathered
+        # rows; grouping the three factors otherwise changes the bits
+        mu = (scaled[l] @ stack.wups[l].T).take(step[l], axis=0)     # (M, N_l)
+        mu *= lam_sel[:, None] * stack.hidden[l]
+    return NodeMessageTable(tuple(step), tuple(scaled), tuple(complete), mu.sum(axis=1))
 
 
 def candidate_scores(stack: PropagationStack, table: NodeMessageTable, prefix: tuple[int, ...]
@@ -150,8 +165,7 @@ def candidate_scores(stack: PropagationStack, table: NodeMessageTable, prefix: t
     """
     i = len(prefix)
     if i == 0:
-        return (np.arange(stack.num_nodes),
-                np.where(table.complete[0], table.mu[0].sum(axis=1), -np.inf), 1.0)
+        return np.arange(stack.num_nodes), np.where(table.complete[0], table.root, -np.inf), 1.0
     # fold the prefix chain into a single row vector, then score the
     # successors of its last node in one vectorized step
     row = np.ones(stack.hidden[0].shape[1])

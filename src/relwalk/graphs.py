@@ -355,7 +355,8 @@ def forward(model: GnnModel, graph: Graph) -> Activations:
     aggregated = []
     for step in model.steps:
         z = graph.aggregate(h) if step.uses_adjacency else h
-        h = np.maximum(z @ step.weight, 0.0)
+        h = z @ step.weight
+        np.maximum(h, 0.0, out=h)
         aggregated.append(z)
         hidden.append(h)
 

@@ -189,12 +189,12 @@ def segment_first_max(column: np.ndarray, starts: np.ndarray, segment: np.ndarra
     Returns (best, first) per head: the row's max over its edges, and the
     position in the edge list of the first edge reaching it.  Edges within
     a row come in column order, so cols[first] is the first maximizing
-    column.
+    column.  The edges reaching their row's max come in ascending order,
+    so each row's first one starts its segment among them.
     """
     best = np.maximum.reduceat(column, starts)
-    position = np.arange(column.size)
-    return best, np.minimum.reduceat(np.where(column == best[segment], position, column.size),
-                                     starts)
+    hits = np.flatnonzero(column == best[segment])
+    return best, hits[edge_segments(segment[hits])[1]]
 
 
 class Explainer:
@@ -232,15 +232,21 @@ class Explainer:
             identity = Graph.from_csr(np.arange(m + 1), np.arange(m), np.ones(m), graph.features)
             lams = [graph if s.uses_adjacency else identity for s in steps]
         wups = [modified_weight(s.weight, g) for s, g in zip(steps, schedule.values)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            dens = [z @ w for z, w in zip(acts.aggregated, wups)]     # (Lam^T H) Wup
-        _refuse_non_finite("LRP denominators", *dens)
+        inverses = []
+        for z, w in zip(acts.aggregated, wups):
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = z @ w                                   # (Lam^T H) Wup
+            _refuse_non_finite("LRP denominators", d)
+            # guarded inverse, in place: 1 / d where |d| >= EPS_STAB, else 0
+            stable = np.abs(d) >= EPS_STAB
+            np.divide(1.0, d, out=d, where=stable)
+            d[~stable] = 0.0
+            inverses.append(d)
         self._shared = PropagationStack(
             lams=lams,
             hidden=list(acts.hidden[:-1]),
             wups=wups,
-            inverse_denominators=[np.divide(1.0, d, out=np.zeros_like(d),
-                                            where=np.abs(d) >= EPS_STAB) for d in dens],
+            inverse_denominators=inverses,
             output_relevance=None,
         )
 

@@ -144,9 +144,12 @@ def split_topk(
     walks are extracted, or the walk space runs out.
 
     score(walk, priority) gives the reported ScoredWalk of an extraction.
+    k and max_k_tilde (None: no cap) below 1 are refused (ValueError).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if max_k_tilde is not None and max_k_tilde < 1:
+        raise ValueError("max_k_tilde must be >= 1")
     splitter = Splitter(scores, step)
     extracted: list[ScoredWalk] = []
     positive: list[ScoredWalk] = []

@@ -11,10 +11,10 @@ Groups:
   infection  two trained infection scenarios, both searches on their
              first chain targets, plus the trained weights and losses;
   random     seeded M=6 random graphs (GCN/GIN x graph/node task): the
-             graph's CSR arrays and features, both searches, and
-             exhaustive_topk_node on the GCN stacks;
-  scale      an amp-scale-style edge-list graph: AMP-ave at the CLI cap
-             and EMP-neu at a K-tilde cap;
+             graph's CSR arrays and features, both searches, each AMP-ave
+             table, and exhaustive_topk_node on the GCN stacks;
+  scale      an amp-scale-style edge-list graph: AMP-ave at the CLI cap,
+             its table, and EMP-neu at a K-tilde cap;
   gen        every file that `relwalk gen ba2motif` and `gen infection`
              write;
   training   trained weights and losses of the desk and infection recipes
@@ -26,7 +26,9 @@ Groups:
              each search once and report 0.0 s.
 
 Relevances and losses enter as float.hex, arrays as dtype, shape and raw
-bytes.  BLAS runs on one thread, so the digests do not depend on the
+bytes.  An AMP-ave table enters as its step, scaled and complete arrays
+and its root scores, read through ampave.candidate_scores at the empty
+prefix.  BLAS runs on one thread, so the digests do not depend on the
 thread count.  Only library members that have long been public are used,
 so one script compares an older tree with a newer one.
 """
@@ -55,6 +57,7 @@ from relwalk import (
     GammaSchedule,
     TrainConfig,
     amp_ave_topk,
+    build_node_message_table,
     degree_normalized,
     emp_neu_topk,
     exhaustive_topk_node,
@@ -65,6 +68,7 @@ from relwalk import (
     random_graph,
     train,
 )
+from relwalk.ampave import candidate_scores
 from relwalk.cli import main as cli_main
 
 CLI_CAP = 10 ** 8
@@ -101,6 +105,11 @@ class Digest:
         for w in result.extracted:
             self.add((w.nodes, w.neurons, w.relevance))
         self.add(result.summary())
+
+    def add_node_table(self, stack) -> None:
+        table = build_node_message_table(stack)
+        self.add((table.step, table.scaled, table.complete))
+        self.add(candidate_scores(stack, table, ()))
 
     def add_model(self, model) -> None:
         for layer in model.layers:
@@ -148,6 +157,7 @@ def group_random(quick: bool) -> str:
                 stack = session.stack(None if task == "graph" else seed % 6)
                 d.add_result(emp_neu_topk(stack, 5, max_k_tilde=200))
                 d.add_result(amp_ave_topk(stack, 5, max_k_tilde=200))
+                d.add_node_table(stack)
                 if not gin:
                     for w in exhaustive_topk_node(stack, 10):
                         d.add((w.nodes, w.relevance))
@@ -172,6 +182,7 @@ def group_scale(quick: bool) -> str:
         model = init_model([width] * 4, 2, seed=seed)
         stack = Explainer(model, graph, GammaSchedule.linear_decay(3.0, 3)).stack()
         d.add_result(amp_ave_topk(stack, 10, max_k_tilde=CLI_CAP))
+        d.add_node_table(stack)
         d.add_result(emp_neu_topk(stack, 10, max_k_tilde=200))
     return d.hexdigest()
 

@@ -278,7 +278,7 @@ def test_messages_are_exact_relevances_of_greedy_completions(weighted):
             nodes = [m]
             for l in range(stack.num_steps):
                 nodes.append(int(table.step[l][nodes[-1]]))
-            assert table.mu[0][m].sum() == pytest.approx(
+            assert table.root[m] == pytest.approx(
                 node_walk_relevance(stack, nodes), rel=1e-9, abs=1e-12)
     assert signed >= 5
 
@@ -331,10 +331,12 @@ def test_uncapped_topk_extracts_exactly_the_support_walks():
 
 
 def masked_dense_objective(stack, table, l):
-    """Dense objective rows of step l, with -inf off the continuations the
-    table may choose (edges whose completion follows edges)."""
-    obj = dense_objective(stack, l, table.mu[l + 1])
-    allowed = (stack.lams[l].adjacency != 0) & table.complete[l + 1][None, :]
+    """Dense objective rows of step l, Lambda (H W_up) scaled[l]^T, with -inf
+    off the continuations the table may choose (edges whose completion
+    follows edges)."""
+    lam = stack.lams[l].adjacency
+    obj = lam * ((stack.hidden[l] @ stack.wups[l]) @ table.scaled[l].T)
+    allowed = (lam != 0) & table.complete[l + 1][None, :]
     return obj, allowed, np.where(allowed, obj, -np.inf)
 
 
@@ -403,8 +405,8 @@ def test_node_message_table_holds_no_m_by_m_array():
     _, _, _, stack = random_instance(m=40, seed=0, edge_prob=0.1)
     table = build_node_message_table(stack)
     bound = stack.num_nodes * max(stack.dims)
-    arrays = table.mu + table.step + table.scaled + table.complete
-    assert len(arrays) == 4 * stack.num_steps + 2
+    arrays = table.step + table.scaled + table.complete + (table.root,)
+    assert len(arrays) == 3 * stack.num_steps + 2
     assert all(a.size <= bound for a in arrays)
     assert table.objective == ()
 

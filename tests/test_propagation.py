@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relwalk import (
@@ -323,6 +323,29 @@ def test_first_max_over_edges_equals_first_masked_argmax(width):
         masked = np.where(mask if width is None else mask[:, :, None], values, -np.inf)
         np.testing.assert_array_equal(best, masked.max(axis=1)[heads])
         np.testing.assert_array_equal(cols[first], np.argmax(masked, axis=1)[heads])
+
+
+# one row's edge values: heavy ties from a 3-value alphabet, single edges,
+# all-zero rows, and rows with no edge (no segment)
+EDGE_ROWS = st.lists(st.one_of(st.lists(st.sampled_from([-1.5, 0.0, 2.0]), max_size=6),
+                               st.lists(st.just(0.0), min_size=1, max_size=4),
+                               st.lists(st.floats(-10, 10), min_size=1, max_size=1)),
+                     max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(EDGE_ROWS)
+@example([])
+@example([[0.0, 0.0, 0.0], [2.0]])
+@example([[], [-1.5, 2.0, 2.0, -1.5, 2.0], [], [0.0]])
+def test_segment_first_max_is_each_rows_first_max(edge_rows):
+    rows = np.repeat(np.arange(len(edge_rows)), [len(r) for r in edge_rows])
+    column = np.array([v for r in edge_rows for v in r], dtype=float)
+    heads, starts, segment = edge_segments(rows)
+    best, first = segment_first_max(column, starts, segment)
+    offsets = np.cumsum([0] + [len(r) for r in edge_rows])
+    expected = [(m, max(r), offsets[m] + r.index(max(r))) for m, r in enumerate(edge_rows) if r]
+    assert list(zip(heads.tolist(), best.tolist(), first.tolist())) == expected
 
 
 def test_factorized_matches_materialized_entries():

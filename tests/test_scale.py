@@ -24,10 +24,17 @@ MEAN_DEGREE = 4
 WIDTH = 16
 K = 5
 # tracemalloc peak of load, forward, stack and both searches, which hold
-# O(E N + M N) arrays (about 56.4 MiB here, reached in EMP-neu's table
-# build; forward gathers one feature column at a time and AMP-ave's step
-# objective one edge block); a dense Lambda alone would be 3.2 GB.
+# O(E N + M N) arrays; a dense Lambda alone would be 3.2 GB.  The peak is
+# about 54 MiB, reached in EMP-neu's search, which needs about 31.8 MiB
+# above the 22 MiB it starts from (its table keeps every message, its
+# steps and its factors); load, forward and the stack peak at about
+# 31 MiB.  Forward gathers one feature column at a time and AMP-ave's
+# step objective one edge block.
 PEAK_CEILING_MIB = 64
+# AMP-ave's own peak above the stack, about 14.4 MiB: its table keeps L
+# scaled messages, the steps, the completeness masks and the root scores,
+# and builds each message once (about 24.0 MiB when it kept every message)
+AMP_AVE_PEAK_MIB = 16
 
 
 def write_edge_list_graph(path, seed=0):
@@ -58,12 +65,16 @@ def test_edge_list_graph_explained_without_dense_lambda(tmp_path):
                                   GammaSchedule.linear_decay(3.0, model.num_steps),
                                   predicted_target(model, acts))
         del acts
+        before, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         amp = amp_ave_topk(stack, K)
+        amp_peak = tracemalloc.get_traced_memory()[1] - before
         emp = emp_neu_topk(stack, K)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = max(peak, tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert peak < PEAK_CEILING_MIB * 2 ** 20, peak / 2 ** 20
+    assert amp_peak < AMP_AVE_PEAK_MIB * 2 ** 20, amp_peak / 2 ** 20
     assert len(amp.positive) == len(emp.positive) == K
     for w in amp.positive:
         exact = node_walk_relevance(stack, w.nodes)

@@ -30,6 +30,14 @@ from helpers import assert_topk_equivalent, random_instance, scale_edges, stack_
 SEARCHES = (amp_ave_topk, emp_neu_topk)
 
 
+@pytest.mark.parametrize("search", SEARCHES)
+@pytest.mark.parametrize("cap", [0, -1])
+def test_both_searches_refuse_max_k_tilde_below_one(search, cap):
+    _, _, _, stack = random_instance(seed=0)
+    with pytest.raises(ValueError, match="max_k_tilde"):
+        search(stack, 5, max_k_tilde=cap)
+
+
 def test_step_without_edges_leaves_no_walk():
     # Lambda^(1) is all zero: no walk follows edges through step 1, and the
     # edge list of that step is empty

@@ -94,3 +94,10 @@ def test_splitter_root_without_walk_is_empty():
 def test_split_topk_rejects_k_below_one(k):
     with pytest.raises(ValueError):
         split_topk(CountingScorer(), STEP, lambda walk, p: ScoredWalk(walk, p), k)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_split_topk_rejects_max_k_tilde_below_one(cap):
+    # such a cap used to return no walk with exhausted=False
+    with pytest.raises(ValueError, match="max_k_tilde"):
+        split_topk(CountingScorer(), STEP, lambda walk, p: ScoredWalk(walk, p), 1, cap)
