@@ -21,9 +21,10 @@ ranks it by that relevance and reports the same counters.
 
 The step objective factorizes over {Lambda, H, Wup}, the propagation
 stack's only representation, and is maximized along each step's edge
-list (stack.lams[l].edge_index) with EMP-neu's reduction
-(propagation.segment_first_max), so a step costs O(E N + M N^2) time
-and no dense transition tensor or M x M objective is ever built.  A
+list (stack.lams[l].edge_index) with a first-max reduction over each
+row's edges (propagation.segment_first_max), so a step costs
+O(E N + M N^2) time and no dense transition tensor or M x M objective
+is ever built.  A
 subset after a prefix scores only the successors of the prefix's last
 node, read from the step's CSR rows (Graph.out_edges) as EMP-neu reads
 them.

@@ -14,7 +14,11 @@ zero-relevance walks and counts as empty, so no zero walk is ever
 extracted, and exhausted means every walk with nonzero relevance was.
 The messages and scores read Lambda^(l) from the step's Graph
 (stack.lams[l]): its edge list for the max over successors, and its
-rows (out_edges) for a subset's candidates.
+rows (out_edges) for a subset's candidates and for the argmax steps.
+The table takes maxima only and keeps the root message and one scaled
+message per step; a search computes the argmax steps a node at a time,
+the first time a traceback reads one (argmax_steps), and keeps them
+until it ends.
 """
 
 from __future__ import annotations
@@ -25,27 +29,36 @@ from functools import partial
 import numpy as np
 
 from .oracle import ScoredWalk, neuron_walk_relevance
-from .propagation import PropagationStack, edge_segments, segment_first_max
+from .propagation import PropagationStack, edge_segments
 from .splitting import SplitResult, split_topk
+
+# Edges per block of the max over successors: a block's (EDGE_BLOCK, N_l)
+# gather is 256 KiB at N_l = 16, and no E x N_l array is built.
+EDGE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
 class MessageTable:
-    """Backward max-product messages and argmax step mappings.
+    """Backward max-product messages, kept as far as a search reads them.
 
-    mu[l] has shape (M * N_l,): the best absolute continuation value from
-    each (m, n) pair at layer l.  step[l] maps each flat pair at layer l
-    to the chosen flat pair at layer l + 1 (length num_steps list): the
-    first maximizer in flat (m', n') order wherever mu[l] is nonzero.
+    mu holds only the root message mu[0], of shape (M * N_0,): the best
+    absolute continuation value from each (m, n) pair at layer 0.
     factors[l] is the scaled message mu[l + 1] * |1 / den^(l)| of shape
     (M, N_{l+1}), with the stack's guarded inverse denominators; with
     |Lambda|, |H| and |W_up| of the stack it gives any row or entry of
-    |T^(l)| * mu[l + 1] on demand, so no dense |T^(l)| is ever built.
+    |T^(l)| * mu[l + 1] on demand, so no dense |T^(l)| is ever built, and
+    the argmax steps are computed from it a node at a time as a search
+    reads them (argmax_steps).
     """
 
     mu: tuple[np.ndarray, ...]
-    step: tuple[np.ndarray, ...]
     factors: tuple[np.ndarray, ...]
+
+    @property
+    def step(self) -> tuple:
+        """No step array is kept (see argmax_steps); empty, so that
+        perfbench's traced byte count still sums factors + mu + step."""
+        return ()
 
 
 def build_message_table(stack: PropagationStack) -> MessageTable:
@@ -55,46 +68,76 @@ def build_message_table(stack: PropagationStack) -> MessageTable:
     nu = mu[l + 1] * |1 / den|:
         G[m', n] = max_{n'} |W_up[n, n']| nu[m', n']
         mu[l][m, n] = |H[m, n]| max_{m'} |Lambda[m, m']| G[m', n]
-    The max over m' only runs along the E edges (Lambda[m, m'] != 0), as
-    a segment reduction over each row's edges, so a step costs
-    O(E N_l + M N_l N_{l+1}).  Keeping the first maximizer at both stages
-    gives the first flat (m', n') maximizer: within a row the edges come
-    in column order, and where the best value is 0 (or a row has no edge)
-    m' = 0, the first maximizer of the all-zero dense row.
+    G takes one (M, N_l) maximum per n', and the max over m' only runs
+    along the E edges (Lambda[m, m'] != 0), as a reduction over each
+    row's edges, so a step costs O(E N_l + M N_l N_{l+1}).  Only maxima
+    are taken here: a max is exact, so the messages do not depend on
+    which maximizer a search later picks.
     """
     m = stack.num_nodes
-    dims = stack.dims
-    sizes = [m * d for d in dims]
-    mu = [None] * (stack.num_steps + 1)
-    step = [None] * stack.num_steps
     factors = [None] * stack.num_steps
-    mu[-1] = np.abs(stack.output_relevance).reshape(sizes[-1])
+    mu = np.abs(stack.output_relevance)
     for l in range(stack.num_steps - 1, -1, -1):
-        n_l, n_next = dims[l], dims[l + 1]
         nu = np.abs(stack.inverse_denominators[l])
-        nu *= mu[l + 1].reshape(m, n_next)
+        nu *= mu
         factors[l] = nu
+        w = np.abs(stack.wups[l])
+        g = np.zeros((m, w.shape[0]))
+        for j in range(w.shape[1]):
+            np.maximum(g, w[:, j] * nu[:, j, None], out=g)
         rows, cols = stack.lams[l].edge_index
-        heads, starts, segment = edge_segments(rows)
-        weights = np.abs(stack.lams[l].csr[2])
-        best = np.zeros((m, n_l))           # becomes mu[l]
-        chosen = np.empty((m, n_l), dtype=np.intp)      # becomes step[l]
-        at_zero = np.empty(n_l, dtype=np.intp)      # where best is 0, m' = 0
-        # one n at a time, written straight into the table's own arrays, so
-        # no temporary holds more than M N_{l+1} or E values
-        for n, w in enumerate(np.abs(stack.wups[l])):
-            inner_scored = w[None, :] * nu                                # (M', N_l+1)
-            inner = np.argmax(inner_scored, axis=1)                       # (M',)
-            g = inner_scored[np.arange(m), inner]
-            best[heads, n], first = segment_first_max(g[cols] * weights, starts, segment)
-            outer = cols[first]
-            chosen[heads, n] = outer * n_next + inner[outer]
-            at_zero[n] = inner[0]
-        np.copyto(chosen, at_zero, where=best == 0)
-        best *= np.abs(stack.hidden[l])
-        mu[l] = best.reshape(sizes[l])
-        step[l] = chosen.reshape(sizes[l])
-    return MessageTable(tuple(mu), tuple(step), tuple(factors))
+        heads, starts, _ = edge_segments(rows)
+        weights = np.abs(stack.lams[l].csr[2])[:, None]
+        mu = np.zeros_like(g)
+        # whole rows of about EDGE_BLOCK edges at a time (a row longer than
+        # that leaves empty blocks): no E x N_l array
+        bounds = np.append(starts, rows.size)
+        cuts = np.searchsorted(starts, np.arange(0, rows.size, EDGE_BLOCK)).tolist()
+        for k0, k1 in zip(cuts, cuts[1:] + [starts.size]):
+            a, b = bounds[k0], bounds[k1]
+            scored = g[cols[a:b]]
+            scored *= weights[a:b]
+            mu[heads[k0:k1]] = np.maximum.reduceat(scored, starts[k0:k1] - a)
+        mu *= np.abs(stack.hidden[l])
+    return MessageTable((mu.reshape(-1),), tuple(factors))
+
+
+class _Steps(dict):
+    """The argmax steps of layer l, flat pair -> flat pair at layer l + 1,
+    filled a node at a time as they are read.
+
+    The step of (m, n) is the first n' for each successor m' of
+    |T^(l)[m, n, m', n']| * mu[l + 1], then the first successor in column
+    order.  The first read of a pair of m computes the steps of all N_l
+    pairs of m from m's out-edges and factors[l] (|H[m, n]| scales a whole
+    row, so it is left out).  Steps are read only where mu[l] is nonzero:
+    every traceback starts there, and a step keeps to it.
+    """
+
+    def __init__(self, stack: PropagationStack, table: MessageTable, l: int):
+        super().__init__()
+        self.lam = stack.lams[l]
+        self.w = np.abs(stack.wups[l])
+        self.factor = table.factors[l]
+        self.n_l, self.n_next = self.w.shape
+
+    def __missing__(self, pair: int) -> int:
+        m = pair // self.n_l
+        cols, lam = self.lam.out_edges(m)
+        inner_scored = self.w * self.factor[cols][:, None, :]     # (deg, N_l, N_{l+1})
+        inner = np.argmax(inner_scored, axis=2)
+        scored = inner_scored.max(axis=2)
+        scored *= np.abs(lam)[:, None]
+        outer = np.argmax(scored, axis=0)
+        chosen = cols[outer] * self.n_next + inner[outer, np.arange(self.n_l)]
+        self.update(zip(range(m * self.n_l, (m + 1) * self.n_l), chosen.tolist()))
+        return self[pair]
+
+
+def argmax_steps(stack: PropagationStack, table: MessageTable) -> tuple[_Steps, ...]:
+    """The step mappings of one search, one per layer: pair -> the next
+    pair of its best continuation, computed on first read and kept."""
+    return tuple(_Steps(stack, table, l) for l in range(stack.num_steps))
 
 
 def _prefix_factor(stack: PropagationStack, prefix: tuple[int, ...]) -> float:
@@ -173,6 +216,6 @@ def emp_neu_topk(
     has none and returns no walk.
     """
     table = build_message_table(stack)
-    return split_topk(partial(candidate_scores, stack, table), table.step,
+    return split_topk(partial(candidate_scores, stack, table), argmax_steps(stack, table),
                       lambda pairs, _: _pairs_to_walk(stack, pairs),
                       k, max_k_tilde, result_type=TopKResult)

@@ -144,11 +144,12 @@ class Graph:
     @cached_property
     def _python_rows(self) -> tuple[array, array, array]:
         """The CSR arrays as Python arrays, whose items read as Python
-        scalars, for the scalar reads by bisection."""
-        indptr, indices, data = self.csr
-        return (array("q", indptr.astype(np.int64).tobytes()),
-                array("q", indices.astype(np.int64).tobytes()),
-                array("d", data.tobytes()))
+        scalars, for the scalar reads by bisection.  Each is copied once,
+        from a contiguous int64 or float64 view of the CSR array."""
+        rows = array("q"), array("q"), array("d")
+        for row, a, dtype in zip(rows, self.csr, (np.int64, np.int64, np.float64)):
+            row.frombytes(memoryview(np.ascontiguousarray(a, dtype=dtype)).cast("B"))
+        return rows
 
     def out_edges(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """(cols, values) of row m of Lambda: m's successors, in column order."""

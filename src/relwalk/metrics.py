@@ -164,12 +164,13 @@ def edge_recall(
     edge_scores: dict[tuple[int, int], float],
     true_edges: set[tuple[int, int]],
 ) -> list[float]:
-    """Recall of the ground-truth edge set among the top-c scoring edges, at
-    every cutoff c = 1 .. len(edge_scores): entry c - 1 is cutoff c.
+    """Recall of the ground-truth edge set among the top-c ranked edges, at
+    every cutoff c = 1 .. the number of ranked edges: entry c - 1 is
+    cutoff c.
 
     Undirected comparison: (i, j) and (j, i) count as the same edge, scored
     by the higher of the two, and self-loops are not ranked, so the curve
-    is flat past the last undirected edge.  Ties rank by edge.
+    has one entry per undirected non-loop edge.  Ties rank by edge.
     """
     if not true_edges:
         raise ValueError("true_edges must be nonempty")
@@ -182,8 +183,7 @@ def edge_recall(
             canon_scores[key] = s
     canon_true = {(min(i, j), max(i, j)) for i, j in true_edges}
     ranked = sorted(canon_scores, key=lambda e: (-canon_scores[e], e))
-    found = [e in canon_true for e in ranked] + [False] * (len(edge_scores) - len(ranked))
-    return [hits / len(canon_true) for hits in accumulate(found)]
+    return [hits / len(canon_true) for hits in accumulate(e in canon_true for e in ranked)]
 
 
 # ---------------------------------------------------------------------------

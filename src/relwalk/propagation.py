@@ -20,8 +20,9 @@ and builds the O(L M N^2) rest once per graph, so a target costs only
 its output relevance.  The dense 4-index tensor, O(M^2 N^2) per step,
 is never built here; the brute-force oracle builds its own
 (oracle.dense_tensor) as the independent reference.  Both searches
-maximize over a node's edges with segment_first_max on each step's
-edge list, lams[l].edge_index.
+maximize over a node's edges on each step's edge list,
+lams[l].edge_index, cut into rows by edge_segments: AMP-ave with
+segment_first_max, EMP-neu's max-only table with a reduceat.
 """
 
 from __future__ import annotations

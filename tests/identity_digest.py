@@ -12,9 +12,9 @@ Groups:
              first chain targets, plus the trained weights and losses;
   random     seeded M=6 random graphs (GCN/GIN x graph/node task): the
              graph's CSR arrays and features, both searches, each AMP-ave
-             table, and exhaustive_topk_node on the GCN stacks;
+             and EMP-neu table, and exhaustive_topk_node on the GCN stacks;
   scale      an amp-scale-style edge-list graph: AMP-ave at the CLI cap,
-             its table, and EMP-neu at a K-tilde cap;
+             its table, EMP-neu at a K-tilde cap and its table;
   gen        every file that `relwalk gen ba2motif` and `gen infection`
              write;
   training   trained weights and losses of the desk and infection recipes
@@ -28,9 +28,11 @@ Groups:
 Relevances and losses enter as float.hex, arrays as dtype, shape and raw
 bytes.  An AMP-ave table enters as its step, scaled and complete arrays
 and its root scores, read through ampave.candidate_scores at the empty
-prefix.  BLAS runs on one thread, so the digests do not depend on the
-thread count.  Only library members that have long been public are used,
-so one script compares an older tree with a newer one.
+prefix; an EMP-neu table as its factors and its root scores, read
+through empneu.candidate_scores at the empty prefix.  BLAS runs on one
+thread, so the digests do not depend on the thread count.  Only library
+members that both an older tree and a newer one have are used, so one
+script compares them.
 """
 
 from __future__ import annotations
@@ -57,9 +59,12 @@ from relwalk import (
     GammaSchedule,
     TrainConfig,
     amp_ave_topk,
+    ampave,
+    build_message_table,
     build_node_message_table,
     degree_normalized,
     emp_neu_topk,
+    empneu,
     exhaustive_topk_node,
     gen_ba2motif,
     gen_infection,
@@ -68,7 +73,6 @@ from relwalk import (
     random_graph,
     train,
 )
-from relwalk.ampave import candidate_scores
 from relwalk.cli import main as cli_main
 
 CLI_CAP = 10 ** 8
@@ -109,7 +113,12 @@ class Digest:
     def add_node_table(self, stack) -> None:
         table = build_node_message_table(stack)
         self.add((table.step, table.scaled, table.complete))
-        self.add(candidate_scores(stack, table, ()))
+        self.add(ampave.candidate_scores(stack, table, ()))
+
+    def add_neuron_table(self, stack) -> None:
+        table = build_message_table(stack)
+        self.add(table.factors)
+        self.add(empneu.candidate_scores(stack, table, ()))
 
     def add_model(self, model) -> None:
         for layer in model.layers:
@@ -158,6 +167,7 @@ def group_random(quick: bool) -> str:
                 d.add_result(emp_neu_topk(stack, 5, max_k_tilde=200))
                 d.add_result(amp_ave_topk(stack, 5, max_k_tilde=200))
                 d.add_node_table(stack)
+                d.add_neuron_table(stack)
                 if not gin:
                     for w in exhaustive_topk_node(stack, 10):
                         d.add((w.nodes, w.relevance))
@@ -184,6 +194,7 @@ def group_scale(quick: bool) -> str:
         d.add_result(amp_ave_topk(stack, 10, max_k_tilde=CLI_CAP))
         d.add_node_table(stack)
         d.add_result(emp_neu_topk(stack, 10, max_k_tilde=200))
+        d.add_neuron_table(stack)
     return d.hexdigest()
 
 

@@ -29,7 +29,7 @@ from relwalk import (
     predicted_target,
     time_callable,
 )
-from relwalk.empneu import candidate_scores
+from relwalk.empneu import argmax_steps, candidate_scores
 from relwalk.graphs import Graph, modified_adjacency
 
 from helpers import (assert_topk_equivalent, batch_loss_grads, dense_slices, numeric_gradients,
@@ -283,7 +283,7 @@ def test_splitting_partition_by_enumeration():
     space = [(p0, p1, p2) for p0 in range(sizes[0])
              for p1 in range(sizes[1]) for p2 in range(sizes[2])]
 
-    splitter = Splitter(partial(candidate_scores, stack, table), table.step)
+    splitter = Splitter(partial(candidate_scores, stack, table), argmax_steps(stack, table))
     extracted = []
     for k_tilde in range(1, len(space) + 1):
         if not splitter.live:

@@ -546,7 +546,10 @@ def test_eval_edge_recall_reads_the_motif_from_the_graph(tmp_path, capsys, base_
         walks = relwalk.amp_ave_topk(
             relwalk.Explainer(model, graph, relwalk.parse_gamma("linear:3", 2)).stack(), 20,
             max_k_tilde=cli.DEFAULT_ENUM_BUDGET).positive
-        curve = relwalk.edge_recall(relwalk.walks_to_edge_scores(walks), truth)
+        scores = relwalk.walks_to_edge_scores(walks)
+        curve = relwalk.edge_recall(scores, truth)
+        # one row per ranked edge: undirected, self-loops left out
+        assert len(curve) == len({(min(i, j), max(i, j)) for i, j in scores if i != j})
         assert capsys.readouterr().out.splitlines() == ["cutoff,recall"] + [
             f"{cutoff},{recall}" for cutoff, recall in enumerate(curve, 1)]
 

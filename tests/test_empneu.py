@@ -20,10 +20,12 @@ from relwalk import (
     forward,
     neuron_walk_relevance,
 )
-from relwalk.empneu import candidate_scores
+from relwalk import empneu
+from relwalk.empneu import argmax_steps, candidate_scores
 from relwalk.splitting import pick
 
-from helpers import assert_topk_equivalent, headed_instance, random_instance, sink_adjacency
+from helpers import (assert_topk_equivalent, headed_instance, random_instance, sink_adjacency,
+                     stack_from_factors)
 
 
 def flat_pair(stack, l, m, n):
@@ -32,7 +34,8 @@ def flat_pair(stack, l, m, n):
 
 def subset_best(stack, table, prefix, excluded):
     """(|relevance|, walk) of the representative of a subset, or None."""
-    return pick(*candidate_scores(stack, table, prefix), table.step, prefix, excluded)
+    return pick(*candidate_scores(stack, table, prefix), argmax_steps(stack, table), prefix,
+                excluded)
 
 
 # -- single best walk ----------------------------------------------------------
@@ -113,6 +116,11 @@ def dense_max_product(stack):
     return mu, scored
 
 
+def steps_at(steps, l, pairs):
+    """The on-demand steps of the given flat pairs at layer l."""
+    return np.array([steps[l][p] for p in pairs.tolist()], dtype=np.intp)
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_message_table_mu_matches_dense_max_product(weighted):
     dead = edgeless = 0
@@ -121,8 +129,11 @@ def test_message_table_mu_matches_dense_max_product(weighted):
         edgeless += sum(int(np.sum(np.diff(lam.csr[0]) == 0)) for lam in stack.lams)
         table = build_message_table(stack)
         mu, _ = dense_max_product(stack)
-        for l in range(stack.num_steps + 1):
-            np.testing.assert_allclose(table.mu[l], mu[l], rtol=REL, atol=0)
+        [root] = table.mu
+        np.testing.assert_allclose(root, mu[0], rtol=REL, atol=0)
+        for l, factor in enumerate(table.factors):
+            expected = mu[l + 1].reshape(factor.shape) * np.abs(stack.inverse_denominators[l])
+            np.testing.assert_allclose(factor, expected, rtol=REL, atol=0)
     assert dead > 0  # dead ReLU units give all-zero rows
     assert edgeless > 0  # rows with no edge give empty segments
 
@@ -136,28 +147,30 @@ def test_message_table_step_is_dense_first_maximizer(weighted):
     # that maximizer is unique.
     unique = 0
     for stack in table_instances(weighted):
-        table = build_message_table(stack)
+        steps = argmax_steps(stack, build_message_table(stack))
         mu, scored = dense_max_product(stack)
         for l in range(stack.num_steps):
             rows = np.flatnonzero(mu[l] > 0)
+            step = steps_at(steps, l, rows)
             best = scored[l][rows]
-            chosen = best[np.arange(rows.size), table.step[l][rows]]
+            chosen = best[np.arange(rows.size), step]
             np.testing.assert_allclose(chosen, mu[l][rows], rtol=REL, atol=0)
             near = best >= mu[l][rows][:, None] * (1 - REL)
             alone = near.sum(axis=1) == 1
             unique += int(alone.sum())
-            np.testing.assert_array_equal(table.step[l][rows][alone],
-                                          np.argmax(best, axis=1)[alone])
+            np.testing.assert_array_equal(step[alone], np.argmax(best, axis=1)[alone])
     assert unique > 1000
 
 
 def max_over_all_node_pairs(stack):
     """Factorized max-product taking the max over m' across every node
-    pair, edge or not.  The products are the same as along the edges, so
-    mu and step must agree bit for bit, first-maximizer ties included."""
+    pair, edge or not: (mu, step, factors).  The products are the same as
+    along the edges, so the table's root and factors must agree bit for
+    bit, and so must the steps wherever mu is nonzero, first-maximizer
+    ties included."""
     dims = stack.dims
     mu = [np.abs(stack.output_relevance)]
-    step = []
+    step, factors = [], []
     for l in range(stack.num_steps - 1, -1, -1):
         nu = mu[0] * np.abs(stack.inverse_denominators[l])
         inner_scored = np.abs(stack.wups[l])[None, :, :] * nu[:, None, :]
@@ -168,24 +181,63 @@ def max_over_all_node_pairs(stack):
         best = np.take_along_axis(scored, outer[:, None, :], axis=1)[:, 0, :]
         mu.insert(0, np.abs(stack.hidden[l]) * best)
         step.insert(0, outer * dims[l + 1] + inner[outer, np.arange(dims[l])])
-    return [a.reshape(-1) for a in mu], [a.reshape(-1) for a in step]
+        factors.insert(0, nu)
+    return [a.reshape(-1) for a in mu], [a.reshape(-1) for a in step], factors
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_message_table_equals_max_over_all_node_pairs(weighted):
+    live = 0
     for stack in table_instances(weighted):
         table = build_message_table(stack)
-        mu, step = max_over_all_node_pairs(stack)
-        for a, b in zip(table.mu + table.step, mu + step):
+        mu, step, factors = max_over_all_node_pairs(stack)
+        for a, b in zip(table.mu + table.factors, mu[:1] + factors, strict=True):
+            np.testing.assert_array_equal(a, b)
+        steps = argmax_steps(stack, table)
+        for l in range(stack.num_steps):
+            rows = np.flatnonzero(mu[l] > 0)
+            live += rows.size
+            np.testing.assert_array_equal(steps_at(steps, l, rows), step[l][rows])
+    assert live > 1000
+
+
+def test_argmax_steps_take_the_first_maximizer_under_exact_ties():
+    # every entry of every |T^(l)| * mu[l + 1] is the same, so at both
+    # stages the first maximizer wins: each step goes to (m', n') = (0, 0)
+    lam, h, w = np.ones((3, 3)), np.ones((3, 2)), np.ones((2, 2))
+    stack = stack_from_factors([lam, lam], [h, h], [w, w], h)
+    steps = argmax_steps(stack, build_message_table(stack))
+    for l in range(stack.num_steps):
+        assert [steps[l][p] for p in range(6)] == [0] * 6
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_message_table_is_the_same_in_any_edge_blocks(monkeypatch, block):
+    # rows longer than a block leave empty blocks, and each block holds whole rows
+    stacks = list(table_instances(weighted=True))[:12]
+    tables = [build_message_table(stack) for stack in stacks]
+    monkeypatch.setattr(empneu, "EDGE_BLOCK", block)
+    for stack, table in zip(stacks, tables):
+        blocked = build_message_table(stack)
+        for a, b in zip(table.mu + table.factors, blocked.mu + blocked.factors, strict=True):
             np.testing.assert_array_equal(a, b)
 
 
 def test_message_table_holds_no_dense_tensor():
+    # the table keeps the root and one scaled message per step; a search
+    # computes the steps of only the nodes its tracebacks pass
     _, _, _, stack = random_instance(m=40, seed=0, edge_prob=0.1)
     table = build_message_table(stack)
-    entries = sum(a.size for a in table.factors + table.mu + table.step)
     m, dims = stack.num_nodes, stack.dims
-    assert entries <= 3 * m * sum(dims)
+    assert sum(a.size for a in table.factors + table.mu) == m * sum(dims)
+    assert table.step == ()
+    steps = argmax_steps(stack, table)
+    splitter = Splitter(partial(candidate_scores, stack, table), steps)
+    for _ in range(5):
+        splitter.pop()
+    for l, computed in enumerate(steps):
+        assert 0 < len(computed) <= splitter.subsets_created * dims[l] < m * dims[l]
+        assert len(computed) % dims[l] == 0
 
 
 # -- constrained subset maximization --------------------------------------------
@@ -367,7 +419,7 @@ def test_splitting_partitions_unexplored_space():
         ]
         relevant = {w for w in space if pairs_relevance(stack, w) != 0}
         partial_spaces += 0 < len(relevant) < len(space)
-        splitter = Splitter(partial(candidate_scores, stack, table), table.step)
+        splitter = Splitter(partial(candidate_scores, stack, table), argmax_steps(stack, table))
         extracted = []
         steps = stack.num_steps
         while splitter.heap:

@@ -205,9 +205,10 @@ def test_edge_recall_direction_insensitive():
 
 
 def test_edge_recall_ignores_self_loops():
-    # the curve still has one cutoff per scored edge, flat past the ranked ones
-    scores = {(0, 0): 10.0, (1, 2): 1.0}
-    assert edge_recall(scores, {(1, 2)}) == [1.0, 1.0]
+    # one cutoff per ranked edge: the self-loop and the second direction
+    # of (1, 2) add none
+    scores = {(0, 0): 10.0, (1, 2): 1.0, (2, 1): 0.5}
+    assert edge_recall(scores, {(1, 2)}) == [1.0]
 
 
 def test_edge_recall_requires_true_edges():
@@ -232,7 +233,8 @@ def test_edge_recall_monotone_in_top_e(top_e):
 @settings(deadline=None, max_examples=50)
 def test_edge_recall_curve_is_the_recall_at_each_cutoff(scores, true_edges):
     # reference: rank the undirected edges afresh at every cutoff, each
-    # scored by its best direction, self-loops left out, ties by edge
+    # scored by its best direction, self-loops left out, ties by edge; one
+    # cutoff per ranked edge
     best = {}
     for (i, j), s in scores.items():
         if i != j:
@@ -241,7 +243,7 @@ def test_edge_recall_curve_is_the_recall_at_each_cutoff(scores, true_edges):
     truth = {(min(i, j), max(i, j)) for i, j in true_edges}
     ranked = sorted(best, key=lambda e: (-best[e], e))
     assert edge_recall(scores, true_edges) == [
-        len(set(ranked[:cutoff]) & truth) / len(truth) for cutoff in range(1, len(scores) + 1)]
+        len(set(ranked[:cutoff]) & truth) / len(truth) for cutoff in range(1, len(ranked) + 1)]
 
 
 # -- timing harness ------------------------------------------------------------------

@@ -25,16 +25,20 @@ WIDTH = 16
 K = 5
 # tracemalloc peak of load, forward, stack and both searches, which hold
 # O(E N + M N) arrays; a dense Lambda alone would be 3.2 GB.  The peak is
-# about 54 MiB, reached in EMP-neu's search, which needs about 31.8 MiB
-# above the 22 MiB it starts from (its table keeps every message, its
-# steps and its factors); load, forward and the stack peak at about
-# 31 MiB.  Forward gathers one feature column at a time and AMP-ave's
-# step objective one edge block.
+# about 39.5 MiB, reached in EMP-neu's search; load, forward and the
+# stack peak at about 30.6 MiB.  Forward gathers one feature column at a
+# time, AMP-ave's step objective and EMP-neu's max over successors one
+# edge block.
 PEAK_CEILING_MIB = 64
 # AMP-ave's own peak above the stack, about 14.4 MiB: its table keeps L
 # scaled messages, the steps, the completeness masks and the root scores,
 # and builds each message once (about 24.0 MiB when it kept every message)
 AMP_AVE_PEAK_MIB = 16
+# EMP-neu's own peak above the 21.4 MiB it starts from, about 18.1 MiB:
+# its table keeps L scaled messages and the root message, and a search
+# computes the steps of only the nodes its tracebacks pass (about 31.8 MiB
+# when the table kept every message and every step)
+EMP_NEU_PEAK_MIB = 20
 
 
 def write_edge_list_graph(path, seed=0):
@@ -69,12 +73,17 @@ def test_edge_list_graph_explained_without_dense_lambda(tmp_path):
         tracemalloc.reset_peak()
         amp = amp_ave_topk(stack, K)
         amp_peak = tracemalloc.get_traced_memory()[1] - before
+        peak = max(peak, amp_peak + before)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         emp = emp_neu_topk(stack, K)
-        peak = max(peak, tracemalloc.get_traced_memory()[1])
+        emp_peak = tracemalloc.get_traced_memory()[1] - before
+        peak = max(peak, emp_peak + before)
     finally:
         tracemalloc.stop()
     assert peak < PEAK_CEILING_MIB * 2 ** 20, peak / 2 ** 20
     assert amp_peak < AMP_AVE_PEAK_MIB * 2 ** 20, amp_peak / 2 ** 20
+    assert emp_peak < EMP_NEU_PEAK_MIB * 2 ** 20, emp_peak / 2 ** 20
     assert len(amp.positive) == len(emp.positive) == K
     for w in amp.positive:
         exact = node_walk_relevance(stack, w.nodes)
